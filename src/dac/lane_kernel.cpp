@@ -23,6 +23,8 @@ ChipWorkspaceXN::ChipWorkspaceXN(const core::DacSpec& s, int nlanes)
   unary_prefix.resize((nu + 1) * ll, 0.0);
   binsum.resize((static_cast<std::size_t>(1) << spec.binary_bits) * ll, 0.0);
   levels.resize(n_codes * ll, 0.0);
+  z.resize(nu * ll, 0.0);
+  amp.resize(nu * ll, 0.0);
 }
 
 namespace detail {
@@ -40,6 +42,8 @@ LaneView lane_view(ChipWorkspaceXN& ws) {
   v.unary_prefix = ws.unary_prefix.data();
   v.binsum = ws.binsum.data();
   v.levels = ws.levels.data();
+  v.z = ws.z.data();
+  v.amp = ws.amp.data();
   return v;
 }
 

@@ -3,7 +3,15 @@
 // once, one chip per vector lane, with every lane performing the scalar
 // kernel's arithmetic in the scalar order — so the per-chip metrics are
 // bit-identical to mc_chip_metrics / the calibration chip pass, which the
-// equivalence tests enforce with EXPECT_EQ.
+// equivalence tests enforce with EXPECT_EQ. The blocks:
+//
+//   mc_block     brute-force INL/DNL chips (inl_yield_mc, dnl_yield_mc)
+//   cal_block    pre/post-calibration chips (calibration_yield_mc)
+//   is_block     importance-sampled chips tilted along the leading
+//                bridge modes, with their log likelihood ratios
+//                (inl_yield_is)
+//   strat_block  stratified antithetic pairs, one pair per lane
+//                (inl_yield_stratified)
 //
 // Backends are separate translation units (lane_kernel_sse2.cpp with
 // baseline flags — SSE2 is part of x86-64 —, lane_kernel_avx2.cpp compiled
@@ -44,6 +52,8 @@ struct ChipWorkspaceXN {
   std::vector<double> unary_prefix;   ///< (num_unary()+1) x lanes
   std::vector<double> binsum;         ///< 2^b x lanes partial sums
   std::vector<double> levels;         ///< 2^n x lanes transfer levels
+  std::vector<double> z;              ///< num_unary() x lanes standard draw
+  std::vector<double> amp;            ///< num_unary() x lanes mode amplitudes
 };
 
 /// Raw-pointer view of a ChipWorkspaceXN plus the spec numbers the kernels
@@ -63,6 +73,27 @@ struct LaneView {
   double* unary_prefix = nullptr;
   double* binsum = nullptr;
   double* levels = nullptr;
+  double* z = nullptr;
+  double* amp = nullptr;
+};
+
+/// Constants of one rare-event run, computed once in scalar (libm log
+/// included) by dac/rare_event.cpp and shared read-only by every worker.
+/// Raw pointers for the same reason as LaneView.
+struct RareRun {
+  double sigma_unit = 0.0;
+  std::uint64_t seed = 0;
+  double inl_limit = 0.5;
+  InlReference ref = InlReference::kBestFit;
+  /// Orthonormal cosine (bridge) modes, `modes` x num_unary row-major,
+  /// modes < num_unary (ChipWorkspaceXN::amp holds one row per mode). IS
+  /// tilts all of them; the stratified path uses row 0.
+  const double* basis = nullptr;
+  int modes = 0;
+  const double* log_g = nullptr;      ///< IS: log g_k per mode
+  const double* half_g2m1 = nullptr;  ///< IS: 0.5 * (g_k^2 - 1)
+  const double* g_minus_1 = nullptr;  ///< IS: g_k - 1, the amplitude boost
+  int strata = 0;                     ///< stratified: equal-probability bins
 };
 
 /// One SIMD backend's chip-block kernels, as plain function pointers so
@@ -86,6 +117,23 @@ struct LaneKernel {
                     const CalibrationOptions& opts, std::uint64_t seed,
                     std::int64_t chip0, double inl_limit, bool* pass_before,
                     bool* pass_after) = nullptr;
+
+  /// Importance-sampled chips [chip0, chip0 + lanes) on streams chip0 + l:
+  /// standard draw, mode amplitudes t_k, log_w[l] = sum_k log g_k -
+  /// 0.5 (g_k^2 - 1) t_k^2, tilt z += (g_k - 1) t_k v_k, transfer, and
+  /// fail[l] = !(max|INL| < inl_limit). ws.lanes may exceed lanes (the
+  /// width-1 kernel runs a wider run's remainder chips in its workspace).
+  void (*is_block)(ChipWorkspaceXN& ws, const RareRun& run,
+                   std::int64_t chip0, double* log_w,
+                   unsigned char* fail) = nullptr;
+
+  /// Stratified antithetic pairs [pair0, pair0 + lanes), one pair per lane
+  /// on stream pair0 + l: one standard draw, then the first-mode amplitude
+  /// replaced by the stratified half-normal magnitude (reflected within
+  /// its bin for the second member). pass[2l] / pass[2l+1] are the two
+  /// members' max|INL| < inl_limit. Same ws.lanes rule as is_block.
+  void (*strat_block)(ChipWorkspaceXN& ws, const RareRun& run,
+                      std::int64_t pair0, unsigned char* pass) = nullptr;
 
   /// Test hooks: `count` lane-parallel draws from the (seed, index0 +
   /// stride*l) substreams, lane-interleaved into out[draw * lanes + l].

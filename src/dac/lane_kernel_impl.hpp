@@ -17,11 +17,20 @@
 // min/max lanes can differ from std::min/std::max only in the sign of a
 // zero, which none of the downstream arithmetic can observe (abs() feeds
 // the INL max; the DNL level steps are never -0.0).
+//
+// The rare-event blocks (is_block, strat_block) have no separate scalar
+// body: the width-1 ScalarOps instance is the reference, and every wider
+// lane repeats its operations in the same order — mode projections summed
+// in index order, log_w += log g_k - (c_k * t) * t, the tilt z += (g_k - 1)
+// * t * v_k mode by mode. The libm pieces stay scalar: log g_k is
+// precomputed once per run by the caller, half_normal_inv is an
+// out-of-line mathx call per lane.
 #pragma once
 
 #include <cmath>
 
 #include "dac/lane_kernel.hpp"
+#include "mathx/rare_event.hpp"
 
 namespace csdac::dac {
 
@@ -31,20 +40,15 @@ struct LaneKernelImpl {
   using Mask = typename Ops::Mask;
   static constexpr int L = Ops::kLanes;
 
-  /// draw_source_errors_into, one chip per lane. rng must already be
-  /// seeded to the per-lane streams.
-  static void draw_block(const LaneView& v, mathx::Xoshiro256xN<Ops>& rng,
-                         double sigma_unit) {
+  /// The standard-normal draws of draw_source_errors_into, one chip per
+  /// lane, in its stream order: the unary draws into `z` (raw), then the
+  /// binary source errors into v.binary. rng must already be seeded to the
+  /// per-lane streams.
+  static void draw_standard(const LaneView& v, mathx::Xoshiro256xN<Ops>& rng,
+                            double sigma_unit, double* z) {
     if (!(sigma_unit >= 0.0)) detail::throw_bad_sigma();
-    {
-      const double uw = v.unary_weight;
-      const double cu = sigma_unit * std::sqrt(uw);
-      const F64 uwv = Ops::fset1(uw);
-      const F64 cuv = Ops::fset1(cu);
-      for (int i = 0; i < v.num_unary; ++i) {
-        Ops::fstoreu(v.unary + i * L,
-                     Ops::fadd(uwv, Ops::fmul(cuv, mathx::normal_xN(rng))));
-      }
+    for (int i = 0; i < v.num_unary; ++i) {
+      Ops::fstoreu(z + i * L, mathx::normal_xN(rng));
     }
     for (int k = 0; k < v.binary_bits; ++k) {
       const double w = std::ldexp(1.0, k);
@@ -52,6 +56,45 @@ struct LaneKernelImpl {
       Ops::fstoreu(v.binary + k * L,
                    Ops::fadd(Ops::fset1(w),
                              Ops::fmul(Ops::fset1(cw), mathx::normal_xN(rng))));
+    }
+  }
+
+  /// v.unary = w + sigma_unit*sqrt(w) * z, the unary half of the mismatch
+  /// model (z may alias v.unary).
+  static void unary_from_z(const LaneView& v, double sigma_unit,
+                           const double* z) {
+    const double uw = v.unary_weight;
+    const F64 uwv = Ops::fset1(uw);
+    const F64 cuv = Ops::fset1(sigma_unit * std::sqrt(uw));
+    for (int i = 0; i < v.num_unary; ++i) {
+      Ops::fstoreu(v.unary + i * L,
+                   Ops::fadd(uwv, Ops::fmul(cuv, Ops::floadu(z + i * L))));
+    }
+  }
+
+  /// draw_source_errors_into, one chip per lane.
+  static void draw_block(const LaneView& v, mathx::Xoshiro256xN<Ops>& rng,
+                         double sigma_unit) {
+    draw_standard(v, rng, sigma_unit, v.unary);
+    unary_from_z(v, sigma_unit, v.unary);
+  }
+
+  /// Mode amplitude sum_i basis[i] * z_i, accumulated in index order.
+  static F64 project(const LaneView& v, const double* basis, const double* z) {
+    F64 t = Ops::fset1(0.0);
+    for (int i = 0; i < v.num_unary; ++i) {
+      t = Ops::fadd(t, Ops::fmul(Ops::fset1(basis[i]), Ops::floadu(z + i * L)));
+    }
+    return t;
+  }
+
+  /// dst = src + scale * basis, per lane (dst may alias src).
+  static void add_mode(const LaneView& v, double* dst, const double* src,
+                       F64 scale, const double* basis) {
+    for (int i = 0; i < v.num_unary; ++i) {
+      Ops::fstoreu(dst + i * L,
+                   Ops::fadd(Ops::floadu(src + i * L),
+                             Ops::fmul(scale, Ops::fset1(basis[i]))));
     }
   }
 
@@ -190,6 +233,67 @@ struct LaneKernelImpl {
     for (int l = 0; l < L; ++l) pass_after[l] = s[l].inl_max < inl_limit;
   }
 
+  static void is_block(ChipWorkspaceXN& ws, const RareRun& r,
+                       std::int64_t chip0, double* log_w,
+                       unsigned char* fail) {
+    detail::count_chip_evals(L);
+    const LaneView v = detail::lane_view(ws);
+    mathx::Xoshiro256xN<Ops> rng;
+    rng.seed_streams(r.seed, static_cast<std::uint64_t>(chip0), 1);
+    draw_standard(v, rng, r.sigma_unit, v.z);
+    const int u = v.num_unary;
+    F64 lw = Ops::fset1(0.0);
+    for (int k = 0; k < r.modes; ++k) {
+      const F64 t = project(v, r.basis + k * u, v.z);
+      Ops::fstoreu(v.amp + k * L, t);
+      const F64 ct = Ops::fmul(Ops::fset1(r.half_g2m1[k]), t);
+      lw = Ops::fadd(lw, Ops::fsub(Ops::fset1(r.log_g[k]), Ops::fmul(ct, t)));
+    }
+    for (int k = 0; k < r.modes; ++k) {
+      const F64 boost =
+          Ops::fmul(Ops::fset1(r.g_minus_1[k]), Ops::floadu(v.amp + k * L));
+      add_mode(v, v.z, v.z, boost, r.basis + k * u);
+    }
+    unary_from_z(v, r.sigma_unit, v.z);
+    transfer_block(v, v.unary);
+    StaticSummary s[L];
+    analyze_block(v, r.ref, s);
+    Ops::fstoreu(log_w, lw);
+    for (int l = 0; l < L; ++l) fail[l] = s[l].inl_max < r.inl_limit ? 0 : 1;
+  }
+
+  static void strat_block(ChipWorkspaceXN& ws, const RareRun& r,
+                          std::int64_t pair0, unsigned char* pass) {
+    detail::count_chip_evals(2 * L);
+    const LaneView v = detail::lane_view(ws);
+    mathx::Xoshiro256xN<Ops> rng;
+    rng.seed_streams(r.seed, static_cast<std::uint64_t>(pair0), 1);
+    draw_standard(v, rng, r.sigma_unit, v.z);
+    double u_raw[L], flip[L], t[L];
+    Ops::fstoreu(u_raw, mathx::uniform01_from_bits<Ops>(rng.next()));
+    Ops::fstoreu(flip, mathx::uniform01_from_bits<Ops>(rng.next()));
+    Ops::fstoreu(t, project(v, r.basis, v.z));
+    for (int m = 0; m < 2; ++m) {
+      // Replace the first-mode amplitude t by the stratified magnitude a:
+      // z' = z + (a - t) v_0. The inverse cdf is scalar per lane.
+      double shift[L];
+      for (int l = 0; l < L; ++l) {
+        const int s = static_cast<int>((pair0 + l) % r.strata);
+        const double u_in = m == 1 ? 1.0 - u_raw[l] : u_raw[l];
+        const double sign = flip[l] < 0.5 ? -1.0 : 1.0;
+        shift[l] = sign * mathx::half_normal_inv((s + u_in) / r.strata) - t[l];
+      }
+      add_mode(v, v.unary, v.z, Ops::floadu(shift), r.basis);
+      unary_from_z(v, r.sigma_unit, v.unary);
+      transfer_block(v, v.unary);
+      StaticSummary s[L];
+      analyze_block(v, r.ref, s);
+      for (int l = 0; l < L; ++l) {
+        pass[2 * l + m] = s[l].inl_max < r.inl_limit ? 1 : 0;
+      }
+    }
+  }
+
   static void draw_normals(std::uint64_t seed, std::uint64_t index0,
                            std::uint64_t stride, int count, double* out) {
     mathx::Xoshiro256xN<Ops> rng;
@@ -212,6 +316,8 @@ struct LaneKernelImpl {
     k.lanes = L;
     k.mc_block = &mc_block;
     k.cal_block = &cal_block;
+    k.is_block = &is_block;
+    k.strat_block = &strat_block;
     k.draw_normals = &draw_normals;
     k.draw_bits = &draw_bits;
     return k;

@@ -1,13 +1,13 @@
 #include "dac/rare_event.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
 
-#include "dac/dac_model.hpp"
+#include "dac/lane_kernel.hpp"
 #include "mathx/rare_event.hpp"
-#include "mathx/rng.hpp"
 #include "obs/metrics.hpp"
 
 namespace csdac::dac {
@@ -67,53 +67,6 @@ std::vector<double> cosine_modes(int u, int k_modes) {
   return v;
 }
 
-/// Per-worker scratch: the standard chip workspace plus the raw standard-
-/// normal draw, the mode matrix and the mode amplitudes.
-struct RareWorkspace {
-  RareWorkspace(const core::DacSpec& spec, int k_modes)
-      : ws(spec),
-        z(static_cast<std::size_t>(spec.num_unary() + spec.binary_bits)),
-        modes(cosine_modes(spec.num_unary(), k_modes)),
-        t(static_cast<std::size_t>(k_modes > 0 ? k_modes : 1)) {}
-
-  ChipWorkspace ws;
-  std::vector<double> z;      ///< standard draws, unary then binary
-  std::vector<double> modes;  ///< k_modes x num_unary, row-major
-  std::vector<double> t;      ///< mode amplitudes of the current chip
-};
-
-/// Standard-normal draw per mismatch source, in the exact order
-/// draw_source_errors_into consumes the stream (unary then binary).
-void draw_standard(const core::DacSpec& spec, mathx::Xoshiro256& rng,
-                   std::vector<double>& z) {
-  const int n = spec.num_unary() + spec.binary_bits;
-  for (int i = 0; i < n; ++i) z[static_cast<std::size_t>(i)] = mathx::normal(rng);
-}
-
-/// Maps standard draws to source errors with the library's mismatch model
-/// (unit-sigma per LSB, so a weight-w source has sigma_unit*sqrt(w)).
-void errors_from_z(const core::DacSpec& spec, double sigma_unit,
-                   const std::vector<double>& z, SourceErrors& e) {
-  e.unary.clear();
-  e.binary.clear();
-  const double uw = spec.unary_weight();
-  const double su = sigma_unit * std::sqrt(uw);
-  for (int i = 0; i < spec.num_unary(); ++i) {
-    e.unary.push_back(uw + su * z[static_cast<std::size_t>(i)]);
-  }
-  for (int k = 0; k < spec.binary_bits; ++k) {
-    const double w = std::ldexp(1.0, k);
-    e.binary.push_back(w + sigma_unit * std::sqrt(w) *
-                               z[static_cast<std::size_t>(spec.num_unary() + k)]);
-  }
-}
-
-bool chip_fails(RareWorkspace& rw, double limit, InlReference ref) {
-  transfer_into(rw.ws.spec, rw.ws.errors, rw.ws);
-  const StaticSummary s = analyze_levels_summary(rw.ws.levels, ref);
-  return !(s.inl_max < limit);
-}
-
 /// Per-mode tilt profile: the first mode is scaled by the full
 /// sigma_scale and deeper modes by harmonically tapered factors
 /// g_k = 1 + (sigma_scale - 1) / (k + 1). Bridge mode k only carries a
@@ -124,66 +77,32 @@ double mode_scale(double sigma_scale, int k) {
   return 1.0 + (sigma_scale - 1.0) / (k + 1);
 }
 
-/// One IS chip: tilt the first k_modes cosine amplitudes by the tapered
-/// profile and return the log likelihood ratio log p/q. With pre-tilt
-/// amplitudes t_k (i.i.d. standard normal) the proposal realizes
-/// a_k = g_k t_k, and per mode log(p/q) = log g_k - (g_k^2 - 1)/2 * t_k^2.
-double is_chip(RareWorkspace& rw, double sigma_unit, double g, int k_modes,
-               std::uint64_t seed, std::int64_t chip, double limit,
-               InlReference ref, unsigned char* fail) {
-  detail::count_chip_eval();
-  const core::DacSpec& spec = rw.ws.spec;
-  mathx::stream_rng_into(rw.ws.rng, seed, static_cast<std::uint64_t>(chip));
-  draw_standard(spec, rw.ws.rng, rw.z);
-  const int u = spec.num_unary();
-  double log_w = 0.0;
-  for (int k = 0; k < k_modes; ++k) {
-    const double* v = rw.modes.data() + static_cast<std::size_t>(k) * u;
-    double t = 0.0;
-    for (int i = 0; i < u; ++i) t += v[i] * rw.z[static_cast<std::size_t>(i)];
-    rw.t[static_cast<std::size_t>(k)] = t;
-    const double gk = mode_scale(g, k);
-    log_w += std::log(gk) - 0.5 * (gk * gk - 1.0) * t * t;
-  }
-  for (int k = 0; k < k_modes; ++k) {
-    const double* v = rw.modes.data() + static_cast<std::size_t>(k) * u;
-    const double boost =
-        (mode_scale(g, k) - 1.0) * rw.t[static_cast<std::size_t>(k)];
-    for (int i = 0; i < u; ++i) rw.z[static_cast<std::size_t>(i)] += boost * v[i];
-  }
-  errors_from_z(spec, sigma_unit, rw.z, rw.ws.errors);
-  *fail = chip_fails(rw, limit, ref) ? 1 : 0;
-  return log_w;
-}
-
-/// One stratified/antithetic chip. Both pair members re-derive the SAME
-/// (seed, pair) stream — the chip stays a pure function of its index —
-/// then replace the first-mode amplitude with a half-normal magnitude
-/// stratified over `strata` equal-probability bins; the antithetic member
-/// reflects the intra-bin position (u -> 1-u). The replacement
-/// z' = z + (a - t) v keeps z' exactly N(0, I) conditioned on the bin, so
-/// the equal-weight stratum average is unbiased for the plain MC yield.
-bool strat_chip(RareWorkspace& rw, double sigma_unit, int strata,
-                std::uint64_t seed, std::int64_t chip, double limit,
-                InlReference ref) {
-  detail::count_chip_eval();
-  const core::DacSpec& spec = rw.ws.spec;
-  const std::int64_t pair = chip / 2;
-  const bool anti = (chip & 1) != 0;
-  const int s = static_cast<int>(pair % strata);
-  mathx::stream_rng_into(rw.ws.rng, seed, static_cast<std::uint64_t>(pair));
-  draw_standard(spec, rw.ws.rng, rw.z);
-  const double u_raw = mathx::uniform01(rw.ws.rng);
-  const double sign = mathx::uniform01(rw.ws.rng) < 0.5 ? -1.0 : 1.0;
-  const int u = spec.num_unary();
-  const double* v = rw.modes.data();
-  double t = 0.0;
-  for (int i = 0; i < u; ++i) t += v[i] * rw.z[static_cast<std::size_t>(i)];
-  const double u_in = anti ? 1.0 - u_raw : u_raw;
-  const double a = sign * mathx::half_normal_inv((s + u_in) / strata);
-  for (int i = 0; i < u; ++i) rw.z[static_cast<std::size_t>(i)] += (a - t) * v[i];
-  errors_from_z(spec, sigma_unit, rw.z, rw.ws.errors);
-  return !chip_fails(rw, limit, ref);
+/// Runs items [0, n) in blocks of unit * k.lanes chips (unit = chips per
+/// lane: 1 for IS, 2 for an antithetic pair), calling block(kernel, ws,
+/// lo) for unit * kernel.lanes chips from lo. Full blocks go to the
+/// dispatched kernel; a short last block goes lane by lane through the
+/// width-1 kernel in the same workspace. Records the run in simd.*.
+template <class Block>
+mathx::RunStats run_lane_blocks(const core::DacSpec& spec, std::int64_t n,
+                                int unit, int threads, Block&& block) {
+  const LaneKernel& k = active_lane_kernel();
+  const LaneKernel& k1 = *lane_kernel(mathx::SimdBackend::kScalar);
+  const std::int64_t width = std::int64_t{unit} * k.lanes;
+  std::atomic<std::int64_t> tail{0};
+  const mathx::RunStats stats = mathx::parallel_for_workspace_blocks(
+      n, threads, width,
+      [&spec, &k] { return ChipWorkspaceXN(spec, k.lanes); },
+      [&](ChipWorkspaceXN& ws, std::int64_t lo, std::int64_t hi) {
+        if (hi - lo == width) {
+          block(k, ws, lo);
+          return;
+        }
+        for (std::int64_t c = lo; c < hi; c += unit) block(k1, ws, c);
+        tail.fetch_add(hi - lo, std::memory_order_relaxed);
+      });
+  const std::int64_t scalar_chips = k.lanes > 1 ? tail.load() : n;
+  detail::record_lane_run(k, n - scalar_chips, scalar_chips);
+  return stats;
 }
 
 }  // namespace
@@ -204,17 +123,38 @@ IsYieldEstimate inl_yield_is(const core::DacSpec& spec, double sigma_unit,
   if (modes < 1) throw std::invalid_argument("inl_yield_is: modes < 1");
   const int k_modes = std::min(modes, std::max(spec.num_unary() - 1, 0));
 
+  // Chip c draws i.i.d. standard z on stream c; its pre-tilt mode
+  // amplitudes t_k = v_k . z are standard normal, the proposal realizes
+  // a_k = g_k t_k (z += (g_k - 1) t_k v_k), and per mode
+  // log(p/q) = log g_k - (g_k^2 - 1)/2 * t_k^2.
+  const std::vector<double> basis = cosine_modes(spec.num_unary(), k_modes);
+  std::vector<double> log_g, half_g2m1, g_minus_1;
+  for (int k = 0; k < k_modes; ++k) {
+    const double gk = mode_scale(sigma_scale, k);
+    log_g.push_back(std::log(gk));
+    half_g2m1.push_back(0.5 * (gk * gk - 1.0));
+    g_minus_1.push_back(gk - 1.0);
+  }
+  RareRun run;
+  run.sigma_unit = sigma_unit;
+  run.seed = seed;
+  run.inl_limit = inl_limit;
+  run.ref = ref;
+  run.basis = basis.data();
+  run.modes = k_modes;
+  run.log_g = log_g.data();
+  run.half_g2m1 = half_g2m1.data();
+  run.g_minus_1 = g_minus_1.data();
+
   std::vector<double> log_w(static_cast<std::size_t>(chips));
   std::vector<unsigned char> fail(static_cast<std::size_t>(chips));
   IsYieldEstimate e;
   e.chips = chips;
-  e.stats = mathx::parallel_for_workspace(
-      chips, threads,
-      [&spec, k_modes] { return RareWorkspace(spec, k_modes); },
-      [&](RareWorkspace& rw, std::int64_t c) {
-        log_w[static_cast<std::size_t>(c)] =
-            is_chip(rw, sigma_unit, sigma_scale, k_modes, seed, c, inl_limit,
-                    ref, &fail[static_cast<std::size_t>(c)]);
+  e.stats = run_lane_blocks(
+      spec, chips, 1, threads,
+      [&](const LaneKernel& k, ChipWorkspaceXN& ws, std::int64_t lo) {
+        const auto i = static_cast<std::size_t>(lo);
+        k.is_block(ws, run, lo, &log_w[i], &fail[i]);
       });
   const mathx::IsReduction red = mathx::reduce_is_weights(log_w, fail);
   const mathx::IsEstimate est = mathx::is_estimate(red);
@@ -263,17 +203,31 @@ StratYieldEstimate inl_yield_stratified(const core::DacSpec& spec,
   }
   const std::int64_t n = pairs * 2;
 
+  // Pair j draws one standard z on stream j, then replaces its first-mode
+  // amplitude t with a half-normal magnitude stratified over `strata`
+  // equal-probability bins; the antithetic member reflects the intra-bin
+  // position (u -> 1-u). The replacement z' = z + (a - t) v keeps z'
+  // exactly N(0, I) conditioned on the bin, so the equal-weight stratum
+  // average is unbiased for the plain MC yield.
+  const std::vector<double> basis = cosine_modes(spec.num_unary(), 1);
+  RareRun run;
+  run.sigma_unit = sigma_unit;
+  run.seed = seed;
+  run.inl_limit = inl_limit;
+  run.ref = ref;
+  run.basis = basis.data();
+  run.modes = 1;
+  run.strata = strata;
+
   std::vector<unsigned char> pass(static_cast<std::size_t>(n));
   StratYieldEstimate e;
   e.chips = n;
   e.pairs = pairs;
   e.strata = strata;
-  e.stats = mathx::parallel_for_workspace(
-      n, threads, [&spec] { return RareWorkspace(spec, 1); },
-      [&](RareWorkspace& rw, std::int64_t c) {
-        pass[static_cast<std::size_t>(c)] =
-            strat_chip(rw, sigma_unit, strata, seed, c, inl_limit, ref) ? 1
-                                                                        : 0;
+  e.stats = run_lane_blocks(
+      spec, n, 2, threads,
+      [&](const LaneKernel& k, ChipWorkspaceXN& ws, std::int64_t lo) {
+        k.strat_block(ws, run, lo / 2, &pass[static_cast<std::size_t>(lo)]);
       });
   // Sequential pair reduction in index order: thread-count invariant.
   std::vector<mathx::StratumMoments> mom(static_cast<std::size_t>(strata));

@@ -148,14 +148,15 @@ void ResultCache::put(const mathx::HashKey128& key,
     std::filesystem::remove(tmp, ec);
     return;
   }
+  const std::uint64_t entry_bytes = kHeaderBytes + payload.size();
   ++counters_.stores;
-  counters_.bytes_stored +=
-      static_cast<std::int64_t>(kHeaderBytes + payload.size());
+  counters_.bytes_stored += static_cast<std::int64_t>(entry_bytes);
   CacheMetrics& cm = CacheMetrics::get();
   cm.stores.add(1);
-  cm.bytes_stored.add(static_cast<std::int64_t>(kHeaderBytes + payload.size()));
+  cm.bytes_stored.add(static_cast<std::int64_t>(entry_bytes));
   cm.payload_bytes.observe(static_cast<std::int64_t>(payload.size()));
-  evict_to_fit(path);
+  tracked_bytes_ += entry_bytes;
+  if (!scanned_ || tracked_bytes_ > opts_.max_bytes) evict_to_fit(path);
 }
 
 void ResultCache::evict_to_fit(const std::filesystem::path& keep) {
@@ -176,6 +177,8 @@ void ResultCache::evict_to_fit(const std::filesystem::path& keep) {
     total += bytes;
     entries.push_back({de.path(), bytes, de.last_write_time(ec)});
   }
+  scanned_ = true;
+  tracked_bytes_ = total;
   if (total <= opts_.max_bytes) return;
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) { return a.mtime < b.mtime; });
@@ -189,6 +192,7 @@ void ResultCache::evict_to_fit(const std::filesystem::path& keep) {
     CacheMetrics::get().evictions.add(1);
     if (on_evict) on_evict(e.path.stem().string(), e.bytes);
   }
+  tracked_bytes_ = total;
 }
 
 CacheCounters ResultCache::counters() const {

@@ -10,9 +10,14 @@
 // simply race to produce identical content. Reads verify the full header
 // and the payload FNV; anything inconsistent is deleted and reported as a
 // miss (corruption must degrade to recomputation, never to a wrong result).
-// The store is size-bounded: after each insert, least-recently-used entries
-// (by file mtime, refreshed on every hit) are evicted until the byte budget
-// holds.
+// The store is size-bounded: least-recently-used entries (by file mtime,
+// refreshed on every hit) are evicted until the byte budget holds. The
+// directory is listed on the first store and again only when the running
+// byte total (last scan plus this instance's stores since) exceeds the
+// budget, so a store costs no directory scan while the budget holds.
+// Entries another process writes into the same directory are counted at
+// this process's next scan; until then the directory can exceed the budget
+// by what the other writers stored.
 #pragma once
 
 #include <atomic>
@@ -54,7 +59,8 @@ class ResultCache {
   bool get(const mathx::HashKey128& key, std::vector<unsigned char>& payload);
 
   /// Stores `payload` under `key` (atomic write-then-rename) and evicts
-  /// LRU entries if the byte budget is now exceeded. Storing an existing
+  /// LRU entries if the byte budget is now exceeded (never the entry just
+  /// written). Storing an existing
   /// key only refreshes its LRU stamp — content-addressed entries for the
   /// same key are identical by construction.
   void put(const mathx::HashKey128& key,
@@ -70,11 +76,15 @@ class ResultCache {
 
  private:
   std::filesystem::path entry_path(const mathx::HashKey128& key) const;
-  void evict_to_fit(const std::filesystem::path& keep);  // lock held
+  /// Lists the directory, evicts LRU entries until the budget holds and
+  /// resets tracked_bytes_ to what is left. Lock held.
+  void evict_to_fit(const std::filesystem::path& keep);
 
   CacheOptions opts_;
   mutable std::mutex mutex_;
   CacheCounters counters_;
+  bool scanned_ = false;            ///< evict_to_fit has run at least once
+  std::uint64_t tracked_bytes_ = 0; ///< last scan total + stores since
   std::atomic<std::uint64_t> tmp_seq_{0};
 };
 

@@ -16,8 +16,10 @@
 //    (Smirnov 1948), and yield monotone in sigma and in the INL spec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/spec.hpp"
@@ -121,6 +123,70 @@ TEST(RareDeterminism, BitIdenticalAcrossSimdBackends) {
     const auto st = golden_strat(3);
     EXPECT_EQ(st.yield, st1.yield) << mathx::simd_backend_name(b);
     EXPECT_EQ(st.ci95, st1.ci95) << mathx::simd_backend_name(b);
+  }
+}
+
+// Chip counts that are not a multiple of the lane width send the last
+// block through the width-1 kernel: every backend x thread-count pair must
+// reproduce the forced-scalar single-thread run bit for bit.
+TEST(RareDeterminism, LaneTailsBitIdenticalAcrossBackendsAndThreads) {
+  BackendGuard guard;
+  const mathx::SimdBackend widest = mathx::simd_detect();
+  const mathx::SimdBackend backends[] = {mathx::SimdBackend::kScalar,
+                                         mathx::SimdBackend::kSse2,
+                                         mathx::SimdBackend::kAvx2};
+  const core::DacSpec spec = spec8();
+  const double sigma = kGoldenRareSigmaUnit;
+  const auto run_is = [&](int chips, int threads) {
+    return inl_yield_is(spec, sigma, kGoldenRareSigmaScale, kGoldenRareModes,
+                        chips, 900 + chips, 0.5, InlReference::kBestFit,
+                        threads);
+  };
+  const auto run_strat = [&](int chips, int threads) {
+    return inl_yield_stratified(spec, sigma, std::min(chips / 2, 8), chips,
+                                900 + chips, 0.5, InlReference::kBestFit,
+                                threads);
+  };
+
+  for (int chips : {1, 2, 3, 5, 7, 101}) {
+    mathx::simd_force_backend(mathx::SimdBackend::kScalar);
+    const auto ref = run_is(chips, 1);
+    for (mathx::SimdBackend b : backends) {
+      if (b > widest) continue;  // this CPU cannot run the wider kernels
+      mathx::simd_force_backend(b);
+      for (int threads : {1, 2, 7}) {
+        const auto is = run_is(chips, threads);
+        const std::string at = std::string(mathx::simd_backend_name(b)) +
+                               " chips " + std::to_string(chips) +
+                               " threads " + std::to_string(threads);
+        EXPECT_EQ(is.stats.evaluated, chips) << at;
+        EXPECT_EQ(is.fails, ref.fails) << at;
+        EXPECT_EQ(is.yield, ref.yield) << at;
+        EXPECT_EQ(is.ci95, ref.ci95) << at;
+        EXPECT_EQ(is.ess, ref.ess) << at;
+        EXPECT_EQ(is.log_weight_max, ref.log_weight_max) << at;
+        EXPECT_EQ(is.log_weight_min, ref.log_weight_min) << at;
+      }
+    }
+  }
+
+  for (int chips : {2, 6, 10, 14, 202}) {
+    mathx::simd_force_backend(mathx::SimdBackend::kScalar);
+    const auto ref = run_strat(chips, 1);
+    for (mathx::SimdBackend b : backends) {
+      if (b > widest) continue;
+      mathx::simd_force_backend(b);
+      for (int threads : {1, 2, 7}) {
+        const auto st = run_strat(chips, threads);
+        const std::string at = std::string(mathx::simd_backend_name(b)) +
+                               " chips " + std::to_string(chips) +
+                               " threads " + std::to_string(threads);
+        EXPECT_EQ(st.stats.evaluated, chips) << at;
+        EXPECT_EQ(st.pairs, chips / 2) << at;
+        EXPECT_EQ(st.yield, ref.yield) << at;
+        EXPECT_EQ(st.ci95, ref.ci95) << at;
+      }
+    }
   }
 }
 

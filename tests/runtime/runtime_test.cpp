@@ -4,6 +4,8 @@
 // service, and equivalence of runtime jobs with direct engine calls.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -348,6 +350,74 @@ TEST(Cache, EvictsLeastRecentlyUsedToFitBudget) {
     total += fs::file_size(e.path());
   }
   EXPECT_LE(total, copts.max_bytes);
+}
+
+std::uintmax_t dir_bytes(const fs::path& dir) {
+  std::uintmax_t total = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() == ".bin") total += fs::file_size(e.path());
+  }
+  return total;
+}
+
+TEST(Cache, BudgetHoldsAfterEveryOneOfManyPuts) {
+  ScratchDir dir("many");
+  CacheOptions copts;
+  copts.dir = dir.str();
+  copts.max_bytes = 1000;  // eight 100-byte payloads + headers
+  ResultCache cache(copts);
+
+  const std::vector<unsigned char> payload(100, 7);
+  for (std::uint64_t i = 1; i <= 60; ++i) {
+    cache.put(mathx::HashKey128{i, 2 * i}, payload);
+    ASSERT_LE(dir_bytes(dir.path), copts.max_bytes) << "after put " << i;
+    std::vector<unsigned char> back;
+    ASSERT_TRUE(cache.get(mathx::HashKey128{i, 2 * i}, back)) << i;
+  }
+  EXPECT_EQ(cache.counters().stores, 60);
+  EXPECT_GE(cache.counters().evictions, 60 - 8);
+}
+
+TEST(Cache, SecondInstanceOnTheSameDirectoryIsEvictedOnceBudgetCrossed) {
+  ScratchDir dir("shared");
+  CacheOptions copts;
+  copts.dir = dir.str();
+  copts.max_bytes = 1000;  // eight 124-byte entries
+  const std::vector<unsigned char> payload(100, 3);
+
+  ResultCache a(copts);
+  a.put(mathx::HashKey128{1, 1}, payload);
+
+  // Another writer on the same directory, whose entries are older.
+  ResultCache b(copts);
+  std::vector<mathx::HashKey128> b_keys;
+  for (std::uint64_t i = 100; i < 106; ++i) {
+    b_keys.push_back(mathx::HashKey128{i, i});
+    b.put(b_keys.back(), payload);
+    fs::last_write_time(dir.path / (b_keys.back().hex() + ".bin"),
+                        fs::file_time_type::clock::now() -
+                            std::chrono::hours(1));
+  }
+  EXPECT_EQ(b.counters().evictions, 0);
+
+  // `a` learns about b's entries at its next scan, which its own stores
+  // trigger once they alone cross the budget.
+  std::vector<std::string> evicted;
+  a.on_evict = [&evicted](const std::string& key_hex, std::uint64_t) {
+    evicted.push_back(key_hex);
+  };
+  for (std::uint64_t i = 2; i <= 9; ++i) {
+    a.put(mathx::HashKey128{i, i}, payload);
+  }
+  EXPECT_LE(dir_bytes(dir.path), copts.max_bytes);
+  for (const mathx::HashKey128& k : b_keys) {
+    EXPECT_FALSE(fs::exists(dir.path / (k.hex() + ".bin"))) << k.hex();
+    EXPECT_NE(std::find(evicted.begin(), evicted.end(), k.hex()),
+              evicted.end())
+        << k.hex();
+  }
+  std::vector<unsigned char> back;
+  EXPECT_TRUE(a.get(mathx::HashKey128{9, 9}, back));
 }
 
 // --- Graph behavior --------------------------------------------------------
