@@ -4,9 +4,9 @@
 // (measured yield >= target at the spec sigma) and tight enough that a few
 // x the sigma destroys the yield.
 //
-// The sweep runs through the job-graph runtime with the persistent
+// The sweep runs through the runtime scheduler with the persistent
 // content-addressed cache (.csdac-cache): the first run computes every
-// point on the shared parallel engine, a re-run answers the whole table
+// point on the scheduler's workers, a re-run answers the whole table
 // from the store without a single chip evaluation — the cache-counter
 // line at the end shows which happened.
 #include <cstdio>
@@ -14,7 +14,7 @@
 #include "bench_util.hpp"
 #include "core/accuracy.hpp"
 #include "dac/static_analysis.hpp"
-#include "runtime/graph.hpp"
+#include "runtime/scheduler.hpp"
 
 using namespace csdac;
 using namespace csdac::bench;
@@ -28,30 +28,30 @@ int main() {
 
   print_header("E1", "eq. (1) — INL yield vs unit-current accuracy");
   std::printf("12-bit, b=4; eq.(1) spec sigma = %.4f%% for %.1f%% yield; "
-              "%d chips per point, job-graph runtime with persistent "
+              "%d chips per point, runtime scheduler with persistent "
               "cache\n\n",
               sigma0 * 100, target * 100, chips);
 
-  runtime::RuntimeOptions ropts;
-  ropts.cache_dir = ".csdac-cache";
-  runtime::JobGraph graph(ropts);
+  runtime::SchedulerOptions so;
+  so.exec.cache_dir = ".csdac-cache";
+  runtime::Scheduler sched(so);
 
   // Queue the whole sweep first: INL + DNL jobs per sigma point, plus the
-  // adaptive runs — independent jobs fan out across the thread pool.
-  std::vector<runtime::JobId> inl_ids, dnl_ids;
+  // adaptive runs — independent jobs run concurrently on the workers.
+  std::vector<runtime::Scheduler::Ticket> inl_runs, dnl_runs;
   for (const double mult : mults) {
     runtime::InlYieldJob inl;
     inl.spec = spec;
     inl.sigma_unit = mult * sigma0;
     inl.chips = chips;
     inl.seed = 1000;
-    inl_ids.push_back(graph.add(inl));
     runtime::InlYieldJob dnl = inl;
     dnl.dnl = true;
-    dnl_ids.push_back(graph.add(dnl));
+    inl_runs.push_back(sched.submit(inl));
+    dnl_runs.push_back(sched.submit(dnl));
   }
   const double adaptive_mults[] = {0.5, 1.0, 2.0, 3.0};
-  std::vector<runtime::JobId> adaptive_ids;
+  std::vector<runtime::Scheduler::Ticket> adaptive_runs;
   for (const double mult : adaptive_mults) {
     runtime::InlYieldJob job;
     job.spec = spec;
@@ -60,34 +60,33 @@ int main() {
     job.adaptive = true;
     job.chips = 4000;  // cap
     job.ci_half_width = 0.02;
-    adaptive_ids.push_back(graph.add(job));
+    adaptive_runs.push_back(sched.submit(job));
   }
-  graph.run_all();
 
   print_row({"sigma/spec", "sigma [%]", "INL yield", "DNL yield",
              "pred. eq(1)", "source"});
-  for (std::size_t i = 0; i < inl_ids.size(); ++i) {
-    const auto& inl = graph.record(inl_ids[i]);
-    const auto& dnl = graph.record(dnl_ids[i]);
+  for (std::size_t i = 0; i < inl_runs.size(); ++i) {
+    const runtime::ExecResult& inl = *inl_runs[i].future.get();
+    const runtime::ExecResult& dnl = *dnl_runs[i].future.get();
     const auto& iy = std::get<runtime::YieldResult>(inl.value);
     const auto& dy = std::get<runtime::YieldResult>(dnl.value);
     const double pred =
         core::inl_yield_from_sigma(spec.nbits, mults[i] * sigma0);
     print_row({fmt(mults[i], "%.2f"), fmt(mults[i] * sigma0 * 100, "%.4f"),
                fmt(iy.yield, "%.3f"), fmt(dy.yield, "%.3f"),
-               fmt(pred, "%.3f"), inl.cache_hit ? "cache" : "computed"});
+               fmt(pred, "%.3f"), inl.cache_hit() ? "cache" : "computed"});
   }
 
   std::printf("\nAdaptive early stopping (cap 4000 chips, stop at 95%% CI "
               "half-width <= 0.02):\n\n");
   print_row({"sigma/spec", "yield", "ci95", "chips used", "source"});
-  for (std::size_t i = 0; i < adaptive_ids.size(); ++i) {
-    const auto& r = graph.record(adaptive_ids[i]);
+  for (std::size_t i = 0; i < adaptive_runs.size(); ++i) {
+    const runtime::ExecResult& r = *adaptive_runs[i].future.get();
     const auto& y = std::get<runtime::YieldResult>(r.value);
     print_row({fmt(adaptive_mults[i], "%.2f"), fmt(y.yield, "%.3f"),
                fmt(y.ci95, "%.4f"),
                fmt(static_cast<double>(y.chips), "%.0f"),
-               r.cache_hit ? "cache" : "computed"});
+               r.cache_hit() ? "cache" : "computed"});
   }
 
   std::printf("\nWorkspace kernel vs legacy allocating chain (same chips,\n"
@@ -110,7 +109,7 @@ int main() {
                 ws.stats.items_per_second / legacy.stats.items_per_second);
   }
 
-  const runtime::CacheCounters cc = graph.cache_counters();
+  const runtime::CacheCounters cc = sched.executor().disk_counters();
   std::printf("\nruntime cache (.csdac-cache): %lld hits, %lld misses — "
               "re-run this bench to see the whole sweep answered from the "
               "store.\n",

@@ -3,7 +3,7 @@
 // parametric yield with its confidence interval, and show what the
 // self-calibration option would buy on an undersized array.
 //
-// The yield estimates run through the job-graph runtime with the
+// The yield estimates run through the runtime scheduler with the
 // persistent content-addressed cache (.csdac-cache), so a re-run with the
 // same lot parameters reports instantly from the store. The histogram
 // walks the same (seed, chip) streams with the allocation-free
@@ -17,7 +17,7 @@
 #include "dac/calibration.hpp"
 #include "dac/static_analysis.hpp"
 #include "mathx/stats.hpp"
-#include "runtime/graph.hpp"
+#include "runtime/scheduler.hpp"
 
 using namespace csdac;
 
@@ -41,8 +41,8 @@ void print_histogram(const char* title, const std::vector<double>& samples,
   }
 }
 
-const char* source_tag(const runtime::JobRecord& r) {
-  return r.cache_hit ? "cache" : "computed";
+const char* source_tag(const runtime::ExecResult& r) {
+  return r.cache_hit() ? "cache" : "computed";
 }
 
 }  // namespace
@@ -75,18 +75,19 @@ int main(int argc, char** argv) {
   std::printf("\nINL population: mean %.3f LSB, sigma %.3f, worst %.3f\n",
               inl_stats.mean(), inl_stats.stddev(), inl_stats.max());
 
-  // Yield studies through the job-graph runtime: queued together, fanned
-  // out on the pool, answered from the persistent cache when warm.
-  runtime::RuntimeOptions ropts;
-  ropts.cache_dir = ".csdac-cache";
-  runtime::JobGraph graph(ropts);
+  // Yield studies through the runtime scheduler: queued together, run
+  // concurrently on its workers, answered from the persistent cache when
+  // warm.
+  runtime::SchedulerOptions so;
+  so.exec.cache_dir = ".csdac-cache";
+  runtime::Scheduler sched(so);
 
   runtime::InlYieldJob fixed;
   fixed.spec = spec;
   fixed.sigma_unit = sigma;
   fixed.chips = chips;
   fixed.seed = seed;
-  const runtime::JobId fixed_id = graph.add(fixed, "lot-yield");
+  const auto fixed_run = sched.submit(fixed, 0, "lot-yield");
 
   runtime::InlYieldJob adaptive;
   adaptive.spec = spec;
@@ -95,7 +96,7 @@ int main(int argc, char** argv) {
   adaptive.adaptive = true;
   adaptive.chips = 20000;  // cap
   adaptive.ci_half_width = 0.01;
-  const runtime::JobId adaptive_id = graph.add(adaptive, "adaptive-yield");
+  const auto adaptive_run = sched.submit(adaptive, 0, "adaptive-yield");
 
   dac::CalibrationOptions cal;
   cal.range_lsb = 2.0;
@@ -106,11 +107,9 @@ int main(int argc, char** argv) {
   recover.cal = cal;
   recover.chips = chips / 3;
   recover.seed = 6000;
-  const runtime::JobId recover_id = graph.add(recover, "calibration-study");
+  const auto recover_run = sched.submit(recover, 0, "calibration-study");
 
-  graph.run_all();
-
-  const auto& yr = graph.record(fixed_id);
+  const runtime::ExecResult& yr = *fixed_run.future.get();
   const auto& y = std::get<runtime::YieldResult>(yr.value);
   std::printf("parametric yield (INL < 0.5 LSB): %.1f%% +/- %.1f%% "
               "(target %.1f%%)\n",
@@ -119,14 +118,14 @@ int main(int argc, char** argv) {
               static_cast<long long>(y.chips), yr.wall_seconds,
               source_tag(yr));
 
-  const auto& yar = graph.record(adaptive_id);
+  const runtime::ExecResult& yar = *adaptive_run.future.get();
   const auto& ya = std::get<runtime::YieldResult>(yar.value);
   std::printf("  adaptive: %.1f%% +/- %.1f%% after %lld chips of the "
               "20000-chip budget [%s]\n",
               ya.yield * 100, ya.ci95 * 100,
               static_cast<long long>(ya.chips), source_tag(yar));
 
-  const auto& rr = graph.record(recover_id);
+  const runtime::ExecResult& rr = *recover_run.future.get();
   const auto& recovered = std::get<runtime::CalYieldResult>(rr.value);
   std::printf("\nwith a 16x smaller CS array (4x sigma) + 6-bit trim DAC:\n");
   std::printf("  yield before calibration: %.1f%%\n",
@@ -137,7 +136,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(recovered.chips), rr.wall_seconds,
               source_tag(rr));
 
-  const runtime::CacheCounters cc = graph.cache_counters();
+  const runtime::CacheCounters cc = sched.executor().disk_counters();
   std::printf("\nruntime cache: %lld hits, %lld misses (.csdac-cache)\n",
               static_cast<long long>(cc.hits),
               static_cast<long long>(cc.misses));

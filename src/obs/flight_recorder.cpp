@@ -20,7 +20,7 @@ std::string_view padded_view(const char* data, std::size_t max) {
 
 void copy_padded(char* dst, std::size_t max, std::string_view src) {
   const std::size_t n = src.size() < max ? src.size() : max - 1;
-  std::memcpy(dst, src.data(), n);
+  if (n > 0) std::memcpy(dst, src.data(), n);  // an empty view may be null
   // The struct is zero-initialized per record() call, but slots are
   // reused: pad explicitly so a shorter name never exposes a longer
   // predecessor's tail.

@@ -1,8 +1,9 @@
 // The one JSON string escaper of the codebase. Every serializer that quotes
-// user-influenced text (the runtime JSONL trace, the bench JsonWriter, the
-// metrics/span exporters in this library) routes through it, so hostile
-// labels — embedded quotes, backslashes, control characters — can corrupt
-// no output format. Escapes the two mandatory characters plus everything
+// user-influenced text (the bench JsonWriter behind every serve reply,
+// slow-log line and bench document, the load generator, the metrics/span
+// exporters in this library) routes through it, so hostile labels —
+// embedded quotes, backslashes, control characters — can corrupt no
+// output format. Escapes the two mandatory characters plus everything
 // below 0x20 (named escapes where JSON has them, \u00XX otherwise); all
 // other bytes pass through untouched, so valid UTF-8 stays valid UTF-8.
 #pragma once

@@ -4,14 +4,14 @@
 // its child; work handed to another thread nests by passing the parent's
 // id() explicitly (see the thread-pool worker spans in mathx/parallel).
 //
-// Finished spans are pushed to every registered SpanSink — the runtime
-// wires one that appends `ev:"span"` lines to the JSONL trace, and tools
-// wire a SpanCollector to export a Chrome trace_event file (see
-// obs/chrome_trace.hpp) that opens as a flamegraph in Perfetto or
-// chrome://tracing. With no sinks registered a ScopedSpan is two relaxed
-// atomic loads and a branch — cheap enough to leave instrumentation in
-// production paths unconditionally (spans belong around waves, jobs, and
-// batches, not around individual chip evaluations; counters cover those).
+// Finished spans are pushed to every registered SpanSink — the server
+// wires the flight recorder, and tools wire a SpanCollector to export a
+// Chrome trace_event file (see obs/chrome_trace.hpp) that opens as a
+// flamegraph in Perfetto or chrome://tracing. With no sinks registered a
+// ScopedSpan is two relaxed atomic loads and a branch — cheap enough to
+// leave instrumentation in production paths unconditionally (spans belong
+// around waves, jobs, and batches, not around individual chip
+// evaluations; counters cover those).
 #pragma once
 
 #include <atomic>
@@ -51,8 +51,8 @@ class SpanSink {
 };
 
 /// Process-wide span dispatcher. Sinks register/unregister at run scope
-/// (a tool's main, a JobGraph's lifetime); spans only pay their recording
-/// cost while at least one sink is registered.
+/// (a tool's main, a batch run); spans only pay their recording cost
+/// while at least one sink is registered.
 class Tracer {
  public:
   static Tracer& global();

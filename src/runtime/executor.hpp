@@ -1,7 +1,7 @@
 // Shared job executor: the tiered result store (in-memory hot tier above
-// the persistent disk cache) plus fresh execution, factored out of the
-// batch-scoped JobGraph so that any number of concurrently-running graphs,
-// scheduler workers, and server requests can share ONE set of cache tiers.
+// the persistent disk cache) plus fresh execution, so that any number of
+// schedulers, their workers, and single-job callers (the bench harness,
+// the tests) can share ONE set of cache tiers.
 // run() is safe to call from many threads at once: the hot tier is sharded,
 // the disk tier serializes internally, and execute_job is a pure function
 // of (job, threads).

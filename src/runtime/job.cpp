@@ -1,6 +1,7 @@
 #include "runtime/job.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
@@ -952,7 +953,8 @@ JobValue run_spice_mc(const SpiceMcJob& j, int threads,
 }  // namespace
 
 JobValue execute_job(const Job& job, int threads, mathx::RunStats* stats) {
-  return std::visit(
+  const auto t0 = std::chrono::steady_clock::now();
+  JobValue value = std::visit(
       [&](const auto& j) -> JobValue {
         using T = std::decay_t<decltype(j)>;
         if constexpr (std::is_same_v<T, InlYieldJob>) {
@@ -980,6 +982,19 @@ JobValue execute_job(const Job& job, int threads, mathx::RunStats* stats) {
         }
       },
       job);
+  // One clock for every kind: runners that never enter the parallel
+  // engine (closed forms, serial solvers, sweeps of engine runs) would
+  // otherwise report no wall time at all.
+  if (stats) {
+    stats->wall_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+    stats->items_per_second =
+        stats->wall_seconds > 0.0
+            ? static_cast<double>(stats->evaluated) / stats->wall_seconds
+            : 0.0;
+  }
+  return value;
 }
 
 }  // namespace csdac::runtime

@@ -320,7 +320,9 @@ void encode_value(const JobValue& value, mathx::ByteWriter& w);
 bool decode_value(JobKind kind, mathx::ByteReader& r, JobValue& out);
 
 /// Executes the job fresh on `threads` engine workers (0 = hardware
-/// concurrency). Fills `stats` with the engine run record when non-null.
+/// concurrency). Fills `stats` with the engine run record when non-null;
+/// its wall_seconds and items_per_second (evaluated / wall) always time
+/// the whole runner, for every kind.
 JobValue execute_job(const Job& job, int threads, mathx::RunStats* stats);
 
 }  // namespace csdac::runtime

@@ -6,8 +6,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "obs/json_escape.hpp"
-
 namespace csdac::runtime {
 
 const JsonValue* JsonValue::find(std::string_view key) const {
@@ -273,10 +271,6 @@ class Parser {
 
 bool parse_json(std::string_view text, JsonValue& out, std::string* err) {
   return Parser(text, err).parse(out);
-}
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  obs::append_json_escaped(out, s);
 }
 
 }  // namespace csdac::runtime

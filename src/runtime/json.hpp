@@ -1,8 +1,8 @@
 // Minimal dependency-free JSON support for the runtime layer: a
-// recursive-descent parser for the batch design-service request files and
-// trace inspection, plus a tiny escaped-string helper shared with the JSONL
-// trace writer. Numbers are doubles (the request schema never needs more
-// than 53-bit integers); object keys keep insertion order.
+// recursive-descent parser for the design-service requests (batch files
+// and server frames). Writers escape through obs::append_json_escaped
+// (obs/json_escape.hpp). Numbers are doubles (the request schema never
+// needs more than 53-bit integers); object keys keep insertion order.
 #pragma once
 
 #include <cstdint>
@@ -44,11 +44,5 @@ struct JsonValue {
 /// Parses `text` into `out`. On failure returns false and, if `err` is
 /// non-null, stores a message with the byte offset of the problem.
 bool parse_json(std::string_view text, JsonValue& out, std::string* err);
-
-/// Appends `s` to `out` with JSON string escaping (no surrounding quotes).
-/// Thin forwarder to obs::append_json_escaped — the single escaper shared
-/// by the JSONL trace, the bench JsonWriter, and the obs exporters — kept
-/// here so existing runtime call sites need no include changes.
-void append_json_escaped(std::string& out, std::string_view s);
 
 }  // namespace csdac::runtime

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
 #include "mathx/parallel.hpp"
 #include "obs/metrics.hpp"
@@ -125,7 +126,6 @@ Scheduler::Ticket Scheduler::submit(Job job, std::uint64_t client,
   task->parent_span = parent_span;
   task->admission_us = admission_us;
   task->client = client;
-  task->seq = next_seq_++;
   task->submit_us = now_us();
   task->future = task->promise.get_future().share();
   inflight_.emplace(key, task);
@@ -137,15 +137,6 @@ Scheduler::Ticket Scheduler::submit(Job job, std::uint64_t client,
   m.queue_depth.set(static_cast<double>(queued_));
   m.inflight.set(static_cast<double>(inflight_.size()));
 
-  if (trace_ && trace_->enabled()) {
-    trace_->emit(JsonLine()
-                     .field("ev", "job_start")
-                     .field("job", static_cast<std::int64_t>(task->seq))
-                     .field("kind", kind_name(job_kind(task->job)))
-                     .field("key", key.hex())
-                     .field("label", task->label)
-                     .field("client", static_cast<std::int64_t>(client)));
-  }
   lock.unlock();
   cv_work_.notify_one();
   return Ticket{key, task->future, false};
@@ -220,19 +211,6 @@ void Scheduler::worker_loop(int /*worker*/) {
       task->promise.set_exception(error);
     } else {
       task->promise.set_value(std::move(result));
-    }
-
-    if (trace_ && trace_->enabled()) {
-      trace_->emit(JsonLine()
-                       .field("ev", "job_finish")
-                       .field("job", static_cast<std::int64_t>(task->seq))
-                       .field("kind", kind_name(job_kind(task->job)))
-                       .field("key", task->key.hex())
-                       .field("label", task->label)
-                       .field("client",
-                              static_cast<std::int64_t>(task->client))
-                       .field("error", error ? true : false)
-                       .field("wall_s", wall_s));
     }
 
     {

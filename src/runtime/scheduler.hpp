@@ -40,7 +40,6 @@
 
 #include "runtime/executor.hpp"
 #include "runtime/job.hpp"
-#include "runtime/trace.hpp"
 
 namespace csdac::runtime {
 
@@ -98,10 +97,6 @@ class Scheduler {
   Ticket submit(Job job, std::uint64_t client = 0, std::string label = {},
                 std::string trace_id = {}, std::uint64_t parent_span = 0);
 
-  /// Optional JSONL trace (job_start/job_finish lines with client ids).
-  /// Must be set before the first submit and outlive the scheduler.
-  void set_trace(TraceLog* trace) { trace_ = trace; }
-
   JobExecutor& executor() { return *executor_; }
   SchedulerCounters counters() const;
   int workers() const { return static_cast<int>(threads_.size()); }
@@ -116,7 +111,6 @@ class Scheduler {
     std::string trace_id;
     std::uint64_t parent_span = 0;
     std::uint64_t client = 0;
-    std::uint64_t seq = 0;
     double submit_us = 0.0;
     std::int64_t admission_us = 0;  ///< time submit() blocked on the cap
     std::promise<ResultPtr> promise;
@@ -129,13 +123,11 @@ class Scheduler {
 
   SchedulerOptions opts_;
   std::shared_ptr<JobExecutor> executor_;
-  TraceLog* trace_ = nullptr;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_work_;  ///< workers wait for queued tasks
   std::condition_variable cv_slot_;  ///< submitters wait for client slots
   bool stop_ = false;
-  std::uint64_t next_seq_ = 0;
   std::map<mathx::HashKey128, TaskPtr> inflight_;  ///< queued + running
   std::map<std::uint64_t, std::deque<TaskPtr>> queues_;
   std::map<std::uint64_t, int> client_load_;  ///< queued + running per client

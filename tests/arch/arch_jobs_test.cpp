@@ -13,7 +13,7 @@
 #include "arch/weighting.hpp"
 #include "dac/static_analysis.hpp"
 #include "mathx/hash.hpp"
-#include "runtime/graph.hpp"
+#include "runtime/executor.hpp"
 #include "serve/request.hpp"
 
 namespace csdac::runtime {
@@ -272,20 +272,18 @@ TEST(ArchJobs, CompareSweepShapeAndActivityOrdering) {
 // zero mismatch chips.
 TEST(ArchRoundTrip, CachedDynSpectrumBitIdenticalAndRecomputesNothing) {
   ScratchDir dir("roundtrip-arch-dyn");
-  RuntimeOptions cold;
-  cold.threads = 1;
-  cold.cache_dir = dir.str();
-  const JobRecord first = run_job(small_dyn_job(), cold);
-  ASSERT_FALSE(first.cache_hit);
+  ExecutorOptions eo;
+  eo.cache_dir = dir.str();
+  const DynSpectrumJob job = small_dyn_job();
+  const ExecResult first = JobExecutor(eo).run(job, job_key(job), 1);
+  ASSERT_FALSE(first.cache_hit());
   const auto& fresh = std::get<DynSpectrumResult>(first.value);
 
   const std::int64_t waves0 = arch::arch_instruments().waveforms.value();
   const std::int64_t evals0 = dac::mc_chips_evaluated();
   for (const int threads : {1, 3}) {
-    RuntimeOptions warm = cold;
-    warm.threads = threads;
-    const JobRecord again = run_job(small_dyn_job(), warm);
-    EXPECT_TRUE(again.cache_hit) << threads << " threads";
+    const ExecResult again = JobExecutor(eo).run(job, job_key(job), threads);
+    EXPECT_TRUE(again.cache_hit()) << threads << " threads";
     const auto& cached = std::get<DynSpectrumResult>(again.value);
     EXPECT_EQ(cached.chips, fresh.chips);
     EXPECT_EQ(cached.pass, fresh.pass);
@@ -305,13 +303,13 @@ TEST(ArchRoundTrip, CachedDynSpectrumBitIdenticalAndRecomputesNothing) {
 
 TEST(ArchRoundTrip, CachedArchCompareBitIdentical) {
   ScratchDir dir("roundtrip-arch-cmp");
-  RuntimeOptions opts;
-  opts.threads = 2;
-  opts.cache_dir = dir.str();
-  const JobRecord c1 = run_job(small_compare_job(), opts);
-  ASSERT_FALSE(c1.cache_hit);
-  const JobRecord c2 = run_job(small_compare_job(), opts);
-  ASSERT_TRUE(c2.cache_hit);
+  ExecutorOptions eo;
+  eo.cache_dir = dir.str();
+  const ArchCompareJob job = small_compare_job();
+  const ExecResult c1 = JobExecutor(eo).run(job, job_key(job), 2);
+  ASSERT_FALSE(c1.cache_hit());
+  const ExecResult c2 = JobExecutor(eo).run(job, job_key(job), 2);
+  ASSERT_TRUE(c2.cache_hit());
   const auto& a = std::get<ArchCompareResult>(c1.value);
   const auto& b = std::get<ArchCompareResult>(c2.value);
   ASSERT_EQ(a.points.size(), b.points.size());

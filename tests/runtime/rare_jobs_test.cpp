@@ -11,7 +11,7 @@
 
 #include "dac/rare_event.hpp"
 #include "dac/static_analysis.hpp"
-#include "runtime/graph.hpp"
+#include "runtime/executor.hpp"
 
 namespace csdac::runtime {
 namespace {
@@ -135,11 +135,11 @@ TEST(RareJobKey, EveryStratAndBridgeFieldChangesTheKey) {
 
 TEST(RareRoundTrip, CachedIsResultBitIdenticalAndRecomputesNothing) {
   ScratchDir dir("roundtrip-rare-is");
-  RuntimeOptions cold;
-  cold.threads = 1;
-  cold.cache_dir = dir.str();
-  const JobRecord first = run_job(small_is_job(), cold);
-  ASSERT_FALSE(first.cache_hit);
+  ExecutorOptions eo;
+  eo.cache_dir = dir.str();
+  const InlYieldIsJob job = small_is_job();
+  const ExecResult first = JobExecutor(eo).run(job, job_key(job), 1);
+  ASSERT_FALSE(first.cache_hit());
   const auto& fresh = std::get<IsYieldResult>(first.value);
 
   const auto direct = dac::inl_yield_is(
@@ -154,10 +154,8 @@ TEST(RareRoundTrip, CachedIsResultBitIdenticalAndRecomputesNothing) {
 
   const std::int64_t evals0 = dac::mc_chips_evaluated();
   for (const int threads : {1, 3}) {
-    RuntimeOptions warm = cold;
-    warm.threads = threads;
-    const JobRecord again = run_job(small_is_job(), warm);
-    EXPECT_TRUE(again.cache_hit) << threads << " threads";
+    const ExecResult again = JobExecutor(eo).run(job, job_key(job), threads);
+    EXPECT_TRUE(again.cache_hit()) << threads << " threads";
     const auto& cached = std::get<IsYieldResult>(again.value);
     EXPECT_EQ(cached.fails, fresh.fails);
     EXPECT_EQ(cached.yield, fresh.yield);
@@ -174,14 +172,14 @@ TEST(RareRoundTrip, CachedIsResultBitIdenticalAndRecomputesNothing) {
 
 TEST(RareRoundTrip, CachedStratAndBridgeBitIdentical) {
   ScratchDir dir("roundtrip-rare-sb");
-  RuntimeOptions opts;
-  opts.threads = 2;
-  opts.cache_dir = dir.str();
+  ExecutorOptions eo;
+  eo.cache_dir = dir.str();
 
-  const JobRecord s1 = run_job(small_strat_job(), opts);
-  ASSERT_FALSE(s1.cache_hit);
-  const JobRecord s2 = run_job(small_strat_job(), opts);
-  ASSERT_TRUE(s2.cache_hit);
+  const InlYieldStratJob strat = small_strat_job();
+  const ExecResult s1 = JobExecutor(eo).run(strat, job_key(strat), 2);
+  ASSERT_FALSE(s1.cache_hit());
+  const ExecResult s2 = JobExecutor(eo).run(strat, job_key(strat), 2);
+  ASSERT_TRUE(s2.cache_hit());
   const auto& sf = std::get<StratYieldResult>(s1.value);
   const auto& sc = std::get<StratYieldResult>(s2.value);
   EXPECT_EQ(sc.chips, sf.chips);
@@ -194,10 +192,11 @@ TEST(RareRoundTrip, CachedStratAndBridgeBitIdentical) {
   EXPECT_EQ(sf.yield, s_direct.yield);
   EXPECT_EQ(sf.pairs, s_direct.pairs);
 
-  const JobRecord b1 = run_job(small_bridge_job(), opts);
-  ASSERT_FALSE(b1.cache_hit);
-  const JobRecord b2 = run_job(small_bridge_job(), opts);
-  ASSERT_TRUE(b2.cache_hit);
+  const InlYieldBridgeJob bridge = small_bridge_job();
+  const ExecResult b1 = JobExecutor(eo).run(bridge, job_key(bridge), 2);
+  ASSERT_FALSE(b1.cache_hit());
+  const ExecResult b2 = JobExecutor(eo).run(bridge, job_key(bridge), 2);
+  ASSERT_TRUE(b2.cache_hit());
   const auto& bf = std::get<BridgeYieldResult>(b1.value);
   const auto& bc = std::get<BridgeYieldResult>(b2.value);
   EXPECT_EQ(bc.yield, bf.yield);

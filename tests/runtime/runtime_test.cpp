@@ -1,7 +1,8 @@
-// Tests for the job-graph runtime: cache-key discipline, persistent-store
-// round trips (bit-identical across thread counts), corruption and
-// eviction behavior, graph dedup/ordering, the JSON parser of the batch
-// service, and equivalence of runtime jobs with direct engine calls.
+// Tests for the runtime layer: cache-key discipline, persistent-store
+// round trips through the job executor (bit-identical across thread
+// counts), corruption and eviction behavior, the JSON parser of the
+// design service, runner timing, and equivalence of runtime jobs with
+// direct engine calls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,13 +10,16 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/accuracy.hpp"
 #include "dac/static_analysis.hpp"
+#include "obs/json_escape.hpp"
 #include "runtime/cache.hpp"
-#include "runtime/graph.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/json.hpp"
 #include "tech/tech.hpp"
 
@@ -130,12 +134,11 @@ TEST(JobKey, ThreadCountIsNotPartOfTheKey) {
   // execution option: run the same job on different thread counts and
   // expect one cache entry total.
   ScratchDir dir("threads-key");
-  RuntimeOptions opts;
-  opts.cache_dir = dir.str();
+  ExecutorOptions eo;
+  eo.cache_dir = dir.str();
+  const InlYieldJob job = small_inl_job();
   for (const int threads : {1, 2, 7}) {
-    RuntimeOptions o = opts;
-    o.threads = threads;
-    (void)run_job(small_inl_job(), o);
+    (void)JobExecutor(eo).run(job, job_key(job), threads);
   }
   std::size_t entries = 0;
   for (const auto& e : fs::directory_iterator(dir.path)) {
@@ -150,18 +153,15 @@ TEST(ResultRoundTrip, CachedInlYieldBitIdenticalAcrossThreads) {
   ScratchDir dir("roundtrip-inl");
   const InlYieldJob job = small_inl_job();
 
-  RuntimeOptions cold;
-  cold.threads = 1;
-  cold.cache_dir = dir.str();
-  const JobRecord first = run_job(job, cold);
-  ASSERT_FALSE(first.cache_hit);
+  ExecutorOptions eo;
+  eo.cache_dir = dir.str();
+  const ExecResult first = JobExecutor(eo).run(job, job_key(job), 1);
+  ASSERT_FALSE(first.cache_hit());
   const auto& fresh = std::get<YieldResult>(first.value);
 
   for (const int threads : {1, 2, 7}) {
-    RuntimeOptions warm = cold;
-    warm.threads = threads;
-    const JobRecord again = run_job(job, warm);
-    EXPECT_TRUE(again.cache_hit) << threads << " threads";
+    const ExecResult again = JobExecutor(eo).run(job, job_key(job), threads);
+    EXPECT_TRUE(again.cache_hit()) << threads << " threads";
     const auto& cached = std::get<YieldResult>(again.value);
     EXPECT_EQ(cached.chips, fresh.chips);
     EXPECT_EQ(cached.pass, fresh.pass);
@@ -170,9 +170,8 @@ TEST(ResultRoundTrip, CachedInlYieldBitIdenticalAcrossThreads) {
 
     // And the cached value must equal what a fresh run at this thread
     // count computes (thread-count invariance of the engine).
-    RuntimeOptions nocache;
-    nocache.threads = threads;
-    const JobRecord direct = run_job(job, nocache);
+    const ExecResult direct =
+        JobExecutor(ExecutorOptions{}).run(job, job_key(job), threads);
     const auto& recomputed = std::get<YieldResult>(direct.value);
     EXPECT_EQ(cached.yield, recomputed.yield);
     EXPECT_EQ(cached.ci95, recomputed.ci95);
@@ -186,13 +185,12 @@ TEST(ResultRoundTrip, CachedSweepBitIdenticalEveryField) {
   job.cs = {0.1, 0.9, 6};
   job.sw = {0.1, 0.9, 6};
 
-  RuntimeOptions opts;
-  opts.threads = 2;
-  opts.cache_dir = dir.str();
-  const JobRecord first = run_job(job, opts);
-  ASSERT_FALSE(first.cache_hit);
-  const JobRecord second = run_job(job, opts);
-  ASSERT_TRUE(second.cache_hit);
+  ExecutorOptions eo;
+  eo.cache_dir = dir.str();
+  const ExecResult first = JobExecutor(eo).run(job, job_key(job), 2);
+  ASSERT_FALSE(first.cache_hit());
+  const ExecResult second = JobExecutor(eo).run(job, job_key(job), 2);
+  ASSERT_TRUE(second.cache_hit());
 
   const auto& a = std::get<SweepResult>(first.value).points;
   const auto& b = std::get<SweepResult>(second.value).points;
@@ -212,13 +210,14 @@ TEST(ResultRoundTrip, CachedSweepBitIdenticalEveryField) {
 
 TEST(ResultRoundTrip, WarmRunDoesZeroChipEvaluations) {
   ScratchDir dir("warm-zero");
-  RuntimeOptions opts;
-  opts.cache_dir = dir.str();
-  (void)run_job(small_inl_job(), opts);
+  ExecutorOptions eo;
+  eo.cache_dir = dir.str();
+  const InlYieldJob job = small_inl_job();
+  (void)JobExecutor(eo).run(job, job_key(job), 0);
 
   const std::int64_t before = dac::mc_chips_evaluated();
-  const JobRecord warm = run_job(small_inl_job(), opts);
-  EXPECT_TRUE(warm.cache_hit);
+  const ExecResult warm = JobExecutor(eo).run(job, job_key(job), 0);
+  EXPECT_TRUE(warm.cache_hit());
   EXPECT_EQ(dac::mc_chips_evaluated() - before, 0);
   EXPECT_EQ(warm.stats.cache_hits, 1);
   EXPECT_EQ(warm.stats.evaluated, 0);
@@ -228,11 +227,10 @@ TEST(ResultRoundTrip, WarmRunDoesZeroChipEvaluations) {
 
 TEST(JobEquivalence, FixedAndAdaptiveMatchDirectCalls) {
   const InlYieldJob fixed = small_inl_job();
-  RuntimeOptions opts;
-  opts.threads = 2;
-  // Keep the JobRecord alive: std::get on the rvalue member would leave
-  // the reference dangling once the temporary record is destroyed.
-  const JobRecord rec_fixed = run_job(fixed, opts);
+  JobExecutor exec(ExecutorOptions{});
+  // Keep the ExecResult alive: std::get on the rvalue member would leave
+  // the reference dangling once the temporary result is destroyed.
+  const ExecResult rec_fixed = exec.run(fixed, job_key(fixed), 2);
   const auto& rt_fixed = std::get<YieldResult>(rec_fixed.value);
   const auto direct_fixed =
       dac::inl_yield_mc(fixed.spec, fixed.sigma_unit, fixed.chips, fixed.seed,
@@ -246,7 +244,7 @@ TEST(JobEquivalence, FixedAndAdaptiveMatchDirectCalls) {
   adaptive.min_chips = 64;
   adaptive.batch = 64;
   adaptive.ci_half_width = 0.05;
-  const JobRecord rec_adaptive = run_job(adaptive, opts);
+  const ExecResult rec_adaptive = exec.run(adaptive, job_key(adaptive), 2);
   const auto& rt_adaptive = std::get<YieldResult>(rec_adaptive.value);
   dac::AdaptiveMcOptions aopts;
   aopts.max_chips = adaptive.chips;
@@ -262,13 +260,88 @@ TEST(JobEquivalence, FixedAndAdaptiveMatchDirectCalls) {
   EXPECT_EQ(rt_adaptive.ci95, direct_adaptive.ci95);
 }
 
+// --- Runner timing ---------------------------------------------------------
+
+TEST(RunStats, EveryKindReportsWallTime) {
+  core::DacSpec spec8;
+  spec8.nbits = 8;
+  spec8.binary_bits = 3;
+  const double sigma = 0.0259427;
+  const tech::MosTechParams nmos = tech::generic_035um().nmos;
+
+  CalYieldJob cal;
+  cal.spec = spec8;
+  cal.sigma_unit = 4.0 * sigma;
+  cal.chips = 20;
+  SweepBasicJob basic;
+  basic.tech = nmos;
+  basic.cs = {0.1, 0.9, 3};
+  basic.sw = {0.1, 0.9, 3};
+  SweepCascodeJob cascode;
+  cascode.tech = nmos;
+  cascode.cs = cascode.sw = cascode.cas = {0.1, 0.9, 3};
+  SpectrumJob spectrum;
+  spectrum.spec = spec8;
+  spectrum.n_samples = 256;
+  spectrum.cycles = 7;
+  InlYieldIsJob is;
+  is.spec = spec8;
+  is.sigma_unit = sigma;
+  is.chips = 50;
+  InlYieldStratJob strat;
+  strat.spec = spec8;
+  strat.sigma_unit = sigma;
+  strat.strata = 2;
+  strat.chips = 50;
+  InlYieldBridgeJob bridge;
+  bridge.spec = spec8;
+  bridge.sigma_unit = sigma;
+  DynSpectrumJob dyn;
+  dyn.spec = spec8;
+  dyn.timing.oversample = 8;
+  dyn.n_samples = 128;
+  dyn.cycles = 7;
+  dyn.chips = 2;
+  ArchCompareJob compare;
+  compare.spec = spec8;
+  compare.sigma_unit = 0.01;
+  compare.timing.oversample = 8;
+  compare.n_samples = 128;
+  compare.cycles = 7;
+  compare.chips = 10;
+  compare.dyn_chips = 1;
+  compare.seg_hi = 3;
+  SpiceMcJob spice;
+  spice.spec.nbits = 4;
+  spice.spec.binary_bits = 2;
+  spice.tech = nmos;
+  spice.chips = 1;
+
+  const Job jobs[] = {small_inl_job(), cal,    basic,  cascode,
+                      spectrum,        is,     strat,  bridge,
+                      dyn,             compare, spice};
+  std::set<JobKind> kinds;
+  for (const Job& job : jobs) {
+    const std::string_view kind = kind_name(job_kind(job));
+    mathx::RunStats stats;
+    (void)execute_job(job, 1, &stats);
+    EXPECT_GT(stats.wall_seconds, 0.0) << kind;
+    EXPECT_EQ(stats.items_per_second,
+              static_cast<double>(stats.evaluated) / stats.wall_seconds)
+        << kind;
+    kinds.insert(job_kind(job));
+  }
+  EXPECT_EQ(kinds.size(), 11u);
+}
+
 // --- Corruption and eviction ----------------------------------------------
 
 TEST(Cache, CorruptEntryRecomputesInsteadOfServingGarbage) {
   ScratchDir dir("corrupt");
-  RuntimeOptions opts;
-  opts.cache_dir = dir.str();
-  const JobRecord fresh = run_job(small_inl_job(), opts);
+  ExecutorOptions eo;
+  eo.cache_dir = dir.str();
+  const InlYieldJob job = small_inl_job();
+  const ExecResult fresh = JobExecutor(eo).run(job, job_key(job), 0);
   const auto& want = std::get<YieldResult>(fresh.value);
 
   // Flip one payload byte in the single stored entry.
@@ -285,19 +358,17 @@ TEST(Cache, CorruptEntryRecomputesInsteadOfServingGarbage) {
     f.write(&flip, 1);
   }
 
-  JobGraph graph(opts);
-  const JobId id = graph.add(small_inl_job());
-  graph.run_all();
-  const JobRecord& redone = graph.record(id);
-  EXPECT_FALSE(redone.cache_hit);
-  EXPECT_EQ(graph.cache_counters().corrupt, 1);
+  JobExecutor exec(eo);
+  const ExecResult redone = exec.run(job, job_key(job), 0);
+  EXPECT_FALSE(redone.cache_hit());
+  EXPECT_EQ(exec.disk_counters().corrupt, 1);
   const auto& got = std::get<YieldResult>(redone.value);
   EXPECT_EQ(got.yield, want.yield);
   EXPECT_EQ(got.ci95, want.ci95);
 
   // The recompute overwrote the bad entry: next run hits again.
-  const JobRecord healed = run_job(small_inl_job(), opts);
-  EXPECT_TRUE(healed.cache_hit);
+  const ExecResult healed = JobExecutor(eo).run(job, job_key(job), 0);
+  EXPECT_TRUE(healed.cache_hit());
 }
 
 TEST(Cache, TruncatedEntryIsAMiss) {
@@ -420,79 +491,21 @@ TEST(Cache, SecondInstanceOnTheSameDirectoryIsEvictedOnceBudgetCrossed) {
   EXPECT_TRUE(a.get(mathx::HashKey128{9, 9}, back));
 }
 
-// --- Graph behavior --------------------------------------------------------
+// --- Batch dedup ---------------------------------------------------------
 
-TEST(JobGraph, DeduplicatesIdenticalJobs) {
-  JobGraph graph;
-  const JobId a = graph.add(small_inl_job(), "first");
-  const JobId b = graph.add(small_inl_job(), "second");
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(graph.size(), 1u);
-
+TEST(JobKey, BatchDedupFoldsOnlyIdenticalJobs) {
+  // Batch mode folds a request's jobs by content key before submitting:
+  // two identical entries become one unique job, a changed seed does not.
+  std::map<mathx::HashKey128, std::string> unique;
   InlYieldJob other = small_inl_job();
   other.seed += 1;
-  EXPECT_NE(graph.add(other), a);
-  EXPECT_EQ(graph.size(), 2u);
-}
-
-TEST(JobGraph, DependencyOrderVisibleInTrace) {
-  ScratchDir dir("deps");
-  RuntimeOptions opts;
-  opts.threads = 2;
-  opts.trace_path = (dir.path / "trace.jsonl").string();
-  fs::create_directories(dir.path);
-
-  JobGraph graph(opts);
-  InlYieldJob a = small_inl_job();
-  InlYieldJob b = small_inl_job();
-  b.seed = 9;
-  InlYieldJob c = small_inl_job();
-  c.seed = 10;
-  const JobId ia = graph.add(a, "upstream");
-  const JobId ib = graph.add(b, "mid");
-  const JobId ic = graph.add(c, "down");
-  graph.depend(ib, ia);
-  graph.depend(ic, ib);
-  graph.run_all();
-
-  // Replay the trace: each job's start must come after its prerequisite's
-  // finish.
-  std::ifstream in(opts.trace_path);
-  ASSERT_TRUE(in.good());
-  std::vector<std::pair<std::string, int>> events;  // (ev, job)
-  std::string line;
-  while (std::getline(in, line)) {
-    JsonValue ev;
-    std::string err;
-    ASSERT_TRUE(parse_json(line, ev, &err)) << err;
-    if (const auto* e = ev.find("ev")) {
-      events.emplace_back(e->str,
-                          static_cast<int>(ev.int_or("job", -1)));
-    }
-  }
-  const auto index_of = [&events](const char* kind, int job) {
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      if (events[i].first == kind && events[i].second == job) return i;
-    }
-    return events.size();
-  };
-  ASSERT_LT(index_of("job_finish", ia), events.size());
-  EXPECT_LT(index_of("job_finish", ia), index_of("job_start", ib));
-  EXPECT_LT(index_of("job_finish", ib), index_of("job_start", ic));
-  EXPECT_LT(index_of("run_start", -1), index_of("job_start", ia));
-}
-
-TEST(JobGraph, CycleThrows) {
-  JobGraph graph;
-  InlYieldJob a = small_inl_job();
-  InlYieldJob b = small_inl_job();
-  b.seed = 9;
-  const JobId ia = graph.add(a);
-  const JobId ib = graph.add(b);
-  graph.depend(ib, ia);
-  graph.depend(ia, ib);
-  EXPECT_THROW(graph.run_all(), std::runtime_error);
-  EXPECT_THROW(graph.depend(ia, ia), std::invalid_argument);
+  const std::pair<Job, std::string> entries[] = {
+      {small_inl_job(), "first"}, {small_inl_job(), "second"},
+      {other, "third"}};
+  for (const auto& [job, id] : entries) unique.emplace(job_key(job), id);
+  ASSERT_EQ(unique.size(), 2u);
+  EXPECT_EQ(unique.at(job_key(small_inl_job())), "first");
+  EXPECT_EQ(unique.at(job_key(other)), "third");
 }
 
 // --- JSON parser -----------------------------------------------------------
@@ -542,76 +555,18 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(err.empty());
 }
 
-TEST(JsonLine, HostileStringsStayValidJson) {
+TEST(Json, HostileKeysAndValuesSurviveTheEscaper) {
   // Keys and values with quotes, backslashes, and control bytes must come
   // back intact through the parser — one escaper serves every writer.
   const std::string hostile = "a\"b\\c\nd\te\x01f";
-  const JsonLine line = JsonLine()
-                            .field("ev", hostile)
-                            .field(hostile, "v")
-                            .field("n", std::int64_t{-3});
+  const std::string doc = "{\"ev\":" + obs::json_quoted(hostile) + "," +
+                          obs::json_quoted(hostile) + ":\"v\",\"n\":-3}";
   JsonValue v;
   std::string err;
-  ASSERT_TRUE(parse_json(line.str(), v, &err)) << err << "\n" << line.str();
+  ASSERT_TRUE(parse_json(doc, v, &err)) << err << "\n" << doc;
   EXPECT_EQ(v.string_or("ev", ""), hostile);
   EXPECT_EQ(v.string_or(hostile, ""), "v");
   EXPECT_EQ(v.int_or("n", 0), -3);
-}
-
-// --- Trace schema ----------------------------------------------------------
-
-TEST(Trace, RunEmitsSchemaTagAndSpans) {
-  ScratchDir dir("trace2");
-  RuntimeOptions opts;
-  opts.threads = 2;
-  opts.trace_path = (dir.path / "trace.jsonl").string();
-  fs::create_directories(dir.path);
-  {
-    JobGraph graph(opts);
-    graph.add(small_inl_job(), "traced");
-    graph.run_all();
-  }
-
-  std::ifstream in(opts.trace_path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  bool saw_schema = false;
-  std::vector<JsonValue> spans;
-  while (std::getline(in, line)) {
-    JsonValue ev;
-    std::string err;
-    ASSERT_TRUE(parse_json(line, ev, &err)) << err << "\n" << line;
-    const std::string kind = ev.string_or("ev", "");
-    if (kind == "run_start") {
-      EXPECT_EQ(ev.string_or("schema", ""), kTraceSchema);
-      saw_schema = true;
-    } else if (kind == "span") {
-      spans.push_back(ev);
-    }
-  }
-  EXPECT_TRUE(saw_schema);
-  ASSERT_FALSE(spans.empty());
-
-  bool saw_run = false, saw_job = false;
-  std::int64_t run_id = 0, job_parent = -1;
-  for (const auto& s : spans) {
-    EXPECT_GT(s.int_or("id", 0), 0);
-    EXPECT_GE(s.int_or("dur_us", -1), 0);
-    const std::string name = s.string_or("name", "");
-    if (name == "graph.run") {
-      saw_run = true;
-      run_id = s.int_or("id", 0);
-    } else if (name == "graph.job") {
-      saw_job = true;
-      job_parent = s.int_or("parent", -1);
-      EXPECT_EQ(s.string_or("attr.label", ""), "traced");
-      EXPECT_EQ(s.string_or("attr.cache", ""), "off");
-    }
-  }
-  EXPECT_TRUE(saw_run);
-  ASSERT_TRUE(saw_job);
-  // The job span nests under the run span.
-  EXPECT_EQ(job_parent, run_id);
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 #include "core/sizer.hpp"
 #include "dac/static_analysis.hpp"
 #include "dacgen/spice_mc.hpp"
-#include "runtime/graph.hpp"
+#include "runtime/executor.hpp"
 #include "serve/request.hpp"
 #include "tech/tech.hpp"
 
@@ -125,11 +125,11 @@ TEST(SpiceJobs, ResultCodecRoundTripsAndRejectsTrailing) {
 
 TEST(SpiceJobs, MatchesDirectRunnerAndWarmPassSolvesNothing) {
   ScratchDir dir("roundtrip-spice");
-  RuntimeOptions cold;
-  cold.threads = 1;
-  cold.cache_dir = dir.str();
-  const JobRecord first = run_job(small_job(), cold);
-  ASSERT_FALSE(first.cache_hit);
+  ExecutorOptions eo;
+  eo.cache_dir = dir.str();
+  const SpiceMcJob job = small_job();
+  const ExecResult first = JobExecutor(eo).run(job, job_key(job), 1);
+  ASSERT_FALSE(first.cache_hit());
   const auto& fresh = std::get<SpiceMcResult>(first.value);
   EXPECT_EQ(fresh.chips, 3);
   EXPECT_GE(fresh.yield, 0.0);
@@ -159,10 +159,8 @@ TEST(SpiceJobs, MatchesDirectRunnerAndWarmPassSolvesNothing) {
   // chips evaluated (nothing is rebuilt or re-solved).
   const std::int64_t evals0 = dac::mc_chips_evaluated();
   for (const int threads : {1, 3}) {
-    RuntimeOptions warm = cold;
-    warm.threads = threads;
-    const JobRecord again = run_job(small_job(), warm);
-    EXPECT_TRUE(again.cache_hit) << threads << " threads";
+    const ExecResult again = JobExecutor(eo).run(job, job_key(job), threads);
+    EXPECT_TRUE(again.cache_hit()) << threads << " threads";
     const auto& cached = std::get<SpiceMcResult>(again.value);
     EXPECT_EQ(cached.pass, fresh.pass);
     EXPECT_EQ(cached.yield, fresh.yield);

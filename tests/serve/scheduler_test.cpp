@@ -1,39 +1,22 @@
 // Tests for the shared long-lived scheduler: future-based submission,
 // cross-request single-flight dedup, per-client admission control,
 // round-robin fairness, batch-lifetime independence (the regression for
-// the old batch-scoped runtime), and JobGraph running against a shared
+// the old batch-scoped runtime), and several schedulers sharing one
 // executor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/accuracy.hpp"
-#include "runtime/graph.hpp"
+#include "obs/span.hpp"
 #include "runtime/scheduler.hpp"
 
 namespace csdac::runtime {
 namespace {
-
-namespace fs = std::filesystem;
-
-struct ScratchDir {
-  fs::path path;
-  explicit ScratchDir(const char* tag) {
-    path = fs::path(testing::TempDir()) /
-           (std::string("csdac-") + tag + "-" +
-            std::to_string(static_cast<unsigned long long>(
-                reinterpret_cast<std::uintptr_t>(this))));
-    fs::remove_all(path);
-  }
-  ~ScratchDir() { fs::remove_all(path); }
-  std::string str() const { return path.string(); }
-};
 
 InlYieldJob job_with(std::uint64_t seed, int chips) {
   InlYieldJob j;
@@ -135,17 +118,11 @@ TEST(Scheduler, AdmissionCapBlocksSubmitUntilSlotsFree) {
 }
 
 TEST(Scheduler, RoundRobinInterleavesClientsAndTracesTheirIds) {
-  ScratchDir dir("sched-trace");
-  const std::string trace_path = (dir.path / "trace.jsonl").string();
-  fs::create_directories(dir.path);
-  TraceLog trace;
-  trace.open(trace_path);
-
-  SchedulerOptions o = ram_only(1);
-  std::vector<Scheduler::Ticket> tickets;
+  obs::SpanCollector collector;
+  obs::Tracer::global().add_sink(&collector);
   {
-    Scheduler sched(o);
-    sched.set_trace(&trace);
+    Scheduler sched(ram_only(1));
+    std::vector<Scheduler::Ticket> tickets;
     // Pin the worker, then queue client 0 twice and client 1 once. The
     // round-robin pick must serve client 1 between client 0's jobs.
     tickets.push_back(sched.submit(job_with(500, 300), 0, "blocker"));
@@ -154,18 +131,20 @@ TEST(Scheduler, RoundRobinInterleavesClientsAndTracesTheirIds) {
     tickets.push_back(sched.submit(job_with(503, 50), 1, "b1"));
     for (const auto& t : tickets) t.future.wait();
   }
+  obs::Tracer::global().remove_sink(&collector);
 
-  std::ifstream in(trace_path);
-  ASSERT_TRUE(in.is_open());
+  // A sched.job span closes when its job finishes, so the collector holds
+  // them in finish order.
   std::vector<std::string> finish_order;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("\"ev\":\"job_finish\"") == std::string::npos) continue;
-    const auto pos = line.find("\"label\":\"");
-    ASSERT_NE(pos, std::string::npos) << line;
-    const auto start = pos + 9;
-    finish_order.push_back(line.substr(start, line.find('"', start) - start));
-    EXPECT_NE(line.find("\"client\":"), std::string::npos) << line;
+  for (const obs::SpanRecord& span : collector.take()) {
+    if (span.name != "sched.job") continue;
+    std::string label, client;
+    for (const auto& [k, v] : span.attrs) {
+      if (k == "label") label = v;
+      if (k == "client") client = v;
+    }
+    EXPECT_EQ(client, label == "b1" ? "1" : "0") << label;
+    finish_order.push_back(label);
   }
   ASSERT_EQ(finish_order.size(), 4u);
   // Whether the worker grabbed "blocker" before or after the rest were
@@ -259,11 +238,7 @@ TEST(Scheduler, ManyConcurrentSubmittersAllGetCorrectResults) {
   EXPECT_EQ(counters.completed, counters.submitted);
 }
 
-// --- JobGraph on a shared executor -----------------------------------------
-
-TEST(SharedExecutorGraph, NullExecutorThrows) {
-  EXPECT_THROW(JobGraph(RuntimeOptions{}, nullptr), std::invalid_argument);
-}
+// --- Schedulers on a shared executor -------------------------------------
 
 TEST(SharedExecutorGraph, GraphsShareOneSetOfCacheTiers) {
   ExecutorOptions eo;
@@ -271,20 +246,20 @@ TEST(SharedExecutorGraph, GraphsShareOneSetOfCacheTiers) {
   auto exec = std::make_shared<JobExecutor>(eo);
   const Job job = job_with(42, 50);
 
-  JobGraph g1(RuntimeOptions{}, exec);
-  const JobId id1 = g1.add(job);
-  g1.run_all();
-  EXPECT_FALSE(g1.record(id1).cache_hit);
+  Scheduler::ResultPtr r1, r2;
+  {
+    Scheduler s1(ram_only(1), exec);
+    r1 = s1.submit(job).future.get();
+  }
+  EXPECT_FALSE(r1->cache_hit());
 
-  JobGraph g2(RuntimeOptions{}, exec);
-  const JobId id2 = g2.add(job);
-  g2.run_all();
-  EXPECT_TRUE(g2.record(id2).cache_hit);
-  EXPECT_EQ(g2.record(id2).tier, ResultTier::kHot);
-  EXPECT_EQ(g1.record(id1).stats.evaluated + g2.record(id2).stats.evaluated,
-            50);
-  EXPECT_EQ(std::get<YieldResult>(g1.record(id1).value).yield,
-            std::get<YieldResult>(g2.record(id2).value).yield);
+  Scheduler s2(ram_only(1), exec);
+  r2 = s2.submit(job).future.get();
+  EXPECT_TRUE(r2->cache_hit());
+  EXPECT_EQ(r2->tier, ResultTier::kHot);
+  EXPECT_EQ(r1->stats.evaluated + r2->stats.evaluated, 50);
+  EXPECT_EQ(std::get<YieldResult>(r1->value).yield,
+            std::get<YieldResult>(r2->value).yield);
 }
 
 TEST(SharedExecutorGraph, ConcurrentGraphsOnOneExecutorStayIndependent) {
@@ -295,12 +270,12 @@ TEST(SharedExecutorGraph, ConcurrentGraphsOnOneExecutorStayIndependent) {
   std::vector<double> yields(4, -1.0);
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&exec, &yields, t] {
-      JobGraph g(RuntimeOptions{}, exec);
-      // Two graphs share job 1000; two share job 1001.
-      const JobId id = g.add(job_with(1000 + (t % 2), 60));
-      g.run_all();
+      Scheduler sched(ram_only(1), exec);
+      // Two schedulers share job 1000; two share job 1001.
+      const Scheduler::ResultPtr r =
+          sched.submit(job_with(1000 + (t % 2), 60)).future.get();
       yields[static_cast<std::size_t>(t)] =
-          std::get<YieldResult>(g.record(id).value).yield;
+          std::get<YieldResult>(r->value).yield;
     });
   }
   for (auto& th : threads) th.join();

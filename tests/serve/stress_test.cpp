@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "dac/static_analysis.hpp"
+#include "obs/json_escape.hpp"
 #include "runtime/job.hpp"
 #include "runtime/json.hpp"
 #include "serve/client.hpp"
@@ -74,7 +75,7 @@ void dump_json(const runtime::JsonValue& v, std::string& out) {
     }
     case T::kString:
       out += '"';
-      runtime::append_json_escaped(out, v.str);
+      obs::append_json_escaped(out, v.str);
       out += '"';
       break;
     case T::kArray: {
@@ -95,7 +96,7 @@ void dump_json(const runtime::JsonValue& v, std::string& out) {
         if (!first) out += ',';
         first = false;
         out += '"';
-        runtime::append_json_escaped(out, k);
+        obs::append_json_escaped(out, k);
         out += "\":";
         dump_json(e, out);
       }

@@ -155,7 +155,8 @@ TEST(Tracing, WarmHitAttributesZeroCompute) {
   Client c = fx.connect();
   std::string reply;
   ASSERT_EQ(c.call(traced_request("t-cold", 104), reply), FrameStatus::kOk);
-  const auto* cold = check_stages(parse_reply(reply));
+  const runtime::JsonValue cold_doc = parse_reply(reply);
+  const auto* cold = check_stages(cold_doc);
   ASSERT_NE(cold, nullptr);
   EXPECT_GT(cold->int_or("compute_us", -1), 0);
   // Same job again: the hot tier answers, so no compute time is spent —

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "obs/json_escape.hpp"
 #include "runtime/json.hpp"
 #include "serve/client.hpp"
 #include "serve/response.hpp"
@@ -155,7 +156,7 @@ void dump_json(const runtime::JsonValue& v, std::string& out) {
     }
     case T::kString:
       out += '"';
-      runtime::append_json_escaped(out, v.str);
+      obs::append_json_escaped(out, v.str);
       out += '"';
       break;
     case T::kArray:
@@ -171,7 +172,7 @@ void dump_json(const runtime::JsonValue& v, std::string& out) {
       for (std::size_t i = 0; i < v.obj.size(); ++i) {
         if (i) out += ',';
         out += '"';
-        runtime::append_json_escaped(out, v.obj[i].first);
+        obs::append_json_escaped(out, v.obj[i].first);
         out += "\":";
         dump_json(v.obj[i].second, out);
       }

@@ -3,15 +3,17 @@
 //
 // Batch (default): reads a JSON request file describing many design
 // questions (yield estimates, calibration studies, design-space sweeps,
-// spectrum evaluations), dedupes identical jobs, executes the job graph
-// with the persistent content-addressed cache, and writes a JSON response
-// (schema "csdac-serve/2", which embeds a metrics-registry snapshot under
-// "metrics"). A warm-cache run answers every question without a single
-// Monte-Carlo chip evaluation — the CI runtime-smoke and metrics-smoke
-// jobs assert exactly that from the JSONL trace and the Prometheus dump.
+// spectrum evaluations, architecture and SPICE studies), folds identical
+// jobs by content key, runs the unique ones on a local runtime::Scheduler
+// (--threads workers) over the persistent content-addressed cache, and
+// writes a JSON response (schema "csdac-serve/2", which embeds a
+// metrics-registry snapshot under "metrics"). A warm-cache run answers
+// every question without a single Monte-Carlo chip evaluation — the CI
+// batch smoke jobs assert exactly that from the response and the
+// Prometheus dump.
 //
 //   csdac_serve REQUEST.json [--out PATH] [--cache DIR] [--no-cache]
-//               [--cache-max-mb N] [--trace PATH] [--threads N]
+//               [--cache-max-mb N] [--threads N]
 //               [--metrics-out PATH] [--chrome-trace PATH]
 //
 // Server (--listen): persistent length-framed TCP service on the shared
@@ -26,7 +28,7 @@
 //   csdac_serve --listen [--host H] [--port N] [--port-file PATH]
 //               [--workers N] [--max-inflight N] [--max-connections N]
 //               [--hot-mb N] [--cache DIR] [--no-cache] [--cache-max-mb N]
-//               [--trace PATH] [--metrics-out PATH] [--flight-out PATH]
+//               [--metrics-out PATH] [--flight-out PATH]
 //               [--slow-us N] [--slow-log PATH]
 //
 // --slow-us N tail-samples requests taking >= N microseconds into the
@@ -39,15 +41,17 @@
 // --metrics-out writes the full registry in Prometheus text exposition
 // format after the batch (or on server exit). --chrome-trace collects
 // every span of a batch run and writes Chrome trace_event JSON — open it
-// in Perfetto or chrome://tracing for a flamegraph of graph.run >
-// graph.job > mc.*.
+// in Perfetto or chrome://tracing for a flamegraph of serve.batch >
+// sched.job > exec.job > mc.*.
 //
 // Request schema ("csdac-request/1"):
 //   { "schema": "csdac-request/1", "jobs": [ <job>, ... ] }
 // Every job object has "kind": one of inl_yield | dnl_yield | cal_yield |
-// sweep_basic | sweep_cascode | spectrum, an optional "id" echoed in the
-// response, an optional "spec" object overriding DacSpec fields, and
-// kind-specific fields (see src/serve/request.cpp and EXPERIMENTS.md).
+// sweep_basic | sweep_cascode | spectrum | inl_yield_is | inl_yield_strat |
+// inl_yield_bridge | dyn_spectrum | arch_compare | spice_mc, an optional
+// "id" echoed in the response, an optional "spec" object overriding
+// DacSpec fields, and kind-specific fields (see src/serve/request.cpp and
+// EXPERIMENTS.md).
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -56,6 +60,7 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -66,8 +71,8 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "runtime/graph.hpp"
 #include "runtime/json.hpp"
+#include "runtime/scheduler.hpp"
 #include "serve/request.hpp"
 #include "serve/response.hpp"
 #include "serve/server.hpp"
@@ -77,8 +82,8 @@ using namespace csdac;
 namespace {
 
 struct RequestEntry {
-  std::string id;         ///< echoed in the response
-  runtime::JobId job_id;  ///< graph node (shared between duplicates)
+  std::string id;    ///< echoed in the response
+  std::size_t slot;  ///< unique job answering it (shared by duplicates)
 };
 
 [[noreturn]] void die(const std::string& msg) {
@@ -94,7 +99,7 @@ struct Options {
   std::string request_path;
   std::string out_path = "serve_response.json";
   std::string cache_dir = ".csdac-cache";
-  std::string trace_path, metrics_path, chrome_path, port_file;
+  std::string metrics_path, chrome_path, port_file;
   std::string flight_path, slow_log;
   std::string host = "127.0.0.1";
   bool use_cache = true;
@@ -113,12 +118,12 @@ struct Options {
   std::fprintf(
       stderr,
       "usage: csdac_serve REQUEST.json [--out PATH] [--cache DIR] "
-      "[--no-cache] [--cache-max-mb N] [--trace PATH] [--threads N] "
+      "[--no-cache] [--cache-max-mb N] [--threads N] "
       "[--metrics-out PATH] [--chrome-trace PATH]\n"
       "       csdac_serve --listen [--host H] [--port N] "
       "[--port-file PATH] [--workers N] [--max-inflight N] "
       "[--max-connections N] [--hot-mb N] [--cache DIR] [--no-cache] "
-      "[--cache-max-mb N] [--trace PATH] [--metrics-out PATH] "
+      "[--cache-max-mb N] [--metrics-out PATH] "
       "[--flight-out PATH] [--slow-us N] [--slow-log PATH]\n");
   std::exit(2);
 }
@@ -135,7 +140,6 @@ Options parse_args(int argc, char** argv) {
     else if (std::strcmp(argv[a], "--no-cache") == 0) o.use_cache = false;
     else if (std::strcmp(argv[a], "--cache-max-mb") == 0)
       o.cache_max_mb = std::atof(value(a));
-    else if (std::strcmp(argv[a], "--trace") == 0) o.trace_path = value(a);
     else if (std::strcmp(argv[a], "--metrics-out") == 0)
       o.metrics_path = value(a);
     else if (std::strcmp(argv[a], "--chrome-trace") == 0)
@@ -280,41 +284,53 @@ int run_batch(const Options& o) {
     die(o.request_path + ": " + e.what());
   }
 
-  runtime::RuntimeOptions opts;
-  opts.threads = o.threads;
-  if (o.use_cache) opts.cache_dir = o.cache_dir;
-  opts.cache_max_bytes =
-      static_cast<std::uint64_t>(o.cache_max_mb * 1024.0 * 1024.0);
-  opts.trace_path = o.trace_path;
+  // Fold identical questions by content key before submitting, so a
+  // duplicate runs once even under --no-cache, where no tier answers it.
+  // Each unique job keeps the id of its first occurrence as its label.
+  std::vector<serve::RequestJob> unique;
+  std::vector<RequestEntry> entries;
+  entries.reserve(parsed.size());
+  std::map<mathx::HashKey128, std::size_t> slot_of;
+  for (auto& pj : parsed) {
+    const auto [it, fresh] =
+        slot_of.emplace(runtime::job_key(pj.job), unique.size());
+    entries.push_back(RequestEntry{pj.id, it->second});
+    if (fresh) unique.push_back(std::move(pj));
+  }
 
-  // Collect spans for the Chrome trace export (independent of --trace,
-  // which routes spans into the JSONL via the graph's own sink).
+  runtime::SchedulerOptions so;
+  so.workers = o.threads;
+  // A lone job gets the whole pool for its internal Monte-Carlo
+  // parallelism; otherwise the jobs fan out one engine thread each.
+  so.threads_per_job = unique.size() == 1 ? o.threads : 1;
+  if (o.use_cache) so.exec.cache_dir = o.cache_dir;
+  so.exec.cache_max_bytes =
+      static_cast<std::uint64_t>(o.cache_max_mb * 1024.0 * 1024.0);
+
   obs::SpanCollector collector;
   if (!o.chrome_path.empty()) obs::Tracer::global().add_sink(&collector);
 
-  runtime::JobGraph graph(opts);
-  std::vector<RequestEntry> entries;
-  entries.reserve(parsed.size());
-  for (auto& pj : parsed) {
-    RequestEntry e;
-    e.id = pj.id;
-    e.job_id = graph.add(std::move(pj.job), e.id);
-    entries.push_back(std::move(e));
-  }
-
   const std::int64_t chips0 = dac::mc_chips_evaluated();
   const auto t0 = std::chrono::steady_clock::now();
-  {
+  std::vector<runtime::Scheduler::Ticket> tickets;
+  runtime::CacheCounters cc;
+  try {
+    runtime::Scheduler sched(so);
     obs::ScopedSpan batch("serve.batch");
     batch.attr("request", o.request_path)
         .attr("jobs", static_cast<std::int64_t>(entries.size()));
-    graph.run_all();
+    for (const auto& u : unique) {
+      tickets.push_back(sched.submit(u.job, 0, u.id, {}, batch.id()));
+    }
+    for (const auto& t : tickets) t.future.get();  // rethrows job failures
+    cc = sched.executor().disk_counters();
+  } catch (const std::exception& e) {
+    die(e.what());
   }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   const std::int64_t chip_evals = dac::mc_chips_evaluated() - chips0;
-  const runtime::CacheCounters cc = graph.cache_counters();
   const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
 
   bench::JsonWriter w;
@@ -324,13 +340,15 @@ int run_batch(const Options& o) {
   w.field("engine_version", std::string(runtime::kEngineVersion).c_str());
   w.key("jobs").begin_array();
   for (const auto& e : entries) {
-    const runtime::JobRecord& r = graph.record(e.job_id);
+    const runtime::Scheduler::Ticket& t = tickets[e.slot];
+    const runtime::ExecResult& r = *t.future.get();
+    const std::string kind(
+        runtime::kind_name(runtime::job_kind(unique[e.slot].job)));
     w.begin_object();
     w.field("id", e.id.c_str());
-    w.field("kind",
-            std::string(runtime::kind_name(runtime::job_kind(r.job))).c_str());
-    w.field("key", r.key.hex().c_str());
-    w.field("cache", o.use_cache ? (r.cache_hit ? "hit" : "miss") : "off");
+    w.field("kind", kind.c_str());
+    w.field("key", t.key.hex().c_str());
+    w.field("cache", o.use_cache ? (r.cache_hit() ? "hit" : "miss") : "off");
     w.field("wall_s", r.wall_seconds);
     w.field("evaluated", r.stats.evaluated);
     serve::emit_result(w, r.value);
@@ -339,7 +357,7 @@ int run_batch(const Options& o) {
   w.end_array();
   w.key("summary").begin_object();
   w.field("requested", static_cast<std::int64_t>(entries.size()));
-  w.field("unique_jobs", static_cast<std::int64_t>(graph.size()));
+  w.field("unique_jobs", static_cast<std::int64_t>(unique.size()));
   w.field("cache_hits", cc.hits);
   w.field("cache_misses", cc.misses);
   w.field("cache_evictions", cc.evictions);
@@ -373,7 +391,7 @@ int run_batch(const Options& o) {
   std::printf(
       "csdac_serve: %zu requests -> %zu unique jobs, %lld cache hits, "
       "%lld misses, %lld chips evaluated, %.3f s\n",
-      entries.size(), graph.size(), static_cast<long long>(cc.hits),
+      entries.size(), unique.size(), static_cast<long long>(cc.hits),
       static_cast<long long>(cc.misses), static_cast<long long>(chip_evals),
       wall);
   std::printf("wrote %s\n", o.out_path.c_str());

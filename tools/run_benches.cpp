@@ -85,7 +85,7 @@
 #include "mathx/rare_event.hpp"
 #include "mathx/simd.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/graph.hpp"
+#include "runtime/executor.hpp"
 
 using namespace csdac;
 
@@ -143,21 +143,23 @@ bool bench_cache_job(bench::JsonWriter& w, const char* name,
                      int threads) {
   const std::string dir = ".csdac-cache-bench";
   std::filesystem::remove_all(dir);
-  runtime::RuntimeOptions opts;
-  opts.threads = threads;
-  opts.cache_dir = dir;
+  runtime::ExecutorOptions eo;
+  eo.cache_dir = dir;
+  const mathx::HashKey128 key = runtime::job_key(job);
 
-  const runtime::JobRecord cold = runtime::run_job(job, opts);
+  const runtime::ExecResult cold =
+      runtime::JobExecutor(eo).run(job, key, threads);
   const std::int64_t chips0 = dac::mc_chips_evaluated();
-  const runtime::JobRecord warm = runtime::run_job(job, opts);
+  const runtime::ExecResult warm =
+      runtime::JobExecutor(eo).run(job, key, threads);
   const std::int64_t warm_evals = dac::mc_chips_evaluated() - chips0;
   std::filesystem::remove_all(dir);
 
-  if (cold.cache_hit || !warm.cache_hit || warm_evals != 0) {
+  if (cold.cache_hit() || !warm.cache_hit() || warm_evals != 0) {
     std::fprintf(stderr,
                  "FATAL: %s cache behavior wrong (cold hit=%d, warm hit=%d, "
                  "warm chip evals=%lld)\n",
-                 name, cold.cache_hit, warm.cache_hit,
+                 name, cold.cache_hit(), warm.cache_hit(),
                  static_cast<long long>(warm_evals));
     return false;
   }
@@ -170,7 +172,7 @@ bool bench_cache_job(bench::JsonWriter& w, const char* name,
   w.begin_object();
   w.field("name", name);
   w.key("config").begin_object();
-  w.field("key", cold.key.hex().c_str());
+  w.field("key", key.hex().c_str());
   w.field("chips", chips);
   w.end_object();
   w.key("cold").begin_object();
