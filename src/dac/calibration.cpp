@@ -65,91 +65,11 @@ CalChipResult cal_chip_passes(ChipWorkspace& ws, double sigma_unit,
 
 namespace {
 
-CalibratedYield run_calibration_mc(const core::DacSpec& spec,
-                                   double sigma_unit,
-                                   const CalibrationOptions& opts, int chips,
-                                   std::uint64_t seed, double inl_limit,
-                                   int threads, bool use_workspace) {
+void check_calibration_mc(int chips, int threads) {
   if (chips <= 0) throw std::invalid_argument("calibration_yield_mc: chips");
   if (threads < 0) {
     throw std::invalid_argument("calibration_yield_mc: threads < 0");
   }
-  CalibratedYield y;
-  y.chips = chips;
-  std::atomic<int> pass_before{0}, pass_after{0};
-  if (use_workspace) {
-    const LaneKernel& k = active_lane_kernel();
-    if (k.lanes > 1) {
-      // Chip-per-lane SIMD path: full blocks of k.lanes chips go through
-      // the vector kernel, the remainder through the scalar chip body.
-      // Per-chip results are bit-identical either way.
-      std::atomic<std::int64_t> vec_chips{0}, tail_chips{0};
-      y.stats = mathx::parallel_for_workspace_blocks(
-          chips, threads, k.lanes,
-          [&spec, &k] { return ChipWorkspaceXN(spec, k.lanes); },
-          [&](ChipWorkspaceXN& ws, std::int64_t lo, std::int64_t hi) {
-            int before = 0, after = 0;
-            if (hi - lo == k.lanes) {
-              bool b[kMaxSimdLanes], a[kMaxSimdLanes];
-              k.cal_block(ws, sigma_unit, opts, seed, lo, inl_limit, b, a);
-              for (int l = 0; l < k.lanes; ++l) {
-                before += b[l] ? 1 : 0;
-                after += a[l] ? 1 : 0;
-              }
-              vec_chips.fetch_add(k.lanes, std::memory_order_relaxed);
-            } else {
-              for (std::int64_t c = lo; c < hi; ++c) {
-                const CalChipResult r = cal_chip_passes(
-                    ws.scalar, sigma_unit, opts, seed, c, inl_limit);
-                before += r.pass_before ? 1 : 0;
-                after += r.pass_after ? 1 : 0;
-              }
-              tail_chips.fetch_add(hi - lo, std::memory_order_relaxed);
-            }
-            if (before) {
-              pass_before.fetch_add(before, std::memory_order_relaxed);
-            }
-            if (after) pass_after.fetch_add(after, std::memory_order_relaxed);
-          });
-      detail::record_lane_run(k, vec_chips.load(), tail_chips.load());
-    } else {
-      y.stats = mathx::parallel_for_workspace(
-          chips, threads, [&spec] { return ChipWorkspace(spec); },
-          [&](ChipWorkspace& ws, std::int64_t c) {
-            const CalChipResult r =
-                cal_chip_passes(ws, sigma_unit, opts, seed, c, inl_limit);
-            if (r.pass_before) {
-              pass_before.fetch_add(1, std::memory_order_relaxed);
-            }
-            if (r.pass_after) {
-              pass_after.fetch_add(1, std::memory_order_relaxed);
-            }
-          });
-      detail::record_lane_run(k, 0, chips);
-    }
-  } else {
-    y.stats = mathx::parallel_for(chips, threads, [&](std::int64_t c) {
-      detail::count_chip_eval();
-      const auto idx = static_cast<std::uint64_t>(c);
-      mathx::Xoshiro256 draw_rng = mathx::stream_rng(seed, 2 * idx);
-      mathx::Xoshiro256 cal_rng = mathx::stream_rng(seed, 2 * idx + 1);
-      const SourceErrors raw = draw_source_errors(spec, sigma_unit, draw_rng);
-      const StaticMetrics before =
-          analyze_transfer(SegmentedDac(spec, raw).transfer());
-      if (before.inl_max < inl_limit) {
-        pass_before.fetch_add(1, std::memory_order_relaxed);
-      }
-      const SourceErrors fixed = calibrate(spec, raw, opts, cal_rng);
-      const StaticMetrics after =
-          analyze_transfer(SegmentedDac(spec, fixed).transfer());
-      if (after.inl_max < inl_limit) {
-        pass_after.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  y.yield_before = static_cast<double>(pass_before.load()) / chips;
-  y.yield_after = static_cast<double>(pass_after.load()) / chips;
-  return y;
 }
 
 }  // namespace
@@ -159,8 +79,29 @@ CalibratedYield calibration_yield_mc(const core::DacSpec& spec,
                                      const CalibrationOptions& opts,
                                      int chips, std::uint64_t seed,
                                      double inl_limit, int threads) {
-  return run_calibration_mc(spec, sigma_unit, opts, chips, seed, inl_limit,
-                            threads, /*use_workspace=*/true);
+  check_calibration_mc(chips, threads);
+  // The driver tallies the post-calibration passes; the pre-calibration
+  // ones are summed alongside.
+  std::atomic<std::int64_t> pass_before{0};
+  const mathx::YieldRun r = detail::run_lane_blocks(
+      spec, {.max_items = chips, .batch = chips}, threads, /*unit=*/1,
+      [&](const LaneKernel& k, ChipWorkspaceXN& ws, std::int64_t lo) {
+        bool b[kMaxSimdLanes], a[kMaxSimdLanes];
+        k.cal_block(ws, sigma_unit, opts, seed, lo, inl_limit, b, a);
+        std::int64_t before = 0, after = 0;
+        for (int l = 0; l < k.lanes; ++l) {
+          before += b[l] ? 1 : 0;
+          after += a[l] ? 1 : 0;
+        }
+        if (before) pass_before.fetch_add(before, std::memory_order_relaxed);
+        return after;
+      });
+  CalibratedYield y;
+  y.chips = chips;
+  y.yield_before = static_cast<double>(pass_before.load()) / chips;
+  y.yield_after = static_cast<double>(r.passed) / chips;
+  y.stats = r.stats;
+  return y;
 }
 
 CalibratedYield calibration_yield_mc_legacy(const core::DacSpec& spec,
@@ -168,8 +109,32 @@ CalibratedYield calibration_yield_mc_legacy(const core::DacSpec& spec,
                                             const CalibrationOptions& opts,
                                             int chips, std::uint64_t seed,
                                             double inl_limit, int threads) {
-  return run_calibration_mc(spec, sigma_unit, opts, chips, seed, inl_limit,
-                            threads, /*use_workspace=*/false);
+  check_calibration_mc(chips, threads);
+  std::atomic<int> pass_before{0}, pass_after{0};
+  CalibratedYield y;
+  y.chips = chips;
+  y.stats = mathx::parallel_for_indexed(chips, threads, [&](int,
+                                                            std::int64_t c) {
+    detail::count_chip_eval();
+    const auto idx = static_cast<std::uint64_t>(c);
+    mathx::Xoshiro256 draw_rng = mathx::stream_rng(seed, 2 * idx);
+    mathx::Xoshiro256 cal_rng = mathx::stream_rng(seed, 2 * idx + 1);
+    const SourceErrors raw = draw_source_errors(spec, sigma_unit, draw_rng);
+    const StaticMetrics before =
+        analyze_transfer(SegmentedDac(spec, raw).transfer());
+    if (before.inl_max < inl_limit) {
+      pass_before.fetch_add(1, std::memory_order_relaxed);
+    }
+    const SourceErrors fixed = calibrate(spec, raw, opts, cal_rng);
+    const StaticMetrics after =
+        analyze_transfer(SegmentedDac(spec, fixed).transfer());
+    if (after.inl_max < inl_limit) {
+      pass_after.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  y.yield_before = static_cast<double>(pass_before.load()) / chips;
+  y.yield_after = static_cast<double>(pass_after.load()) / chips;
+  return y;
 }
 
 CalibratedYield calibrated_inl_yield(const core::DacSpec& spec,

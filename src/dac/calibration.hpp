@@ -58,9 +58,9 @@ struct CalChipResult {
 
 /// One calibration chip, allocation-free: mismatch draw from stream 2*chip,
 /// pre-cal INL pass/fail, trim with measurement noise from stream
-/// 2*chip + 1, post-cal pass/fail. This is the chip body of
-/// calibration_yield_mc, exposed so the chip-per-lane SIMD path (and its
-/// equivalence tests) can run the exact scalar reference per chip.
+/// 2*chip + 1, post-cal pass/fail. The scalar reference the chip-per-lane
+/// kernels behind calibration_yield_mc are pinned against, chip by chip,
+/// in the equivalence tests.
 CalChipResult cal_chip_passes(ChipWorkspace& ws, double sigma_unit,
                               const CalibrationOptions& opts,
                               std::uint64_t seed, std::int64_t chip,

@@ -33,13 +33,12 @@ void draw_source_errors_into(const core::DacSpec& spec, double sigma_unit,
 /// The ideal (error-free) realization.
 SourceErrors ideal_sources(const core::DacSpec& spec);
 
-/// Per-thread scratch for the allocation-free Monte-Carlo chip kernel:
-/// every buffer the draw → transfer → INL/DNL pipeline needs, preallocated
-/// once and reused for every chip the owning worker evaluates. Build one
-/// per worker via the mathx workspace-factory engine variants
-/// (parallel_for_workspace / adaptive_yield_run_workspace); the kernels
-/// that fill it live in static_analysis.hpp (mc_chip_metrics) and
-/// calibration.hpp.
+/// Scratch for the allocation-free scalar chip body: every buffer the
+/// draw → transfer → INL/DNL pipeline needs, preallocated once and reused
+/// for every chip. The kernels that fill it live in static_analysis.hpp
+/// (mc_chip_metrics) and calibration.hpp (cal_chip_passes) — the scalar
+/// references the lane kernels are pinned against — and the lane kernels'
+/// ChipWorkspaceXN embeds one as its calibration-trim scratch.
 struct ChipWorkspace {
   explicit ChipWorkspace(const core::DacSpec& spec);
 

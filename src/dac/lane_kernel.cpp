@@ -1,5 +1,6 @@
 #include "dac/lane_kernel.hpp"
 
+#include <atomic>
 #include <stdexcept>
 
 #include "dac/lane_kernel_impl.hpp"
@@ -47,12 +48,13 @@ LaneView lane_view(ChipWorkspaceXN& ws) {
   return v;
 }
 
-void cal_trim_lanes(ChipWorkspaceXN& ws, const CalibrationOptions& opts,
-                    std::uint64_t seed, std::int64_t chip0) {
+void cal_trim_lanes(ChipWorkspaceXN& ws, int lanes,
+                    const CalibrationOptions& opts, std::uint64_t seed,
+                    std::int64_t chip0) {
   ChipWorkspace& s = ws.scalar;
   const auto nu = static_cast<std::size_t>(ws.spec.num_unary());
   const auto nb = static_cast<std::size_t>(ws.spec.binary_bits);
-  const auto ll = static_cast<std::size_t>(ws.lanes);
+  const auto ll = static_cast<std::size_t>(lanes);
   s.errors.unary.resize(nu);
   s.errors.binary.resize(nb);
   for (std::size_t l = 0; l < ll; ++l) {
@@ -84,7 +86,18 @@ void throw_flat() {
   throw std::invalid_argument("analyze_transfer: flat");
 }
 
+}  // namespace detail
+
 namespace {
+
+const LaneKernel& scalar_kernel() {
+  // The shared template at width 1: the scalar dispatch entry, the kernel
+  // of every short block a wider run leaves, and the everywhere-runnable
+  // instantiation the template tests pin against mc_chip_metrics.
+  static const LaneKernel k =
+      LaneKernelImpl<mathx::ScalarOps>::kernel(mathx::SimdBackend::kScalar);
+  return k;
+}
 
 /// simd.* instruments, registered eagerly (all three dispatch counters
 /// exist in every exposition, so check_metrics.py can assert "exactly one
@@ -119,8 +132,7 @@ struct SimdMetrics {
   }
 };
 
-}  // namespace
-
+/// Records one dispatched lane-block run in the simd.* metrics.
 void record_lane_run(const LaneKernel& k, std::int64_t vector_chips,
                      std::int64_t scalar_tail_chips) {
   SimdMetrics& m = SimdMetrics::get();
@@ -138,20 +150,6 @@ void record_lane_run(const LaneKernel& k, std::int64_t vector_chips,
   if (vector_chips > 0) m.lanes_utilized.add(vector_chips);
   if (scalar_tail_chips > 0) m.chips_scalar_tail.add(scalar_tail_chips);
   m.lane_width.set(static_cast<double>(k.lanes));
-}
-
-}  // namespace detail
-
-namespace {
-
-const LaneKernel& scalar_kernel() {
-  // The shared template at width 1: the scalar dispatch entry doubles as
-  // the everywhere-runnable instantiation the template tests pin against
-  // mc_chip_metrics (the engine's lanes==1 route bypasses it and runs
-  // mc_chip_metrics directly).
-  static const LaneKernel k =
-      LaneKernelImpl<mathx::ScalarOps>::kernel(mathx::SimdBackend::kScalar);
-  return k;
 }
 
 }  // namespace
@@ -178,14 +176,32 @@ const LaneKernel& active_lane_kernel() {
   }
 }
 
-void mc_chip_metrics_xN(const LaneKernel& k, ChipWorkspaceXN& ws,
-                        double sigma_unit, std::uint64_t seed,
-                        std::int64_t chip0, InlReference ref,
-                        StaticSummary* out) {
-  if (ws.lanes != k.lanes) {
-    throw std::invalid_argument("mc_chip_metrics_xN: lane mismatch");
-  }
-  k.mc_block(ws, sigma_unit, seed, chip0, ref, out);
+namespace detail {
+
+mathx::YieldRun run_lane_blocks(const core::DacSpec& spec,
+                                const mathx::EarlyStopOptions& opts,
+                                int threads, int unit,
+                                const LaneBlockFn& block, bool count_allocs) {
+  const LaneKernel& k = active_lane_kernel();
+  const LaneKernel& k1 = scalar_kernel();
+  const std::int64_t width = std::int64_t{unit} * k.lanes;
+  std::atomic<std::int64_t> tail{0};
+  const mathx::YieldRun r = mathx::run_blocks(
+      opts, threads, width,
+      [&spec, &k] { return ChipWorkspaceXN(spec, k.lanes); },
+      [&](ChipWorkspaceXN& ws, std::int64_t lo, std::int64_t hi) {
+        if (hi - lo == width) return block(k, ws, lo);
+        std::int64_t passed = 0;
+        for (std::int64_t c = lo; c < hi; c += unit) passed += block(k1, ws, c);
+        tail.fetch_add(hi - lo, std::memory_order_relaxed);
+        return passed;
+      },
+      count_allocs);
+  const std::int64_t scalar_chips = k.lanes > 1 ? tail.load() : r.evaluated;
+  record_lane_run(k, r.evaluated - scalar_chips, scalar_chips);
+  return r;
 }
+
+}  // namespace detail
 
 }  // namespace csdac::dac

@@ -21,11 +21,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/spec.hpp"
 #include "dac/calibration.hpp"
 #include "dac/static_analysis.hpp"
+#include "mathx/parallel.hpp"
 #include "mathx/simd.hpp"
 
 namespace csdac::dac {
@@ -37,15 +39,16 @@ inline constexpr int kMaxSimdLanes = 4;
 /// Per-worker scratch for the lane-batched MC path: the widened
 /// ChipWorkspace. Arrays are lane-interleaved — element i of lane l lives
 /// at [i * lanes + l], so one vector load/store touches element i of every
-/// lane at once. Also embeds a plain scalar ChipWorkspace for the
-/// remainder chips of a run (chips % lanes) and for the per-lane scalar
-/// calibration trim.
+/// lane at once. A kernel narrower than the workspace (the width-1 kernel
+/// running a run's short last block) uses the same arrays at its own lane
+/// stride. Also embeds a plain scalar ChipWorkspace as the gather/scatter
+/// scratch of the per-lane scalar calibration trim.
 struct ChipWorkspaceXN {
   ChipWorkspaceXN(const core::DacSpec& spec, int lanes);
 
   core::DacSpec spec;   ///< validated copy
-  int lanes;            ///< chips per block
-  ChipWorkspace scalar; ///< tail chips + calibration gather/scatter
+  int lanes;            ///< chips per block (the widest kernel it serves)
+  ChipWorkspace scalar; ///< calibration trim gather/scatter
   std::vector<double> unary;          ///< num_unary() x lanes mismatch draw
   std::vector<double> binary;         ///< binary_bits x lanes
   std::vector<double> trimmed_unary;  ///< post-calibration unary weights
@@ -98,7 +101,10 @@ struct RareRun {
 
 /// One SIMD backend's chip-block kernels, as plain function pointers so
 /// the dispatch is a table lookup and the per-ISA code stays confined to
-/// its own translation unit.
+/// its own translation unit. For all four blocks, ws.lanes may exceed
+/// lanes: a block touches only the first `lanes` lanes of the workspace, at
+/// its own lane stride, which is how the width-1 kernel runs a wider run's
+/// remainder chips in that run's workspace.
 struct LaneKernel {
   mathx::SimdBackend backend = mathx::SimdBackend::kScalar;
   int lanes = 1;
@@ -121,8 +127,7 @@ struct LaneKernel {
   /// Importance-sampled chips [chip0, chip0 + lanes) on streams chip0 + l:
   /// standard draw, mode amplitudes t_k, log_w[l] = sum_k log g_k -
   /// 0.5 (g_k^2 - 1) t_k^2, tilt z += (g_k - 1) t_k v_k, transfer, and
-  /// fail[l] = !(max|INL| < inl_limit). ws.lanes may exceed lanes (the
-  /// width-1 kernel runs a wider run's remainder chips in its workspace).
+  /// fail[l] = !(max|INL| < inl_limit).
   void (*is_block)(ChipWorkspaceXN& ws, const RareRun& run,
                    std::int64_t chip0, double* log_w,
                    unsigned char* fail) = nullptr;
@@ -131,7 +136,7 @@ struct LaneKernel {
   /// on stream pair0 + l: one standard draw, then the first-mode amplitude
   /// replaced by the stratified half-normal magnitude (reflected within
   /// its bin for the second member). pass[2l] / pass[2l+1] are the two
-  /// members' max|INL| < inl_limit. Same ws.lanes rule as is_block.
+  /// members' max|INL| < inl_limit.
   void (*strat_block)(ChipWorkspaceXN& ws, const RareRun& run,
                       std::int64_t pair0, unsigned char* pass) = nullptr;
 
@@ -156,12 +161,6 @@ const LaneKernel* lane_kernel(mathx::SimdBackend backend);
 /// preferred backend has no kernel in this build.
 const LaneKernel& active_lane_kernel();
 
-/// Convenience wrapper over k.mc_block (ws.lanes must equal k.lanes).
-void mc_chip_metrics_xN(const LaneKernel& k, ChipWorkspaceXN& ws,
-                        double sigma_unit, std::uint64_t seed,
-                        std::int64_t chip0, InlReference ref,
-                        StaticSummary* out);
-
 namespace detail {
 
 /// Per-ISA kernel singletons (nullptr when compiled out).
@@ -171,21 +170,39 @@ const LaneKernel* lane_kernel_avx2();
 /// Raw-pointer view of ws (out-of-line; see LaneView).
 LaneView lane_view(ChipWorkspaceXN& ws);
 
-/// Scalar per-lane calibration trim: gathers lane l's mismatch draw into
-/// ws.scalar.errors, runs the real calibrate_into on the (seed,
-/// 2*(chip0+l)+1) stream, scatters the trimmed unary weights into
-/// ws.trimmed_unary. Scalar because the trim rounds with std::round
-/// (half-away-from-zero) while SIMD rounding is to-nearest-even — the one
-/// step of the chip pipeline with no bit-identical vector equivalent.
-void cal_trim_lanes(ChipWorkspaceXN& ws, const CalibrationOptions& opts,
-                    std::uint64_t seed, std::int64_t chip0);
+/// Scalar per-lane calibration trim for a `lanes`-wide kernel: gathers
+/// lane l's mismatch draw (lane stride `lanes`, which may be less than
+/// ws.lanes) into ws.scalar.errors, runs the real calibrate_into on the
+/// (seed, 2*(chip0+l)+1) stream, scatters the trimmed unary weights into
+/// ws.trimmed_unary at the same stride. Scalar because the trim rounds
+/// with std::round (half-away-from-zero) while SIMD rounding is
+/// to-nearest-even — the one step of the chip pipeline with no
+/// bit-identical vector equivalent.
+void cal_trim_lanes(ChipWorkspaceXN& ws, int lanes,
+                    const CalibrationOptions& opts, std::uint64_t seed,
+                    std::int64_t chip0);
 
-/// Records one dispatched MC run in the simd.* metrics: bumps the
-/// simd.dispatch.<backend> counter, adds the chips that went through
-/// vector lanes (simd.lanes_utilized) and through the scalar remainder
-/// path (simd.chips_scalar_tail), and sets the simd.lane_width gauge.
-void record_lane_run(const LaneKernel& k, std::int64_t vector_chips,
-                     std::int64_t scalar_tail_chips);
+/// One block of a lane-block run: evaluates unit * k.lanes items from `lo`
+/// on kernel k in workspace ws and returns how many of them passed.
+using LaneBlockFn = std::function<std::int64_t(
+    const LaneKernel& k, ChipWorkspaceXN& ws, std::int64_t lo)>;
+
+/// The one driver of the lane-kernel estimators (INL/DNL yield, fixed and
+/// adaptive, calibration, importance-sampled and stratified yield): runs
+/// items [0, opts.max_items) on mathx::run_blocks in blocks of unit *
+/// k.lanes items (unit = items per lane: 1 for a chip, 2 for an
+/// antithetic pair), one ChipWorkspaceXN per worker. A full block goes to
+/// the active kernel k; a short block (the end of a run or of a CI wave)
+/// goes lane by lane through the width-1 kernel in the same workspace. The
+/// scalar backend is the width-1 kernel, so there every block is full.
+/// Records the run in the simd.* metrics: simd.dispatch.<backend>, the
+/// chips through vector lanes (simd.lanes_utilized) and through the width-1
+/// kernel (simd.chips_scalar_tail), and the simd.lane_width gauge.
+mathx::YieldRun run_lane_blocks(const core::DacSpec& spec,
+                                const mathx::EarlyStopOptions& opts,
+                                int threads, int unit,
+                                const LaneBlockFn& block,
+                                bool count_allocs = false);
 
 /// Out-of-line throw helpers so the per-ISA translation units never
 /// instantiate exception-construction code.

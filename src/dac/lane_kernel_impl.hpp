@@ -227,7 +227,7 @@ struct LaneKernelImpl {
     StaticSummary s[L];
     analyze_block(v, InlReference::kBestFit, s);
     for (int l = 0; l < L; ++l) pass_before[l] = s[l].inl_max < inl_limit;
-    detail::cal_trim_lanes(ws, opts, seed, chip0);
+    detail::cal_trim_lanes(ws, L, opts, seed, chip0);
     transfer_block(v, v.trimmed_unary);
     analyze_block(v, InlReference::kBestFit, s);
     for (int l = 0; l < L; ++l) pass_after[l] = s[l].inl_max < inl_limit;

@@ -1,7 +1,6 @@
 #include "dac/rare_event.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -77,34 +76,6 @@ double mode_scale(double sigma_scale, int k) {
   return 1.0 + (sigma_scale - 1.0) / (k + 1);
 }
 
-/// Runs items [0, n) in blocks of unit * k.lanes chips (unit = chips per
-/// lane: 1 for IS, 2 for an antithetic pair), calling block(kernel, ws,
-/// lo) for unit * kernel.lanes chips from lo. Full blocks go to the
-/// dispatched kernel; a short last block goes lane by lane through the
-/// width-1 kernel in the same workspace. Records the run in simd.*.
-template <class Block>
-mathx::RunStats run_lane_blocks(const core::DacSpec& spec, std::int64_t n,
-                                int unit, int threads, Block&& block) {
-  const LaneKernel& k = active_lane_kernel();
-  const LaneKernel& k1 = *lane_kernel(mathx::SimdBackend::kScalar);
-  const std::int64_t width = std::int64_t{unit} * k.lanes;
-  std::atomic<std::int64_t> tail{0};
-  const mathx::RunStats stats = mathx::parallel_for_workspace_blocks(
-      n, threads, width,
-      [&spec, &k] { return ChipWorkspaceXN(spec, k.lanes); },
-      [&](ChipWorkspaceXN& ws, std::int64_t lo, std::int64_t hi) {
-        if (hi - lo == width) {
-          block(k, ws, lo);
-          return;
-        }
-        for (std::int64_t c = lo; c < hi; c += unit) block(k1, ws, c);
-        tail.fetch_add(hi - lo, std::memory_order_relaxed);
-      });
-  const std::int64_t scalar_chips = k.lanes > 1 ? tail.load() : n;
-  detail::record_lane_run(k, n - scalar_chips, scalar_chips);
-  return stats;
-}
-
 }  // namespace
 
 IsYieldEstimate inl_yield_is(const core::DacSpec& spec, double sigma_unit,
@@ -150,12 +121,14 @@ IsYieldEstimate inl_yield_is(const core::DacSpec& spec, double sigma_unit,
   std::vector<unsigned char> fail(static_cast<std::size_t>(chips));
   IsYieldEstimate e;
   e.chips = chips;
-  e.stats = run_lane_blocks(
-      spec, chips, 1, threads,
+  const mathx::YieldRun r = detail::run_lane_blocks(
+      spec, {.max_items = chips, .batch = chips}, threads, /*unit=*/1,
       [&](const LaneKernel& k, ChipWorkspaceXN& ws, std::int64_t lo) {
         const auto i = static_cast<std::size_t>(lo);
         k.is_block(ws, run, lo, &log_w[i], &fail[i]);
+        return std::int64_t{0};
       });
+  e.stats = r.stats;
   const mathx::IsReduction red = mathx::reduce_is_weights(log_w, fail);
   const mathx::IsEstimate est = mathx::is_estimate(red);
   e.fails = red.fails;
@@ -224,11 +197,13 @@ StratYieldEstimate inl_yield_stratified(const core::DacSpec& spec,
   e.chips = n;
   e.pairs = pairs;
   e.strata = strata;
-  e.stats = run_lane_blocks(
-      spec, n, 2, threads,
+  const mathx::YieldRun r = detail::run_lane_blocks(
+      spec, {.max_items = n, .batch = n}, threads, /*unit=*/2,
       [&](const LaneKernel& k, ChipWorkspaceXN& ws, std::int64_t lo) {
         k.strat_block(ws, run, lo / 2, &pass[static_cast<std::size_t>(lo)]);
+        return std::int64_t{0};
       });
+  e.stats = r.stats;
   // Sequential pair reduction in index order: thread-count invariant.
   std::vector<mathx::StratumMoments> mom(static_cast<std::size_t>(strata));
   for (std::int64_t j = 0; j < pairs; ++j) {

@@ -1,5 +1,6 @@
 #include "dac/static_analysis.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <span>
 #include <stdexcept>
@@ -242,125 +243,46 @@ bool chip_passes_legacy(const core::DacSpec& spec, double sigma_unit,
   return (use_inl ? m.inl_max : m.dnl_max) < limit;
 }
 
-YieldEstimate run_mc(const core::DacSpec& spec, double sigma_unit, int chips,
-                     std::uint64_t seed, double limit, bool use_inl,
-                     InlReference ref, int threads, bool use_workspace) {
+YieldEstimate run_mc_legacy(const core::DacSpec& spec, double sigma_unit,
+                            int chips, std::uint64_t seed, double limit,
+                            bool use_inl, InlReference ref, int threads) {
   if (chips <= 0) throw std::invalid_argument("yield_mc: chips <= 0");
   if (threads < 0) throw std::invalid_argument("yield_mc: threads < 0");
-
+  std::atomic<int> passed{0};
   YieldEstimate y;
   y.chips = chips;
-  std::atomic<int> passed{0};
-  if (use_workspace) {
-    const LaneKernel& k = active_lane_kernel();
-    if (k.lanes > 1) {
-      // Chip-per-lane SIMD path: blocks of k.lanes chips through the
-      // vector kernel, the remainder (chips % lanes) through the scalar
-      // kernel. Per-chip metrics are bit-identical either way, so this is
-      // a pure throughput change.
-      std::atomic<std::int64_t> vec_chips{0}, tail_chips{0};
-      y.stats = mathx::parallel_for_workspace_blocks(
-          chips, threads, k.lanes,
-          [&spec, &k] { return ChipWorkspaceXN(spec, k.lanes); },
-          [&](ChipWorkspaceXN& ws, std::int64_t lo, std::int64_t hi) {
-            int local = 0;
-            if (hi - lo == k.lanes) {
-              StaticSummary s[kMaxSimdLanes];
-              k.mc_block(ws, sigma_unit, seed, lo, ref, s);
-              for (int l = 0; l < k.lanes; ++l) {
-                if ((use_inl ? s[l].inl_max : s[l].dnl_max) < limit) ++local;
-              }
-              vec_chips.fetch_add(k.lanes, std::memory_order_relaxed);
-            } else {
-              for (std::int64_t c = lo; c < hi; ++c) {
-                const StaticSummary s =
-                    mc_chip_metrics(ws.scalar, sigma_unit, seed, c, ref);
-                if ((use_inl ? s.inl_max : s.dnl_max) < limit) ++local;
-              }
-              tail_chips.fetch_add(hi - lo, std::memory_order_relaxed);
-            }
-            if (local) passed.fetch_add(local, std::memory_order_relaxed);
-          });
-      detail::record_lane_run(k, vec_chips.load(), tail_chips.load());
-    } else {
-      y.stats = mathx::parallel_for_workspace(
-          chips, threads, [&spec] { return ChipWorkspace(spec); },
-          [&](ChipWorkspace& ws, std::int64_t c) {
-            const StaticSummary s =
-                mc_chip_metrics(ws, sigma_unit, seed, c, ref);
-            if ((use_inl ? s.inl_max : s.dnl_max) < limit) {
-              passed.fetch_add(1, std::memory_order_relaxed);
-            }
-          });
-      detail::record_lane_run(k, 0, chips);
+  y.stats = mathx::parallel_for_indexed(chips, threads, [&](int,
+                                                            std::int64_t c) {
+    if (chip_passes_legacy(spec, sigma_unit, seed, c, limit, use_inl, ref)) {
+      passed.fetch_add(1, std::memory_order_relaxed);
     }
-  } else {
-    y.stats = mathx::parallel_for(chips, threads, [&](std::int64_t c) {
-      if (chip_passes_legacy(spec, sigma_unit, seed, c, limit, use_inl,
-                             ref)) {
-        passed.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
+  });
   y.pass = passed.load();
   y.yield = static_cast<double>(y.pass) / chips;
   y.ci95 = mathx::wilson_half_width(y.pass, chips);
   return y;
 }
 
-YieldEstimate run_mc_adaptive(const core::DacSpec& spec, double sigma_unit,
-                              const AdaptiveMcOptions& opts,
-                              std::uint64_t seed, double limit, bool use_inl,
-                              InlReference ref) {
-  if (opts.threads < 0) throw std::invalid_argument("yield_mc: threads < 0");
-  mathx::EarlyStopOptions es;
-  es.max_items = opts.max_chips;
-  es.min_items = opts.min_chips;
-  es.batch = opts.batch;
-  es.ci_half_width = opts.ci_half_width;
-  const LaneKernel& k = active_lane_kernel();
-  mathx::YieldRun r;
-  if (k.lanes > 1) {
-    // Chip-per-lane blocks inside each CI wave; the wave boundaries (and
-    // therefore the stopping point) are the same as the per-chip path, so
-    // the estimate stays bit-identical across backends and thread counts.
-    std::atomic<std::int64_t> vec_chips{0}, tail_chips{0};
-    r = mathx::adaptive_yield_run_workspace_blocks(
-        es, opts.threads, k.lanes,
-        [&spec, &k] { return ChipWorkspaceXN(spec, k.lanes); },
-        [&](ChipWorkspaceXN& ws, std::int64_t lo,
-            std::int64_t hi) -> std::int64_t {
-          std::int64_t local = 0;
-          if (hi - lo == k.lanes) {
-            StaticSummary s[kMaxSimdLanes];
-            k.mc_block(ws, sigma_unit, seed, lo, ref, s);
-            for (int l = 0; l < k.lanes; ++l) {
-              if ((use_inl ? s[l].inl_max : s[l].dnl_max) < limit) ++local;
-            }
-            vec_chips.fetch_add(k.lanes, std::memory_order_relaxed);
-          } else {
-            for (std::int64_t c = lo; c < hi; ++c) {
-              const StaticSummary s =
-                  mc_chip_metrics(ws.scalar, sigma_unit, seed, c, ref);
-              if ((use_inl ? s.inl_max : s.dnl_max) < limit) ++local;
-            }
-            tail_chips.fetch_add(hi - lo, std::memory_order_relaxed);
-          }
-          return local;
-        },
-        opts.count_allocs);
-    detail::record_lane_run(k, vec_chips.load(), tail_chips.load());
-  } else {
-    r = mathx::adaptive_yield_run_workspace(
-        es, opts.threads, [&spec] { return ChipWorkspace(spec); },
-        [&](ChipWorkspace& ws, std::int64_t c) {
-          const StaticSummary s =
-              mc_chip_metrics(ws, sigma_unit, seed, c, ref);
-          return (use_inl ? s.inl_max : s.dnl_max) < limit;
-        },
-        opts.count_allocs);
-    detail::record_lane_run(k, 0, r.evaluated);
-  }
+// Fixed-count and adaptive INL/DNL yield: chip-per-lane blocks on the
+// lane-block driver. A fixed-count run is the run with one wave of
+// `chips` and no early stop.
+YieldEstimate run_mc(const core::DacSpec& spec, double sigma_unit,
+                     const mathx::EarlyStopOptions& es, int threads,
+                     bool count_allocs, std::uint64_t seed, double limit,
+                     bool use_inl, InlReference ref) {
+  if (threads < 0) throw std::invalid_argument("yield_mc: threads < 0");
+  const mathx::YieldRun r = detail::run_lane_blocks(
+      spec, es, threads, /*unit=*/1,
+      [&](const LaneKernel& k, ChipWorkspaceXN& ws, std::int64_t lo) {
+        StaticSummary s[kMaxSimdLanes];
+        k.mc_block(ws, sigma_unit, seed, lo, ref, s);
+        std::int64_t passed = 0;
+        for (int l = 0; l < k.lanes; ++l) {
+          if ((use_inl ? s[l].inl_max : s[l].dnl_max) < limit) ++passed;
+        }
+        return passed;
+      },
+      count_allocs);
   YieldEstimate y;
   y.chips = static_cast<int>(r.evaluated);
   y.pass = static_cast<int>(r.passed);
@@ -370,36 +292,56 @@ YieldEstimate run_mc_adaptive(const core::DacSpec& spec, double sigma_unit,
   return y;
 }
 
+YieldEstimate run_mc_fixed(const core::DacSpec& spec, double sigma_unit,
+                           int chips, std::uint64_t seed, double limit,
+                           bool use_inl, InlReference ref, int threads) {
+  if (chips <= 0) throw std::invalid_argument("yield_mc: chips <= 0");
+  return run_mc(spec, sigma_unit, {.max_items = chips, .batch = chips},
+                threads, /*count_allocs=*/false, seed, limit, use_inl, ref);
+}
+
+YieldEstimate run_mc_adaptive(const core::DacSpec& spec, double sigma_unit,
+                              const AdaptiveMcOptions& opts,
+                              std::uint64_t seed, double limit, bool use_inl,
+                              InlReference ref) {
+  return run_mc(spec, sigma_unit,
+                {.max_items = opts.max_chips,
+                 .min_items = opts.min_chips,
+                 .batch = opts.batch,
+                 .ci_half_width = opts.ci_half_width},
+                opts.threads, opts.count_allocs, seed, limit, use_inl, ref);
+}
+
 }  // namespace
 
 YieldEstimate inl_yield_mc(const core::DacSpec& spec, double sigma_unit,
                            int chips, std::uint64_t seed, double inl_limit,
                            InlReference ref, int threads) {
-  return run_mc(spec, sigma_unit, chips, seed, inl_limit, true, ref, threads,
-                /*use_workspace=*/true);
+  return run_mc_fixed(spec, sigma_unit, chips, seed, inl_limit, true, ref,
+                      threads);
 }
 
 YieldEstimate dnl_yield_mc(const core::DacSpec& spec, double sigma_unit,
                            int chips, std::uint64_t seed, double dnl_limit,
                            int threads) {
-  return run_mc(spec, sigma_unit, chips, seed, dnl_limit, false,
-                InlReference::kBestFit, threads, /*use_workspace=*/true);
+  return run_mc_fixed(spec, sigma_unit, chips, seed, dnl_limit, false,
+                      InlReference::kBestFit, threads);
 }
 
 YieldEstimate inl_yield_mc_legacy(const core::DacSpec& spec,
                                   double sigma_unit, int chips,
                                   std::uint64_t seed, double inl_limit,
                                   InlReference ref, int threads) {
-  return run_mc(spec, sigma_unit, chips, seed, inl_limit, true, ref, threads,
-                /*use_workspace=*/false);
+  return run_mc_legacy(spec, sigma_unit, chips, seed, inl_limit, true, ref,
+                       threads);
 }
 
 YieldEstimate dnl_yield_mc_legacy(const core::DacSpec& spec,
                                   double sigma_unit, int chips,
                                   std::uint64_t seed, double dnl_limit,
                                   int threads) {
-  return run_mc(spec, sigma_unit, chips, seed, dnl_limit, false,
-                InlReference::kBestFit, threads, /*use_workspace=*/false);
+  return run_mc_legacy(spec, sigma_unit, chips, seed, dnl_limit, false,
+                       InlReference::kBestFit, threads);
 }
 
 YieldEstimate inl_yield_mc_adaptive(const core::DacSpec& spec,

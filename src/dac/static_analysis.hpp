@@ -94,8 +94,9 @@ struct YieldEstimate {
 /// Each chip draws from an independent RNG stream derived from
 /// (seed, chip index), so results are bit-identical for any thread count.
 /// threads = 0 uses the hardware concurrency. Runs the allocation-free
-/// per-thread-workspace kernel (see ChipWorkspace); results are
-/// bit-identical to the *_legacy allocating reference implementations.
+/// chip-per-lane kernels (see dac/lane_kernel.hpp); results are
+/// bit-identical to mc_chip_metrics and to the *_legacy allocating
+/// reference implementations.
 YieldEstimate inl_yield_mc(const core::DacSpec& spec, double sigma_unit,
                            int chips, std::uint64_t seed,
                            double inl_limit = 0.5,

@@ -27,17 +27,18 @@ struct EngineMetrics {
   static EngineMetrics& get() {
     static EngineMetrics m{
         obs::Registry::global().counter(
-            "engine.runs", "parallel engine runs (for_each dispatches)"),
+            "engine.runs", "parallel engine runs (run_blocks calls)"),
         obs::Registry::global().counter(
             "engine.items", "items evaluated by the parallel engine"),
         obs::Registry::global().counter(
-            "engine.waves", "adaptive-MC waves (CI-checked batches)"),
+            "engine.waves",
+            "engine waves (CI-checked batches; a fixed-count run is one)"),
         obs::Registry::global().counter(
             "engine.early_stops", "adaptive runs stopped before the cap"),
         obs::Registry::global().histogram(
             "engine.run_us", "parallel engine run wall time [us]"),
         obs::Registry::global().histogram(
-            "engine.wave_us", "adaptive-MC wave wall time [us]"),
+            "engine.wave_us", "engine wave wall time [us]"),
     };
     return m;
   }
@@ -102,14 +103,6 @@ void ThreadPool::work(int worker) {
   }
 }
 
-void ThreadPool::for_each(std::int64_t begin, std::int64_t end,
-                          const std::function<void(std::int64_t)>& fn,
-                          std::int64_t chunk) {
-  const std::function<void(int, std::int64_t)> wrapped =
-      [&fn](int, std::int64_t i) { fn(i); };
-  for_each_indexed(begin, end, wrapped, chunk);
-}
-
 void ThreadPool::for_each_indexed(
     std::int64_t begin, std::int64_t end,
     const std::function<void(int, std::int64_t)>& fn, std::int64_t chunk) {
@@ -142,115 +135,6 @@ void ThreadPool::for_each_indexed(
   fn_ = nullptr;
 }
 
-namespace {
-
-void finish_stats(RunStats& s, std::chrono::steady_clock::time_point t0) {
-  s.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  s.items_per_second = s.wall_seconds > 0.0
-                           ? static_cast<double>(s.evaluated) / s.wall_seconds
-                           : 0.0;
-}
-
-void fill_utilization(RunStats& s) {
-  std::int64_t max_items = 0;
-  for (const std::int64_t c : s.per_thread_items) {
-    max_items = std::max(max_items, c);
-  }
-  if (max_items > 0 && !s.per_thread_items.empty()) {
-    const double mean = static_cast<double>(s.evaluated) /
-                        static_cast<double>(s.per_thread_items.size());
-    s.utilization = mean / static_cast<double>(max_items);
-  }
-}
-
-}  // namespace
-
-RunStats parallel_for(std::int64_t n, int threads,
-                      const std::function<void(std::int64_t)>& fn,
-                      std::int64_t chunk) {
-  // Delegate so per-thread item counts and utilization are reported
-  // consistently on every path, including the single-thread one (threads=1
-  // yields a one-entry per_thread_items vector, never an empty one).
-  const std::function<void(int, std::int64_t)> wrapped =
-      [&fn](int, std::int64_t i) { fn(i); };
-  return parallel_for_indexed(n, threads, wrapped, chunk);
-}
-
-RunStats parallel_for_indexed(std::int64_t n, int threads,
-                              const std::function<void(int, std::int64_t)>& fn,
-                              std::int64_t chunk, bool count_allocs) {
-  const auto t0 = std::chrono::steady_clock::now();
-  ThreadPool pool(clamp_threads_to_items(threads, n));
-  obs::ScopedSpan span("engine.run");
-  span.attr("items", n).attr("threads", pool.threads());
-  RunStats s;
-  s.threads = pool.threads();
-  s.per_thread_items.assign(static_cast<std::size_t>(pool.threads()), 0);
-  const std::function<void(int, std::int64_t)> counted =
-      [&](int worker, std::int64_t i) {
-        ++s.per_thread_items[static_cast<std::size_t>(worker)];
-        fn(worker, i);
-      };
-  std::optional<ScopedAllocCounting> counting;
-  if (count_allocs) counting.emplace();
-  pool.for_each_indexed(0, n, counted, chunk);
-  if (counting) {
-    const AllocCounts c = counting->so_far();
-    s.alloc_bytes = c.bytes;
-    s.alloc_count = c.count;
-  }
-  s.evaluated = n;
-  fill_utilization(s);
-  finish_stats(s, t0);
-  EngineMetrics& m = EngineMetrics::get();
-  m.runs.add(1);
-  m.items.add(n);
-  m.run_us.observe(static_cast<std::int64_t>(s.wall_seconds * 1e6));
-  return s;
-}
-
-RunStats parallel_for_blocks_indexed(
-    std::int64_t n, int threads, std::int64_t block,
-    const std::function<void(int, std::int64_t, std::int64_t)>& fn,
-    bool count_allocs) {
-  if (block < 1) {
-    throw std::invalid_argument("parallel_for_blocks: block < 1");
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::int64_t nblocks = (n + block - 1) / block;
-  ThreadPool pool(clamp_threads_to_items(threads, nblocks));
-  obs::ScopedSpan span("engine.run");
-  span.attr("items", n).attr("threads", pool.threads()).attr("block", block);
-  RunStats s;
-  s.threads = pool.threads();
-  s.per_thread_items.assign(static_cast<std::size_t>(pool.threads()), 0);
-  const std::function<void(int, std::int64_t)> counted =
-      [&](int worker, std::int64_t b) {
-        const std::int64_t lo = b * block;
-        const std::int64_t hi = std::min(lo + block, n);
-        s.per_thread_items[static_cast<std::size_t>(worker)] += hi - lo;
-        fn(worker, lo, hi);
-      };
-  std::optional<ScopedAllocCounting> counting;
-  if (count_allocs) counting.emplace();
-  pool.for_each_indexed(0, nblocks, counted);
-  if (counting) {
-    const AllocCounts c = counting->so_far();
-    s.alloc_bytes = c.bytes;
-    s.alloc_count = c.count;
-  }
-  s.evaluated = n;
-  fill_utilization(s);
-  finish_stats(s, t0);
-  EngineMetrics& m = EngineMetrics::get();
-  m.runs.add(1);
-  m.items.add(n);
-  m.run_us.observe(static_cast<std::int64_t>(s.wall_seconds * 1e6));
-  return s;
-}
-
 double wilson_half_width(std::int64_t pass, std::int64_t n, double z) {
   if (n <= 0) return 1.0;
   const double nn = static_cast<double>(n);
@@ -260,99 +144,20 @@ double wilson_half_width(std::int64_t pass, std::int64_t n, double z) {
          (1.0 + z2 / nn);
 }
 
-YieldRun adaptive_yield_run(
-    const EarlyStopOptions& opts, int threads,
-    const std::function<bool(std::int64_t)>& item_passes) {
-  const std::function<bool(int, std::int64_t)> wrapped =
-      [&item_passes](int, std::int64_t i) { return item_passes(i); };
-  return adaptive_yield_run_indexed(opts, threads, wrapped);
-}
-
-YieldRun adaptive_yield_run_indexed(
-    const EarlyStopOptions& opts, int threads,
-    const std::function<bool(int, std::int64_t)>& item_passes,
-    bool count_allocs) {
+YieldRun run_blocks(const EarlyStopOptions& opts, int threads,
+                    std::int64_t block, const BlockFn& fn,
+                    bool count_allocs) {
   if (opts.max_items < 1 || opts.batch < 1 || opts.min_items < 1 ||
       opts.ci_half_width < 0.0) {
-    throw std::invalid_argument("adaptive_yield_run: bad options");
+    throw std::invalid_argument("run_blocks: bad options");
   }
+  if (block < 1) throw std::invalid_argument("run_blocks: block < 1");
   const auto t0 = std::chrono::steady_clock::now();
-  ThreadPool pool(clamp_threads_to_items(threads, opts.max_items));
-  YieldRun r;
-  r.stats.threads = pool.threads();
-  r.stats.per_thread_items.assign(static_cast<std::size_t>(pool.threads()),
-                                  0);
-  std::atomic<std::int64_t> passed{0};
-  const std::function<void(int, std::int64_t)> counted =
-      [&](int worker, std::int64_t i) {
-        ++r.stats.per_thread_items[static_cast<std::size_t>(worker)];
-        if (item_passes(worker, i)) {
-          passed.fetch_add(1, std::memory_order_relaxed);
-        }
-      };
-  std::optional<ScopedAllocCounting> counting;
-  if (count_allocs) counting.emplace();
-  obs::ScopedSpan run_span("mc.adaptive");
-  run_span.attr("max_items", opts.max_items).attr("threads", pool.threads());
-  EngineMetrics& m = EngineMetrics::get();
-  std::int64_t wave = 0;
-  while (r.evaluated < opts.max_items) {
-    const std::int64_t batch =
-        std::min(opts.batch, opts.max_items - r.evaluated);
-    {
-      const auto w0 = std::chrono::steady_clock::now();
-      obs::ScopedSpan wave_span("mc.wave");
-      wave_span.attr("wave", wave).attr("from", r.evaluated)
-          .attr("items", batch);
-      pool.for_each_indexed(r.evaluated, r.evaluated + batch, counted);
-      m.waves.add(1);
-      m.items.add(batch);
-      m.wave_us.observe(static_cast<std::int64_t>(
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - w0)
-              .count()));
-    }
-    ++wave;
-    r.evaluated += batch;
-    r.passed = passed.load();
-    if (opts.ci_half_width > 0.0 && r.evaluated >= opts.min_items &&
-        wilson_half_width(r.passed, r.evaluated) <= opts.ci_half_width) {
-      r.stats.early_stopped = true;
-      m.early_stops.add(1);
-      break;
-    }
-  }
-  if (counting) {
-    const AllocCounts c = counting->so_far();
-    r.stats.alloc_bytes = c.bytes;
-    r.stats.alloc_count = c.count;
-  }
-  r.yield = static_cast<double>(r.passed) / static_cast<double>(r.evaluated);
-  r.ci95 = wilson_half_width(r.passed, r.evaluated);
-  r.stats.evaluated = r.evaluated;
-  r.stats.skipped = opts.max_items - r.evaluated;
-  fill_utilization(r.stats);
-  finish_stats(r.stats, t0);
-  run_span.attr("evaluated", r.evaluated).attr("passed", r.passed)
-      .attr("early_stopped", r.stats.early_stopped ? "true" : "false");
-  return r;
-}
-
-YieldRun adaptive_yield_run_blocks_indexed(
-    const EarlyStopOptions& opts, int threads, std::int64_t block,
-    const std::function<std::int64_t(int, std::int64_t, std::int64_t)>&
-        block_passes,
-    bool count_allocs) {
-  if (opts.max_items < 1 || opts.batch < 1 || opts.min_items < 1 ||
-      opts.ci_half_width < 0.0) {
-    throw std::invalid_argument("adaptive_yield_run: bad options");
-  }
-  if (block < 1) {
-    throw std::invalid_argument("adaptive_yield_run: block < 1");
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::int64_t max_blocks = (opts.max_items + block - 1) / block;
-  ThreadPool pool(clamp_threads_to_items(threads, max_blocks));
+  ThreadPool pool(
+      clamp_threads_to_items(threads, (opts.max_items + block - 1) / block));
+  obs::ScopedSpan run_span("engine.run");
+  run_span.attr("items", opts.max_items).attr("threads", pool.threads())
+      .attr("block", block);
   YieldRun r;
   r.stats.threads = pool.threads();
   r.stats.per_thread_items.assign(static_cast<std::size_t>(pool.threads()),
@@ -366,36 +171,30 @@ YieldRun adaptive_yield_run_blocks_indexed(
         const std::int64_t lo = wave_lo + b * block;
         const std::int64_t hi = std::min(lo + block, wave_hi);
         r.stats.per_thread_items[static_cast<std::size_t>(worker)] += hi - lo;
-        passed.fetch_add(block_passes(worker, lo, hi),
-                         std::memory_order_relaxed);
+        if (const std::int64_t p = fn(worker, lo, hi)) {
+          passed.fetch_add(p, std::memory_order_relaxed);
+        }
       };
+  EngineMetrics& m = EngineMetrics::get();  // first use registers: uncounted
   std::optional<ScopedAllocCounting> counting;
   if (count_allocs) counting.emplace();
-  obs::ScopedSpan run_span("mc.adaptive");
-  run_span.attr("max_items", opts.max_items).attr("threads", pool.threads());
-  EngineMetrics& m = EngineMetrics::get();
-  std::int64_t wave = 0;
-  while (r.evaluated < opts.max_items) {
-    const std::int64_t batch =
-        std::min(opts.batch, opts.max_items - r.evaluated);
+  for (std::int64_t wave = 0; r.evaluated < opts.max_items; ++wave) {
     wave_lo = r.evaluated;
-    wave_hi = r.evaluated + batch;
-    const std::int64_t nblocks = (batch + block - 1) / block;
+    wave_hi = std::min(wave_lo + opts.batch, opts.max_items);
     {
       const auto w0 = std::chrono::steady_clock::now();
-      obs::ScopedSpan wave_span("mc.wave");
-      wave_span.attr("wave", wave).attr("from", r.evaluated)
-          .attr("items", batch);
-      pool.for_each_indexed(0, nblocks, counted);
+      obs::ScopedSpan wave_span("engine.wave");
+      wave_span.attr("wave", wave).attr("from", wave_lo)
+          .attr("items", wave_hi - wave_lo);
+      pool.for_each_indexed(0, (wave_hi - wave_lo + block - 1) / block,
+                            counted);
       m.waves.add(1);
-      m.items.add(batch);
       m.wave_us.observe(static_cast<std::int64_t>(
           std::chrono::duration<double, std::micro>(
               std::chrono::steady_clock::now() - w0)
               .count()));
     }
-    ++wave;
-    r.evaluated += batch;
+    r.evaluated = wave_hi;
     r.passed = passed.load();
     if (opts.ci_half_width > 0.0 && r.evaluated >= opts.min_items &&
         wilson_half_width(r.passed, r.evaluated) <= opts.ci_half_width) {
@@ -411,13 +210,54 @@ YieldRun adaptive_yield_run_blocks_indexed(
   }
   r.yield = static_cast<double>(r.passed) / static_cast<double>(r.evaluated);
   r.ci95 = wilson_half_width(r.passed, r.evaluated);
-  r.stats.evaluated = r.evaluated;
-  r.stats.skipped = opts.max_items - r.evaluated;
-  fill_utilization(r.stats);
-  finish_stats(r.stats, t0);
-  run_span.attr("evaluated", r.evaluated).attr("passed", r.passed)
-      .attr("early_stopped", r.stats.early_stopped ? "true" : "false");
+  RunStats& s = r.stats;
+  s.evaluated = r.evaluated;
+  s.skipped = opts.max_items - r.evaluated;
+  std::int64_t busiest = 0;
+  for (const std::int64_t c : s.per_thread_items) {
+    busiest = std::max(busiest, c);
+  }
+  if (busiest > 0) {
+    const double mean = static_cast<double>(s.evaluated) /
+                        static_cast<double>(s.per_thread_items.size());
+    s.utilization = mean / static_cast<double>(busiest);
+  }
+  s.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  s.items_per_second = s.wall_seconds > 0.0
+                           ? static_cast<double>(s.evaluated) / s.wall_seconds
+                           : 0.0;
+  m.runs.add(1);
+  m.items.add(r.evaluated);
+  m.run_us.observe(static_cast<std::int64_t>(s.wall_seconds * 1e6));
+  run_span.attr("evaluated", r.evaluated)
+      .attr("early_stopped", s.early_stopped ? "true" : "false");
   return r;
+}
+
+RunStats parallel_for_indexed(std::int64_t n, int threads,
+                              const std::function<void(int, std::int64_t)>& fn,
+                              std::int64_t chunk, bool count_allocs) {
+  if (n < 1) {
+    RunStats s;
+    s.per_thread_items.assign(1, 0);
+    return s;
+  }
+  if (chunk < 1) {
+    throw std::invalid_argument("parallel_for_indexed: chunk < 1");
+  }
+  // A lone worker claims every item anyway: one block saves the per-block
+  // dispatch (the chunk only sets how several workers share the items).
+  const std::int64_t block =
+      clamp_threads_to_items(threads, n) == 1 ? n : chunk;
+  return run_blocks({.max_items = n, .batch = n}, threads, block,
+                    [&fn](int worker, std::int64_t lo, std::int64_t hi) {
+                      for (std::int64_t i = lo; i < hi; ++i) fn(worker, i);
+                      return std::int64_t{0};
+                    },
+                    count_allocs)
+      .stats;
 }
 
 }  // namespace csdac::mathx

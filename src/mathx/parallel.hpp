@@ -1,22 +1,27 @@
 // Shared parallel Monte-Carlo engine: a reusable thread pool with
 // deterministic work partitioning plus an adaptive early-stopping yield
 // estimator. Every MC consumer in the library (INL/DNL yield, calibrated
-// yield, annealing restarts, design-space sweeps) routes through this so
-// that (a) results are bit-identical for any thread count — each item is a
-// pure function of its index, typically via a `stream_rng(seed, index)`
-// substream — and (b) yield loops stop burning chips once the binomial
-// confidence interval has resolved the answer.
+// yield, rare-event yield, dynamic-spectrum yield, design-space sweeps)
+// routes through this so that (a) results are bit-identical for any thread
+// count — each item is a pure function of its index, typically via a
+// `stream_rng(seed, index)` substream — and (b) yield loops stop burning
+// chips once the binomial confidence interval has resolved the answer.
 //
-// The *_workspace variants add an allocation-free hot path: a per-worker
-// workspace (preallocated buffers) is built once by a caller-supplied
-// factory and reused across every item that worker claims. Because items
-// remain pure functions of their index, the workspace path is bit-identical
-// to the plain one. RunStats carries the perf counters: items/s, per-worker
-// item counts (utilization), and — opt-in, via the alloc_counter hook —
-// bytes allocated during the run.
+// There is one engine loop, run_blocks: items [0, max_items) are cut into
+// CI waves of opts.batch items and each wave into blocks of up to `block`
+// items, and fn(worker, lo, hi) runs once per block and returns how many of
+// its items passed. A fixed-count run is the adaptive run that cannot stop
+// early, {.max_items = n, .batch = n}. The workspace overload adds an
+// allocation-free hot path: a per-worker workspace (preallocated buffers)
+// is built once by a caller-supplied factory and reused for every block
+// that worker claims. parallel_for_indexed (a per-item loop) and
+// parallel_map are thin wrappers over the same loop. RunStats carries the
+// perf counters: items/s, per-worker item counts (utilization), and —
+// opt-in, via the alloc_counter hook — bytes allocated during the run.
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -44,10 +49,10 @@ inline int clamp_threads_to_items(int threads, std::int64_t n) {
 /// view; the same quantities also flow into the process-wide obs::Registry
 /// (engine.runs / engine.items / engine.waves / engine.early_stops counters
 /// and the engine.run_us / engine.wave_us latency histograms), so RunStats
-/// is now a thin per-call facade over the shared observability layer.
-/// Every entry point fills threads and a threads-sized per_thread_items
-/// vector — including the single-thread path, which reports threads = 1
-/// with a one-entry vector.
+/// is a thin per-call facade over the shared observability layer. Every
+/// run fills threads and a threads-sized per_thread_items vector —
+/// including the single-thread path, which reports threads = 1 with a
+/// one-entry vector.
 struct RunStats {
   std::int64_t evaluated = 0;  ///< items actually run
   std::int64_t skipped = 0;    ///< budgeted items not run (early stop)
@@ -55,11 +60,10 @@ struct RunStats {
   bool early_stopped = false;  ///< estimator stopped before the cap
   double wall_seconds = 0.0;
   double items_per_second = 0.0;  ///< evaluated / wall_seconds
-  /// Items run by each worker (index 0 = the calling thread). Filled by the
-  /// indexed/workspace engine entry points; empty otherwise.
+  /// Items run by each worker (index 0 = the calling thread).
   std::vector<std::int64_t> per_thread_items;
   /// Load balance: mean(per_thread_items) / max(per_thread_items), 1 =
-  /// perfectly balanced. 1.0 when per-thread counts were not tracked.
+  /// perfectly balanced.
   double utilization = 1.0;
   /// Allocation counters for the run (see mathx/alloc_counter.hpp),
   /// -1 when counting was not requested. Includes one-time setup such as
@@ -76,11 +80,10 @@ struct RunStats {
 };
 
 /// Persistent pool of `threads - 1` workers; the calling thread is worker 0,
-/// so `ThreadPool(1)` spawns nothing and runs inline. `for_each` dispatches
-/// fn(i) over [begin, end) with chunked index claiming. The ASSIGNMENT of
+/// so `ThreadPool(1)` spawns nothing and runs inline. The ASSIGNMENT of
 /// indices to threads is racy by design; a deterministic overall result only
-/// requires fn(i) to depend on nothing but i (write to slot i, derive
-/// randomness from (seed, i)).
+/// requires fn(worker, i) to depend on nothing but i (write to slot i,
+/// derive randomness from (seed, i)).
 class ThreadPool {
  public:
   explicit ThreadPool(int threads = 0);
@@ -92,16 +95,12 @@ class ThreadPool {
   /// Total worker count including the calling thread.
   int threads() const { return static_cast<int>(workers_.size()) + 1; }
 
-  /// Runs fn(i) for every i in [begin, end); blocks until done. Threads
-  /// claim `chunk` consecutive indices at a time (chunk >= 1).
-  void for_each(std::int64_t begin, std::int64_t end,
-                const std::function<void(std::int64_t)>& fn,
-                std::int64_t chunk = 1);
-
-  /// Same, but fn also receives the claiming worker's id in [0, threads()):
-  /// 0 is the calling thread, 1.. are the pool workers. The id is what lets
-  /// a caller attach per-worker state (a Monte-Carlo workspace) that is
-  /// reused across every index the worker claims.
+  /// Runs fn(worker, i) for every i in [begin, end); blocks until done.
+  /// Threads claim `chunk` consecutive indices at a time (chunk >= 1). The
+  /// worker id in [0, threads()) — 0 is the calling thread, 1.. are the
+  /// pool workers — is what lets a caller attach per-worker state (a
+  /// Monte-Carlo workspace) that is reused across every index the worker
+  /// claims.
   void for_each_indexed(std::int64_t begin, std::int64_t end,
                         const std::function<void(int, std::int64_t)>& fn,
                         std::int64_t chunk = 1);
@@ -128,91 +127,6 @@ class ThreadPool {
   std::uint64_t span_parent_ = 0;
 };
 
-/// One-shot parallel loop: fn(i) for i in [0, n). Returns the run record.
-RunStats parallel_for(std::int64_t n, int threads,
-                      const std::function<void(std::int64_t)>& fn,
-                      std::int64_t chunk = 1);
-
-/// Worker-indexed one-shot loop: fn(worker, i). Tracks per-worker item
-/// counts (RunStats::per_thread_items / utilization); when `count_allocs`,
-/// also reports the bytes allocated during the loop via the opt-in
-/// alloc_counter hook.
-RunStats parallel_for_indexed(std::int64_t n, int threads,
-                              const std::function<void(int, std::int64_t)>& fn,
-                              std::int64_t chunk = 1,
-                              bool count_allocs = false);
-
-/// Workspace-factory loop: each worker lazily builds one workspace with
-/// make_ws() (called at most once per worker, concurrently — the factory
-/// must be thread-safe) and reuses it for every item it claims:
-/// fn(workspace&, i). With a factory that preallocates all scratch, the
-/// steady state allocates nothing. Bit-identical to the plain loop as long
-/// as fn's RESULT depends only on i (scratch contents may differ).
-template <typename MakeWs, typename Fn>
-RunStats parallel_for_workspace(std::int64_t n, int threads, MakeWs&& make_ws,
-                                Fn&& fn, std::int64_t chunk = 1,
-                                bool count_allocs = false) {
-  using Ws = decltype(make_ws());
-  const int nthreads = clamp_threads_to_items(threads, n);
-  std::vector<std::optional<Ws>> ws(static_cast<std::size_t>(nthreads));
-  const std::function<void(int, std::int64_t)> wrapped =
-      [&](int worker, std::int64_t i) {
-        auto& slot = ws[static_cast<std::size_t>(worker)];
-        if (!slot) slot.emplace(make_ws());
-        fn(*slot, i);
-      };
-  return parallel_for_indexed(n, nthreads, wrapped, chunk, count_allocs);
-}
-
-/// Block-batched one-shot loop: splits [0, n) into ceil(n/block)
-/// consecutive blocks and runs fn(worker, lo, hi) once per block (all
-/// blocks span `block` items except possibly the last). This is the entry
-/// point of the chip-per-lane SIMD path: a full block is one vector
-/// kernel call, the short tail block falls back to the scalar kernel.
-/// RunStats counts items (per_thread_items accumulates hi - lo), not
-/// blocks. Bit-identical to the per-item loop as long as fn's effect on
-/// item i depends only on i.
-RunStats parallel_for_blocks_indexed(
-    std::int64_t n, int threads, std::int64_t block,
-    const std::function<void(int, std::int64_t, std::int64_t)>& fn,
-    bool count_allocs = false);
-
-/// Workspace-factory variant of the block loop (per-worker workspaces as
-/// in parallel_for_workspace): fn(workspace&, lo, hi).
-template <typename MakeWs, typename Fn>
-RunStats parallel_for_workspace_blocks(std::int64_t n, int threads,
-                                       std::int64_t block, MakeWs&& make_ws,
-                                       Fn&& fn, bool count_allocs = false) {
-  using Ws = decltype(make_ws());
-  const std::int64_t nblocks = block > 0 ? (n + block - 1) / block : n;
-  const int nthreads = clamp_threads_to_items(threads, nblocks);
-  std::vector<std::optional<Ws>> ws(static_cast<std::size_t>(nthreads));
-  const std::function<void(int, std::int64_t, std::int64_t)> wrapped =
-      [&](int worker, std::int64_t lo, std::int64_t hi) {
-        auto& slot = ws[static_cast<std::size_t>(worker)];
-        if (!slot) slot.emplace(make_ws());
-        fn(*slot, lo, hi);
-      };
-  return parallel_for_blocks_indexed(n, nthreads, block, wrapped,
-                                     count_allocs);
-}
-
-/// Parallel map into a pre-sized vector: out[i] = fn(i). The output order
-/// is by index, so the result is thread-count independent for pure fn.
-template <typename F>
-auto parallel_map(std::int64_t n, int threads, F&& fn,
-                  RunStats* stats = nullptr, std::int64_t chunk = 1)
-    -> std::vector<decltype(fn(std::int64_t{}))> {
-  using T = decltype(fn(std::int64_t{}));
-  std::vector<T> out(static_cast<std::size_t>(n));
-  const RunStats rs = parallel_for(
-      n, threads,
-      [&](std::int64_t i) { out[static_cast<std::size_t>(i)] = fn(i); },
-      chunk);
-  if (stats) *stats = rs;
-  return out;
-}
-
 /// Wilson score interval half-width for `pass` successes in `n` trials at
 /// confidence z (default two-sided 95 %). Well-behaved at yield 0/1 where
 /// the naive binomial half-width collapses to zero.
@@ -232,7 +146,7 @@ struct EarlyStopOptions {
   double ci_half_width = 0.0;
 };
 
-/// Result of an adaptive pass/fail (yield) estimation run.
+/// Result of an engine run: the pass/fail (yield) tally plus the run record.
 struct YieldRun {
   std::int64_t evaluated = 0;  ///< items actually evaluated (<= max_items)
   std::int64_t passed = 0;
@@ -241,73 +155,72 @@ struct YieldRun {
   RunStats stats;
 };
 
-/// Evaluates item_passes(i) for i = 0, 1, ... until the CI criterion is met
-/// or max_items is reached. Items are drawn in deterministic batches; each
-/// batch runs on the pool. item_passes must be pure in i.
-YieldRun adaptive_yield_run(const EarlyStopOptions& opts, int threads,
-                            const std::function<bool(std::int64_t)>& item_passes);
+/// Block body: runs items [lo, hi) on `worker` and returns how many passed.
+using BlockFn =
+    std::function<std::int64_t(int worker, std::int64_t lo, std::int64_t hi)>;
 
-/// Worker-indexed adaptive run: item_passes(worker, i). Same stopping
-/// behavior; additionally tracks per-worker counts and optional allocation
-/// counters in the returned stats.
-YieldRun adaptive_yield_run_indexed(
-    const EarlyStopOptions& opts, int threads,
-    const std::function<bool(int, std::int64_t)>& item_passes,
-    bool count_allocs = false);
+/// The engine loop. Runs waves of opts.batch items (the last wave may be
+/// short) until the Wilson CI criterion is met or max_items is reached;
+/// each wave is split into consecutive blocks of up to `block` items and
+/// fn(worker, lo, hi) runs once per block. Blocks never straddle a wave
+/// boundary, so a wave's last block may be short — the SIMD callers see at
+/// most one short block per wave — and the stopping point is the same for
+/// any block size and thread count. Workers are clamped to the blocks of a
+/// full run. Every run emits one engine.run span (attrs items, threads,
+/// block, evaluated, early_stopped) with one engine.wave child per wave,
+/// and adds to the engine.* metrics. When `count_allocs`, the run's
+/// allocations are counted via the opt-in alloc_counter hook.
+YieldRun run_blocks(const EarlyStopOptions& opts, int threads,
+                    std::int64_t block, const BlockFn& fn,
+                    bool count_allocs = false);
 
-/// Block-batched adaptive run: each CI wave is split into consecutive
-/// blocks of up to `block` items and block_passes(worker, lo, hi) returns
-/// how many of the items in [lo, hi) passed. Wave boundaries are the same
-/// deterministic multiples of opts.batch as the per-item adaptive run, so
-/// for a pure per-item pass predicate the stopping point — and the
-/// estimate — is bit-identical to adaptive_yield_run_indexed for any
-/// thread count. Blocks never straddle a wave boundary (a wave's last
-/// block may be short), so the SIMD path sees at most one short block per
-/// wave.
-YieldRun adaptive_yield_run_blocks_indexed(
-    const EarlyStopOptions& opts, int threads, std::int64_t block,
-    const std::function<std::int64_t(int, std::int64_t, std::int64_t)>&
-        block_passes,
-    bool count_allocs = false);
-
-/// Workspace-factory variant of the block-batched adaptive run.
+/// Workspace-factory run: each worker lazily builds one workspace with
+/// make_ws() (called at most once per worker, concurrently — the factory
+/// must be thread-safe) and reuses it for every block it claims:
+/// fn(workspace&, lo, hi) -> passed. With a factory that preallocates all
+/// scratch, the steady state allocates nothing. Bit-identical to the plain
+/// run as long as fn's RESULT depends only on [lo, hi) (scratch contents
+/// may differ).
 template <typename MakeWs, typename Fn>
-YieldRun adaptive_yield_run_workspace_blocks(const EarlyStopOptions& opts,
-                                             int threads, std::int64_t block,
-                                             MakeWs&& make_ws, Fn&& fn,
-                                             bool count_allocs = false) {
+  requires std::invocable<MakeWs&>
+YieldRun run_blocks(const EarlyStopOptions& opts, int threads,
+                    std::int64_t block, MakeWs&& make_ws, Fn&& fn,
+                    bool count_allocs = false) {
   using Ws = decltype(make_ws());
   const std::int64_t nblocks =
       block > 0 ? (opts.max_items + block - 1) / block : opts.max_items;
   const int nthreads = clamp_threads_to_items(threads, nblocks);
   std::vector<std::optional<Ws>> ws(static_cast<std::size_t>(nthreads));
-  const std::function<std::int64_t(int, std::int64_t, std::int64_t)> wrapped =
-      [&](int worker, std::int64_t lo, std::int64_t hi) {
-        auto& slot = ws[static_cast<std::size_t>(worker)];
-        if (!slot) slot.emplace(make_ws());
-        return fn(*slot, lo, hi);
-      };
-  return adaptive_yield_run_blocks_indexed(opts, nthreads, block, wrapped,
-                                           count_allocs);
+  const BlockFn wrapped = [&](int worker, std::int64_t lo, std::int64_t hi) {
+    auto& slot = ws[static_cast<std::size_t>(worker)];
+    if (!slot) slot.emplace(make_ws());
+    return static_cast<std::int64_t>(fn(*slot, lo, hi));
+  };
+  return run_blocks(opts, nthreads, block, wrapped, count_allocs);
 }
 
-/// Workspace-factory adaptive run: per-worker workspaces as in
-/// parallel_for_workspace, with the adaptive stopping rule. The workspace
-/// persists across batches, so the steady state stays allocation-free.
-template <typename MakeWs, typename Fn>
-YieldRun adaptive_yield_run_workspace(const EarlyStopOptions& opts,
-                                      int threads, MakeWs&& make_ws, Fn&& fn,
-                                      bool count_allocs = false) {
-  using Ws = decltype(make_ws());
-  const int nthreads = clamp_threads_to_items(threads, opts.max_items);
-  std::vector<std::optional<Ws>> ws(static_cast<std::size_t>(nthreads));
-  const std::function<bool(int, std::int64_t)> wrapped =
-      [&](int worker, std::int64_t i) {
-        auto& slot = ws[static_cast<std::size_t>(worker)];
-        if (!slot) slot.emplace(make_ws());
-        return fn(*slot, i);
-      };
-  return adaptive_yield_run_indexed(opts, nthreads, wrapped, count_allocs);
+/// Per-item loop: fn(worker, i) for i in [0, n), workers claiming `chunk`
+/// consecutive items at a time. A fixed-count run_blocks with block =
+/// chunk; returns its run record.
+RunStats parallel_for_indexed(std::int64_t n, int threads,
+                              const std::function<void(int, std::int64_t)>& fn,
+                              std::int64_t chunk = 1,
+                              bool count_allocs = false);
+
+/// Parallel map into a pre-sized vector: out[i] = fn(i). The output order
+/// is by index, so the result is thread-count independent for pure fn.
+template <typename F>
+auto parallel_map(std::int64_t n, int threads, F&& fn,
+                  RunStats* stats = nullptr, std::int64_t chunk = 1)
+    -> std::vector<decltype(fn(std::int64_t{}))> {
+  using T = decltype(fn(std::int64_t{}));
+  std::vector<T> out(static_cast<std::size_t>(n));
+  const RunStats rs = parallel_for_indexed(
+      n, threads,
+      [&](int, std::int64_t i) { out[static_cast<std::size_t>(i)] = fn(i); },
+      chunk);
+  if (stats) *stats = rs;
+  return out;
 }
 
 }  // namespace csdac::mathx

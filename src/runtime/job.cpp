@@ -739,7 +739,8 @@ JobValue run_dyn_spectrum(const DynSpectrumJob& j, int threads,
   std::vector<double> sfdr(static_cast<std::size_t>(j.chips), 0.0);
   std::vector<double> sndr(static_cast<std::size_t>(j.chips), 0.0);
   std::vector<double> ete(static_cast<std::size_t>(j.chips), 0.0);
-  const auto item = [&](std::int64_t i) -> bool {
+  // One chip per block (block = 1): chip i is the block [i, i + 1).
+  const auto chip = [&](int, std::int64_t i, std::int64_t) -> std::int64_t {
     mathx::Xoshiro256 rng =
         mathx::stream_rng(j.seed, static_cast<std::uint64_t>(i));
     const arch::CellTiming t =
@@ -751,7 +752,7 @@ JobValue run_dyn_spectrum(const DynSpectrumJob& j, int threads,
     sfdr[slot] = s.sfdr_db;
     sndr[slot] = s.sndr_db;
     ete[slot] = p.sfdr_db;
-    return s.sfdr_db >= j.sfdr_limit_db;
+    return s.sfdr_db >= j.sfdr_limit_db ? 1 : 0;
   };
   mathx::EarlyStopOptions o;
   o.max_items = j.chips;
@@ -760,7 +761,7 @@ JobValue run_dyn_spectrum(const DynSpectrumJob& j, int threads,
                     : j.chips;
   o.batch = j.adaptive ? j.batch : j.chips;
   o.ci_half_width = j.adaptive ? j.ci_half_width : 0.0;
-  const mathx::YieldRun y = mathx::adaptive_yield_run(o, threads, item);
+  const mathx::YieldRun y = mathx::run_blocks(o, threads, /*block=*/1, chip);
   dac::detail::count_chip_evals(y.evaluated);
 
   DynSpectrumResult r;
@@ -850,16 +851,15 @@ JobValue run_arch_compare(const ArchCompareJob& j, int threads,
       std::vector<double> levels;
       std::vector<std::uint8_t> on;
     };
-    std::vector<std::uint8_t> pass(static_cast<std::size_t>(j.chips), 0);
-    const mathx::RunStats rs = mathx::parallel_for_workspace(
-        j.chips, threads,
+    const mathx::YieldRun run = mathx::run_blocks(
+        {.max_items = j.chips, .batch = j.chips}, threads, /*block=*/1,
         [&] {
           Ws ws;
           ws.prefix.resize(static_cast<std::size_t>(total_units) + 1);
           ws.levels.resize(static_cast<std::size_t>(n_codes));
           return ws;
         },
-        [&](Ws& ws, std::int64_t chip) {
+        [&](Ws& ws, std::int64_t chip, std::int64_t) -> std::int64_t {
           mathx::Xoshiro256 rng =
               mathx::stream_rng(j.seed, static_cast<std::uint64_t>(chip));
           ws.prefix[0] = 0.0;
@@ -882,14 +882,12 @@ JobValue run_arch_compare(const ArchCompareJob& j, int threads,
           const dac::StaticSummary s = dac::analyze_levels_summary(
               ws.levels, dac::InlReference::kBestFit);
           dac::detail::count_chip_eval();
-          pass[static_cast<std::size_t>(chip)] = s.inl_max < j.limit ? 1 : 0;
+          return s.inl_max < j.limit ? 1 : 0;
         });
-    run_threads = std::max(run_threads, rs.threads);
+    run_threads = std::max(run_threads, run.stats.threads);
     total_evals += j.chips;
-    std::int64_t passed = 0;
-    for (std::uint8_t f : pass) passed += f;
-    p.inl_yield = static_cast<double>(passed) / j.chips;
-    p.inl_ci95 = mathx::wilson_half_width(passed, j.chips);
+    p.inl_yield = run.yield;
+    p.inl_ci95 = run.ci95;
 
     // Timing MC on a distinct stream lane (per-architecture cell counts
     // differ, so timing draws cannot be shared across schemes).

@@ -45,6 +45,24 @@ std::vector<core::DacSpec> kernel_specs() {
           make_spec(6, 5), make_spec(2, 0)};
 }
 
+// The block kernels under test: every backend in a workspace of its own
+// width, plus the width-1 kernel in the widest workspace — the route of a
+// vector run's short blocks, which must read and write at its own lane
+// stride.
+struct KernelInput {
+  const LaneKernel* k;
+  int ws_lanes;
+};
+
+std::vector<KernelInput> kernel_inputs() {
+  std::vector<KernelInput> v;
+  for (SimdBackend b : kAllBackends) {
+    if (const LaneKernel* k = lane_kernel(b)) v.push_back({k, k->lanes});
+  }
+  v.push_back({lane_kernel(SimdBackend::kScalar), kMaxSimdLanes});
+  return v;
+}
+
 TEST(SimdEquivalence, DrawBitsMatchScalarStreams) {
   constexpr std::uint64_t kSeed = 31;
   for (SimdBackend b : kAllBackends) {
@@ -88,16 +106,17 @@ TEST(SimdEquivalence, DrawNormalsMatchScalarSequences) {
 TEST(SimdEquivalence, McBlockMatchesScalarChips) {
   constexpr std::uint64_t kSeed = 12345;
   constexpr double kSigma = 0.04;
-  for (SimdBackend b : kAllBackends) {
-    const LaneKernel* k = lane_kernel(b);
-    if (k == nullptr) continue;
+  for (const KernelInput& in : kernel_inputs()) {
+    const LaneKernel* k = in.k;
+    const SimdBackend b = k->backend;
+    SCOPED_TRACE(testing::Message() << "workspace lanes " << in.ws_lanes);
     for (const auto& spec : kernel_specs()) {
-      ChipWorkspaceXN ws(spec, k->lanes);
+      ChipWorkspaceXN ws(spec, in.ws_lanes);
       ChipWorkspace ref_ws(spec);
       for (auto ref : {InlReference::kEndpoint, InlReference::kBestFit}) {
         for (std::int64_t chip0 : {0, 7}) {
           StaticSummary out[kMaxSimdLanes];
-          mc_chip_metrics_xN(*k, ws, kSigma, kSeed, chip0, ref, out);
+          k->mc_block(ws, kSigma, kSeed, chip0, ref, out);
           for (int l = 0; l < k->lanes; ++l) {
             const StaticSummary want =
                 mc_chip_metrics(ref_ws, kSigma, kSeed, chip0 + l, ref);
@@ -123,11 +142,12 @@ TEST(SimdEquivalence, CalBlockMatchesScalarChips) {
   opts.bits = 5;
   for (double noise : {0.0, 0.1}) {
     opts.measure_noise_lsb = noise;
-    for (SimdBackend b : kAllBackends) {
-      const LaneKernel* k = lane_kernel(b);
-      if (k == nullptr) continue;
+    for (const KernelInput& in : kernel_inputs()) {
+      const LaneKernel* k = in.k;
+      const SimdBackend b = k->backend;
+      SCOPED_TRACE(testing::Message() << "workspace lanes " << in.ws_lanes);
       for (const auto& spec : {make_spec(10, 3), make_spec(8, 0)}) {
-        ChipWorkspaceXN ws(spec, k->lanes);
+        ChipWorkspaceXN ws(spec, in.ws_lanes);
         ChipWorkspace ref_ws(spec);
         for (std::int64_t chip0 : {0, 13}) {
           bool before[kMaxSimdLanes], after[kMaxSimdLanes];
@@ -141,6 +161,15 @@ TEST(SimdEquivalence, CalBlockMatchesScalarChips) {
             EXPECT_EQ(after[l], want.pass_after)
                 << simd_backend_name(b) << " noise=" << noise << " chip "
                 << chip0 + l;
+            // Pass flags alone barely see a mis-strided trim; the trimmed
+            // weights themselves must match the scalar chip body.
+            for (int i = 0; i < spec.num_unary(); ++i) {
+              ASSERT_EQ(ws.trimmed_unary[static_cast<std::size_t>(i) *
+                                             k->lanes + l],
+                        ref_ws.trimmed.unary[static_cast<std::size_t>(i)])
+                  << simd_backend_name(b) << " noise=" << noise << " chip "
+                  << chip0 + l << " source " << i;
+            }
           }
         }
       }
