@@ -1,6 +1,7 @@
 #include "runtime/job.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -12,58 +13,6 @@
 #include "mathx/rng.hpp"
 
 namespace csdac::runtime {
-
-std::string_view kind_name(JobKind kind) {
-  switch (kind) {
-    case JobKind::kInlYield: return "inl_yield";
-    case JobKind::kCalYield: return "cal_yield";
-    case JobKind::kSweepBasic: return "sweep_basic";
-    case JobKind::kSweepCascode: return "sweep_cascode";
-    case JobKind::kSpectrum: return "spectrum";
-    case JobKind::kInlYieldIs: return "inl_yield_is";
-    case JobKind::kInlYieldStrat: return "inl_yield_strat";
-    case JobKind::kInlYieldBridge: return "inl_yield_bridge";
-    case JobKind::kDynSpectrum: return "dyn_spectrum";
-    case JobKind::kArchCompare: return "arch_compare";
-    case JobKind::kSpiceMc: return "spice_mc";
-  }
-  return "unknown";
-}
-
-JobKind job_kind(const Job& job) {
-  return std::visit(
-      [](const auto& j) -> JobKind {
-        using T = std::decay_t<decltype(j)>;
-        if constexpr (std::is_same_v<T, InlYieldJob>) return JobKind::kInlYield;
-        if constexpr (std::is_same_v<T, CalYieldJob>) return JobKind::kCalYield;
-        if constexpr (std::is_same_v<T, SweepBasicJob>) {
-          return JobKind::kSweepBasic;
-        }
-        if constexpr (std::is_same_v<T, SweepCascodeJob>) {
-          return JobKind::kSweepCascode;
-        }
-        if constexpr (std::is_same_v<T, SpectrumJob>) return JobKind::kSpectrum;
-        if constexpr (std::is_same_v<T, InlYieldIsJob>) {
-          return JobKind::kInlYieldIs;
-        }
-        if constexpr (std::is_same_v<T, InlYieldStratJob>) {
-          return JobKind::kInlYieldStrat;
-        }
-        if constexpr (std::is_same_v<T, InlYieldBridgeJob>) {
-          return JobKind::kInlYieldBridge;
-        }
-        if constexpr (std::is_same_v<T, DynSpectrumJob>) {
-          return JobKind::kDynSpectrum;
-        }
-        if constexpr (std::is_same_v<T, ArchCompareJob>) {
-          return JobKind::kArchCompare;
-        }
-        if constexpr (std::is_same_v<T, SpiceMcJob>) {
-          return JobKind::kSpiceMc;
-        }
-      },
-      job);
-}
 
 namespace {
 
@@ -261,19 +210,79 @@ void put_params(const SpiceMcJob& j, mathx::ByteWriter& w) {
   w.boolean(j.with_caps);
 }
 
-// Result payload codec. Each kind carries its own schema version so a
-// result-format change invalidates only that kind's entries (the reader
-// rejects, the caller recomputes and overwrites).
-constexpr std::uint8_t kYieldResultV = 1;
-constexpr std::uint8_t kCalResultV = 1;
-constexpr std::uint8_t kSweepResultV = 1;
-constexpr std::uint8_t kSpectrumResultV = 1;
-constexpr std::uint8_t kIsResultV = 1;
-constexpr std::uint8_t kStratResultV = 1;
-constexpr std::uint8_t kBridgeResultV = 1;
-constexpr std::uint8_t kDynSpectrumResultV = 1;
-constexpr std::uint8_t kArchCompareResultV = 1;
-constexpr std::uint8_t kSpiceMcResultV = 1;
+// Result payload codec, driven by the Fields<T> lists in job.hpp: each
+// field is written fixed width by its type, a vector as a u32 count plus
+// its elements. The schema byte leads, so a layout change invalidates only
+// its own kind's entries (the reader rejects, the caller recomputes).
+struct FieldWriter {
+  mathx::ByteWriter& w;
+  void operator()(std::string_view, std::uint8_t v) { w.u8(v); }
+  void operator()(std::string_view, bool v) { w.boolean(v); }
+  void operator()(std::string_view, std::int32_t v) { w.i32(v); }
+  void operator()(std::string_view, std::int64_t v) { w.i64(v); }
+  void operator()(std::string_view, double v) { w.f64(v); }
+  template <typename T>
+  void operator()(std::string_view, const std::vector<T>& v) {
+    w.u32(static_cast<std::uint32_t>(v.size()));
+    for (const T& e : v) Fields<T>::each(e, *this);
+  }
+};
+
+/// Encoded bytes of one element: the sum of its fixed-width fields.
+template <typename T>
+std::size_t encoded_size() {
+  std::size_t n = 0;
+  const T probe{};
+  Fields<T>::each(probe, [&n](std::string_view, auto x) { n += sizeof(x); });
+  return n;
+}
+
+struct FieldReader {
+  mathx::ByteReader& r;
+  bool ok = true;  ///< false once a count failed its bound
+  void operator()(std::string_view, std::uint8_t& v) { v = r.u8(); }
+  void operator()(std::string_view, bool& v) { v = r.boolean(); }
+  void operator()(std::string_view, std::int32_t& v) { v = r.i32(); }
+  void operator()(std::string_view, std::int64_t& v) { v = r.i64(); }
+  void operator()(std::string_view, double& v) { v = r.f64(); }
+  template <typename T>
+  void operator()(std::string_view, std::vector<T>& v) {
+    const std::uint32_t n = r.u32();
+    // Reject a count the remaining bytes cannot hold before allocating.
+    if (n > r.remaining() / encoded_size<T>()) {
+      ok = false;
+      return;
+    }
+    v.resize(n);
+    for (T& e : v) Fields<T>::each(e, *this);
+  }
+};
+
+template <typename R>
+bool decode_as(mathx::ByteReader& r, JobValue& out) {
+  if (r.u8() != Fields<R>::kSchema) return false;
+  R v;
+  FieldReader fr{r};
+  Fields<R>::each(v, fr);
+  if (!fr.ok || !r.done()) return false;
+  out = std::move(v);
+  return true;
+}
+
+/// One row per kind, indexed by JobKind - 1: the wire name and the
+/// decoder of the kind's result type.
+struct KindRow {
+  std::string_view name;
+  bool (*decode)(mathx::ByteReader&, JobValue&);
+};
+
+template <std::size_t I>
+using KindJob = std::variant_alternative_t<I, Job>;
+
+constexpr auto kKindTable = []<std::size_t... I>(std::index_sequence<I...>) {
+  return std::array<KindRow, kNumKinds>{
+      KindRow{KindJob<I>::kName, &decode_as<typename KindJob<I>::Result>}...};
+}(std::make_index_sequence<kNumKinds>{});
 
 }  // namespace
 
@@ -289,258 +298,29 @@ mathx::HashKey128 job_key(const Job& job) {
   return w.hash();
 }
 
+std::string_view kind_name(JobKind kind) {
+  const auto i = static_cast<std::size_t>(kind) - 1;
+  return i < kNumKinds ? kKindTable[i].name : "unknown";
+}
+
 void encode_value(const JobValue& value, mathx::ByteWriter& w) {
   std::visit(
       [&w](const auto& v) {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, YieldResult>) {
-          w.u8(kYieldResultV);
-          w.i64(v.chips);
-          w.i64(v.pass);
-          w.f64(v.yield);
-          w.f64(v.ci95);
-        } else if constexpr (std::is_same_v<T, CalYieldResult>) {
-          w.u8(kCalResultV);
-          w.i64(v.chips);
-          w.f64(v.yield_before);
-          w.f64(v.yield_after);
-        } else if constexpr (std::is_same_v<T, SweepResult>) {
-          w.u8(kSweepResultV);
-          w.u32(static_cast<std::uint32_t>(v.points.size()));
-          for (const auto& p : v.points) {
-            w.f64(p.vod_cs);
-            w.f64(p.vod_sw);
-            w.f64(p.vod_cas);
-            w.boolean(p.feasible);
-            w.f64(p.margin);
-            w.f64(p.area);
-            w.f64(p.f_min_hz);
-            w.f64(p.t_settle_s);
-            w.f64(p.rout_unit);
-          }
-        } else if constexpr (std::is_same_v<T, SpectrumSummary>) {
-          w.u8(kSpectrumResultV);
-          w.f64(v.sfdr_db);
-          w.f64(v.sndr_db);
-          w.f64(v.thd_db);
-          w.f64(v.enob);
-        } else if constexpr (std::is_same_v<T, IsYieldResult>) {
-          w.u8(kIsResultV);
-          w.i64(v.chips);
-          w.i64(v.fails);
-          w.f64(v.yield);
-          w.f64(v.ci95);
-          w.f64(v.ess);
-          w.f64(v.ess_fraction);
-          w.f64(v.log_weight_max);
-          w.f64(v.log_weight_min);
-          w.boolean(v.low_ess);
-        } else if constexpr (std::is_same_v<T, StratYieldResult>) {
-          w.u8(kStratResultV);
-          w.i64(v.chips);
-          w.i64(v.pairs);
-          w.i32(v.strata);
-          w.f64(v.yield);
-          w.f64(v.ci95);
-        } else if constexpr (std::is_same_v<T, BridgeYieldResult>) {
-          w.u8(kBridgeResultV);
-          w.f64(v.yield);
-          w.f64(v.c);
-          w.f64(v.sigma_inl);
-        } else if constexpr (std::is_same_v<T, DynSpectrumResult>) {
-          w.u8(kDynSpectrumResultV);
-          w.i64(v.chips);
-          w.i64(v.pass);
-          w.f64(v.yield);
-          w.f64(v.ci95);
-          w.f64(v.sfdr_mean_db);
-          w.f64(v.sfdr_min_db);
-          w.f64(v.sndr_mean_db);
-          w.f64(v.ete_sfdr_mean_db);
-          w.i32(v.cells);
-        } else if constexpr (std::is_same_v<T, SpiceMcResult>) {
-          w.u8(kSpiceMcResultV);
-          w.i64(v.chips);
-          w.i64(v.pass);
-          w.f64(v.yield);
-          w.f64(v.ci95);
-          w.f64(v.inl_mean);
-          w.f64(v.inl_worst);
-          w.i64(v.newton_iters);
-          w.i64(v.factorizations);
-          w.i64(v.refactorizations);
-          w.i64(v.warm_starts);
-          w.i64(v.warm_start_hits);
-          w.i64(v.device_evals);
-          w.f64(v.warm_start_hit_rate);
-        } else if constexpr (std::is_same_v<T, ArchCompareResult>) {
-          w.u8(kArchCompareResultV);
-          w.u32(static_cast<std::uint32_t>(v.points.size()));
-          for (const auto& p : v.points) {
-            w.u8(p.scheme);
-            w.i32(p.param);
-            w.i32(p.cells);
-            w.f64(p.inl_yield);
-            w.f64(p.inl_ci95);
-            w.f64(p.sfdr_db);
-            w.f64(p.ete_sfdr_db);
-            w.f64(p.activity);
-          }
-        }
+        using F = Fields<std::decay_t<decltype(v)>>;
+        w.u8(F::kSchema);
+        F::each(v, FieldWriter{w});
       },
       value);
 }
 
 bool decode_value(JobKind kind, mathx::ByteReader& r, JobValue& out) {
-  switch (kind) {
-    case JobKind::kInlYield: {
-      if (r.u8() != kYieldResultV) return false;
-      YieldResult v;
-      v.chips = r.i64();
-      v.pass = r.i64();
-      v.yield = r.f64();
-      v.ci95 = r.f64();
-      out = v;
-      break;
-    }
-    case JobKind::kCalYield: {
-      if (r.u8() != kCalResultV) return false;
-      CalYieldResult v;
-      v.chips = r.i64();
-      v.yield_before = r.f64();
-      v.yield_after = r.f64();
-      out = v;
-      break;
-    }
-    case JobKind::kSweepBasic:
-    case JobKind::kSweepCascode: {
-      if (r.u8() != kSweepResultV) return false;
-      SweepResult v;
-      const std::uint32_t n = r.u32();
-      if (n > r.remaining() / (8 * 8 + 1)) return false;
-      v.points.resize(n);
-      for (auto& p : v.points) {
-        p.vod_cs = r.f64();
-        p.vod_sw = r.f64();
-        p.vod_cas = r.f64();
-        p.feasible = r.boolean();
-        p.margin = r.f64();
-        p.area = r.f64();
-        p.f_min_hz = r.f64();
-        p.t_settle_s = r.f64();
-        p.rout_unit = r.f64();
-      }
-      out = std::move(v);
-      break;
-    }
-    case JobKind::kSpectrum: {
-      if (r.u8() != kSpectrumResultV) return false;
-      SpectrumSummary v;
-      v.sfdr_db = r.f64();
-      v.sndr_db = r.f64();
-      v.thd_db = r.f64();
-      v.enob = r.f64();
-      out = v;
-      break;
-    }
-    case JobKind::kInlYieldIs: {
-      if (r.u8() != kIsResultV) return false;
-      IsYieldResult v;
-      v.chips = r.i64();
-      v.fails = r.i64();
-      v.yield = r.f64();
-      v.ci95 = r.f64();
-      v.ess = r.f64();
-      v.ess_fraction = r.f64();
-      v.log_weight_max = r.f64();
-      v.log_weight_min = r.f64();
-      v.low_ess = r.boolean();
-      out = v;
-      break;
-    }
-    case JobKind::kInlYieldStrat: {
-      if (r.u8() != kStratResultV) return false;
-      StratYieldResult v;
-      v.chips = r.i64();
-      v.pairs = r.i64();
-      v.strata = r.i32();
-      v.yield = r.f64();
-      v.ci95 = r.f64();
-      out = v;
-      break;
-    }
-    case JobKind::kInlYieldBridge: {
-      if (r.u8() != kBridgeResultV) return false;
-      BridgeYieldResult v;
-      v.yield = r.f64();
-      v.c = r.f64();
-      v.sigma_inl = r.f64();
-      out = v;
-      break;
-    }
-    case JobKind::kDynSpectrum: {
-      if (r.u8() != kDynSpectrumResultV) return false;
-      DynSpectrumResult v;
-      v.chips = r.i64();
-      v.pass = r.i64();
-      v.yield = r.f64();
-      v.ci95 = r.f64();
-      v.sfdr_mean_db = r.f64();
-      v.sfdr_min_db = r.f64();
-      v.sndr_mean_db = r.f64();
-      v.ete_sfdr_mean_db = r.f64();
-      v.cells = r.i32();
-      out = v;
-      break;
-    }
-    case JobKind::kArchCompare: {
-      if (r.u8() != kArchCompareResultV) return false;
-      ArchCompareResult v;
-      const std::uint32_t n = r.u32();
-      // Bytes per encoded ArchPoint: u8 scheme + 2 * i32 + 5 * f64.
-      if (n > r.remaining() / (5 * 8 + 2 * 4 + 1)) return false;
-      v.points.resize(n);
-      for (auto& p : v.points) {
-        p.scheme = r.u8();
-        p.param = r.i32();
-        p.cells = r.i32();
-        p.inl_yield = r.f64();
-        p.inl_ci95 = r.f64();
-        p.sfdr_db = r.f64();
-        p.ete_sfdr_db = r.f64();
-        p.activity = r.f64();
-      }
-      out = std::move(v);
-      break;
-    }
-    case JobKind::kSpiceMc: {
-      if (r.u8() != kSpiceMcResultV) return false;
-      SpiceMcResult v;
-      v.chips = r.i64();
-      v.pass = r.i64();
-      v.yield = r.f64();
-      v.ci95 = r.f64();
-      v.inl_mean = r.f64();
-      v.inl_worst = r.f64();
-      v.newton_iters = r.i64();
-      v.factorizations = r.i64();
-      v.refactorizations = r.i64();
-      v.warm_starts = r.i64();
-      v.warm_start_hits = r.i64();
-      v.device_evals = r.i64();
-      v.warm_start_hit_rate = r.f64();
-      out = v;
-      break;
-    }
-    default: return false;
-  }
-  return r.done();
+  const auto i = static_cast<std::size_t>(kind) - 1;
+  return i < kNumKinds && kKindTable[i].decode(r, out);
 }
 
 namespace {
 
-JobValue run_inl_yield(const InlYieldJob& j, int threads,
-                       mathx::RunStats* stats) {
+YieldResult run(const InlYieldJob& j, int threads, mathx::RunStats* stats) {
   dac::YieldEstimate y;
   if (j.adaptive) {
     dac::AdaptiveMcOptions o;
@@ -560,46 +340,34 @@ JobValue run_inl_yield(const InlYieldJob& j, int threads,
                                   j.limit, j.ref, threads);
   }
   if (stats) *stats = y.stats;
-  YieldResult r;
-  r.chips = y.chips;
-  r.pass = y.pass;
-  r.yield = y.yield;
-  r.ci95 = y.ci95;
-  return r;
+  return {.chips = y.chips, .pass = y.pass, .yield = y.yield, .ci95 = y.ci95};
 }
 
-JobValue run_cal_yield(const CalYieldJob& j, int threads,
-                       mathx::RunStats* stats) {
+CalYieldResult run(const CalYieldJob& j, int threads,
+                   mathx::RunStats* stats) {
   const dac::CalibratedYield y = dac::calibration_yield_mc(
       j.spec, j.sigma_unit, j.cal, j.chips, j.seed, j.limit, threads);
   if (stats) *stats = y.stats;
-  CalYieldResult r;
-  r.chips = y.chips;
-  r.yield_before = y.yield_before;
-  r.yield_after = y.yield_after;
-  return r;
+  return {.chips = y.chips,
+          .yield_before = y.yield_before,
+          .yield_after = y.yield_after};
 }
 
-JobValue run_sweep_basic(const SweepBasicJob& j, int threads,
-                         mathx::RunStats* stats) {
+SweepResult run(const SweepBasicJob& j, int threads, mathx::RunStats* stats) {
   const core::DesignSpaceExplorer ex(core::CellSizer(j.tech, j.spec));
-  SweepResult r;
-  r.points =
-      ex.sweep_basic(j.cs, j.sw, j.policy, j.fixed_margin, threads, stats);
-  return r;
+  return {ex.sweep_basic(j.cs, j.sw, j.policy, j.fixed_margin, threads,
+                         stats)};
 }
 
-JobValue run_sweep_cascode(const SweepCascodeJob& j, int threads,
-                           mathx::RunStats* stats) {
+SweepResult run(const SweepCascodeJob& j, int threads,
+                mathx::RunStats* stats) {
   const core::DesignSpaceExplorer ex(core::CellSizer(j.tech, j.spec));
-  SweepResult r;
-  r.points = ex.sweep_cascode(j.cs, j.sw, j.cas, j.policy, j.fixed_margin,
-                              j.agg, threads, stats);
-  return r;
+  return {ex.sweep_cascode(j.cs, j.sw, j.cas, j.policy, j.fixed_margin,
+                           j.agg, threads, stats)};
 }
 
-JobValue run_spectrum(const SpectrumJob& j, int threads,
-                      mathx::RunStats* stats) {
+SpectrumSummary run(const SpectrumJob& j, int threads,
+                    mathx::RunStats* stats) {
   (void)threads;  // waveform synthesis is inherently sequential
   j.spec.validate();
   j.dyn.validate();
@@ -634,50 +402,44 @@ JobValue run_spectrum(const SpectrumJob& j, int threads,
     stats->evaluated = static_cast<std::int64_t>(sampled.size());
     stats->threads = 1;
   }
-  SpectrumSummary r;
-  r.sfdr_db = s.sfdr_db;
-  r.sndr_db = s.sndr_db;
-  r.thd_db = s.thd_db;
-  r.enob = s.enob;
-  return r;
+  return {.sfdr_db = s.sfdr_db,
+          .sndr_db = s.sndr_db,
+          .thd_db = s.thd_db,
+          .enob = s.enob};
 }
 
-JobValue run_inl_yield_is(const InlYieldIsJob& j, int threads,
-                          mathx::RunStats* stats) {
+IsYieldResult run(const InlYieldIsJob& j, int threads,
+                  mathx::RunStats* stats) {
   const dac::IsYieldEstimate y =
       dac::inl_yield_is(j.spec, j.sigma_unit, j.sigma_scale, j.modes, j.chips,
                         j.seed, j.limit, j.ref, threads);
   if (stats) *stats = y.stats;
-  IsYieldResult r;
-  r.chips = y.chips;
-  r.fails = y.fails;
-  r.yield = y.yield;
-  r.ci95 = y.ci95;
-  r.ess = y.ess;
-  r.ess_fraction = y.ess_fraction;
-  r.log_weight_max = y.log_weight_max;
-  r.log_weight_min = y.log_weight_min;
-  r.low_ess = y.low_ess;
-  return r;
+  return {.chips = y.chips,
+          .fails = y.fails,
+          .yield = y.yield,
+          .ci95 = y.ci95,
+          .ess = y.ess,
+          .ess_fraction = y.ess_fraction,
+          .log_weight_max = y.log_weight_max,
+          .log_weight_min = y.log_weight_min,
+          .low_ess = y.low_ess};
 }
 
-JobValue run_inl_yield_strat(const InlYieldStratJob& j, int threads,
-                             mathx::RunStats* stats) {
+StratYieldResult run(const InlYieldStratJob& j, int threads,
+                     mathx::RunStats* stats) {
   const dac::StratYieldEstimate y = dac::inl_yield_stratified(
       j.spec, j.sigma_unit, j.strata, j.chips, j.seed, j.limit, j.ref,
       threads);
   if (stats) *stats = y.stats;
-  StratYieldResult r;
-  r.chips = y.chips;
-  r.pairs = y.pairs;
-  r.strata = y.strata;
-  r.yield = y.yield;
-  r.ci95 = y.ci95;
-  return r;
+  return {.chips = y.chips,
+          .pairs = y.pairs,
+          .strata = y.strata,
+          .yield = y.yield,
+          .ci95 = y.ci95};
 }
 
-JobValue run_inl_yield_bridge(const InlYieldBridgeJob& j, int threads,
-                              mathx::RunStats* stats) {
+BridgeYieldResult run(const InlYieldBridgeJob& j, int threads,
+                      mathx::RunStats* stats) {
   (void)threads;  // closed form; nothing to parallelize
   const dac::BridgeYieldEstimate y =
       dac::inl_yield_bridge(j.spec, j.sigma_unit, j.limit);
@@ -685,11 +447,7 @@ JobValue run_inl_yield_bridge(const InlYieldBridgeJob& j, int threads,
     stats->evaluated = 0;  // no chips drawn: that is the whole point
     stats->threads = 1;
   }
-  BridgeYieldResult r;
-  r.yield = y.yield;
-  r.c = y.c;
-  r.sigma_inl = y.sigma_inl;
-  return r;
+  return {.yield = y.yield, .c = y.c, .sigma_inl = y.sigma_inl};
 }
 
 /// Resolves the scheme-param defaults against the spec: segmented 0 means
@@ -718,8 +476,8 @@ void check_record_shape(int n_samples, int cycles) {
   }
 }
 
-JobValue run_dyn_spectrum(const DynSpectrumJob& j, int threads,
-                          mathx::RunStats* stats) {
+DynSpectrumResult run(const DynSpectrumJob& j, int threads,
+                      mathx::RunStats* stats) {
   j.spec.validate();
   j.timing.validate();
   check_record_shape(j.n_samples, j.cycles);
@@ -792,8 +550,8 @@ JobValue run_dyn_spectrum(const DynSpectrumJob& j, int threads,
   return r;
 }
 
-JobValue run_arch_compare(const ArchCompareJob& j, int threads,
-                          mathx::RunStats* stats) {
+ArchCompareResult run(const ArchCompareJob& j, int threads,
+                      mathx::RunStats* stats) {
   j.spec.validate();
   j.timing.validate();
   check_record_shape(j.n_samples, j.cycles);
@@ -918,8 +676,7 @@ JobValue run_arch_compare(const ArchCompareJob& j, int threads,
   return res;
 }
 
-JobValue run_spice_mc(const SpiceMcJob& j, int threads,
-                      mathx::RunStats* stats) {
+SpiceMcResult run(const SpiceMcJob& j, int threads, mathx::RunStats* stats) {
   // Serial by design: the per-code symbolic-factorization reuse and
   // corner-to-corner warm starts are inherently sequential, and the result
   // must not depend on the thread count anyway.
@@ -954,30 +711,8 @@ JobValue execute_job(const Job& job, int threads, mathx::RunStats* stats) {
   const auto t0 = std::chrono::steady_clock::now();
   JobValue value = std::visit(
       [&](const auto& j) -> JobValue {
-        using T = std::decay_t<decltype(j)>;
-        if constexpr (std::is_same_v<T, InlYieldJob>) {
-          return run_inl_yield(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, CalYieldJob>) {
-          return run_cal_yield(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, SweepBasicJob>) {
-          return run_sweep_basic(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, SweepCascodeJob>) {
-          return run_sweep_cascode(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, InlYieldIsJob>) {
-          return run_inl_yield_is(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, InlYieldStratJob>) {
-          return run_inl_yield_strat(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, InlYieldBridgeJob>) {
-          return run_inl_yield_bridge(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, DynSpectrumJob>) {
-          return run_dyn_spectrum(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, ArchCompareJob>) {
-          return run_arch_compare(j, threads, stats);
-        } else if constexpr (std::is_same_v<T, SpiceMcJob>) {
-          return run_spice_mc(j, threads, stats);
-        } else {
-          return run_spectrum(j, threads, stats);
-        }
+        using J = std::decay_t<decltype(j)>;
+        return typename J::Result(run(j, threads, stats));
       },
       job);
   // One clock for every kind: runners that never enter the parallel

@@ -7,8 +7,10 @@
 // execution options and deliberately NOT part of the key.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -49,10 +51,261 @@ enum class JobKind : std::uint8_t {
 
 std::string_view kind_name(JobKind kind);
 
+// --- Results ---------------------------------------------------------------
+//
+// Fields<T> is a result type's one field list: its schema byte and
+// each(v, f), which calls f(name, field) per field in encode order. It
+// drives the cache codec and, by default, the reply JSON
+// (serve::emit_result). A vector encodes as a u32 count plus its
+// elements' lists. Changing a list changes its kind's cache bytes: bump
+// kSchema with it, so old entries miss instead of misdecoding.
+template <typename T>
+struct Fields;
+
+struct YieldResult {
+  std::int64_t chips = 0;  ///< chips actually evaluated
+  std::int64_t pass = 0;
+  double yield = 0.0;
+  double ci95 = 0.0;
+};
+
+template <>
+struct Fields<YieldResult> {
+  static constexpr std::uint8_t kSchema = 1;
+  static void each(auto& v, auto&& f) {
+    f("chips", v.chips);
+    f("pass", v.pass);
+    f("yield", v.yield);
+    f("ci95", v.ci95);
+  }
+};
+
+struct CalYieldResult {
+  std::int64_t chips = 0;
+  double yield_before = 0.0;
+  double yield_after = 0.0;
+};
+
+template <>
+struct Fields<CalYieldResult> {
+  static constexpr std::uint8_t kSchema = 1;
+  static void each(auto& v, auto&& f) {
+    f("chips", v.chips);
+    f("yield_before", v.yield_before);
+    f("yield_after", v.yield_after);
+  }
+};
+
+template <>
+struct Fields<core::DesignPoint> {
+  static void each(auto& v, auto&& f) {
+    f("vod_cs", v.vod_cs);
+    f("vod_sw", v.vod_sw);
+    f("vod_cas", v.vod_cas);
+    f("feasible", v.feasible);
+    f("margin", v.margin);
+    f("area", v.area);
+    f("f_min_hz", v.f_min_hz);
+    f("t_settle_s", v.t_settle_s);
+    f("rout_unit", v.rout_unit);
+  }
+};
+
+struct SweepResult {
+  std::vector<core::DesignPoint> points;  ///< row-major over the axes
+};
+
+template <>
+struct Fields<SweepResult> {
+  static constexpr std::uint8_t kSchema = 1;
+  static void each(auto& v, auto&& f) { f("points", v.points); }
+};
+
+struct SpectrumSummary {
+  double sfdr_db = 0.0;
+  double sndr_db = 0.0;
+  double thd_db = 0.0;
+  double enob = 0.0;
+};
+
+template <>
+struct Fields<SpectrumSummary> {
+  static constexpr std::uint8_t kSchema = 1;
+  static void each(auto& v, auto&& f) {
+    f("sfdr_db", v.sfdr_db);
+    f("sndr_db", v.sndr_db);
+    f("thd_db", v.thd_db);
+    f("enob", v.enob);
+  }
+};
+
+struct IsYieldResult {
+  std::int64_t chips = 0;
+  std::int64_t fails = 0;  ///< raw failures under the inflated proposal
+  double yield = 0.0;      ///< 1 - self-normalized failure probability
+  double ci95 = 0.0;       ///< delta-method 95 % half-width
+  double ess = 0.0;
+  double ess_fraction = 0.0;
+  double log_weight_max = 0.0;
+  double log_weight_min = 0.0;
+  bool low_ess = false;  ///< ess_fraction below the trust threshold
+};
+
+template <>
+struct Fields<IsYieldResult> {
+  static constexpr std::uint8_t kSchema = 1;
+  static void each(auto& v, auto&& f) {
+    f("chips", v.chips);
+    f("fails", v.fails);
+    f("yield", v.yield);
+    f("ci95", v.ci95);
+    f("ess", v.ess);
+    f("ess_fraction", v.ess_fraction);
+    f("log_weight_max", v.log_weight_max);
+    f("log_weight_min", v.log_weight_min);
+    f("low_ess", v.low_ess);
+  }
+};
+
+struct StratYieldResult {
+  std::int64_t chips = 0;
+  std::int64_t pairs = 0;
+  std::int32_t strata = 0;
+  double yield = 0.0;
+  double ci95 = 0.0;
+};
+
+template <>
+struct Fields<StratYieldResult> {
+  static constexpr std::uint8_t kSchema = 1;
+  static void each(auto& v, auto&& f) {
+    f("chips", v.chips);
+    f("pairs", v.pairs);
+    f("strata", v.strata);
+    f("yield", v.yield);
+    f("ci95", v.ci95);
+  }
+};
+
+struct BridgeYieldResult {
+  double yield = 0.0;
+  double c = 0.0;          ///< normalized excursion limit
+  double sigma_inl = 0.0;  ///< bridge scale [LSB]
+};
+
+template <>
+struct Fields<BridgeYieldResult> {
+  static constexpr std::uint8_t kSchema = 1;
+  static void each(auto& v, auto&& f) {
+    f("yield", v.yield);
+    f("c", v.c);
+    f("sigma_inl", v.sigma_inl);
+  }
+};
+
+struct DynSpectrumResult {
+  std::int64_t chips = 0;  ///< chips actually evaluated
+  std::int64_t pass = 0;
+  double yield = 0.0;
+  double ci95 = 0.0;
+  double sfdr_mean_db = 0.0;  ///< waveform-MC mean in-band SFDR
+  double sfdr_min_db = 0.0;
+  double sndr_mean_db = 0.0;
+  double ete_sfdr_mean_db = 0.0;  ///< ETE-predicted mean SFDR (cross-check)
+  std::int32_t cells = 0;         ///< resolved cell count of the weighting
+};
+
+template <>
+struct Fields<DynSpectrumResult> {
+  static constexpr std::uint8_t kSchema = 1;
+  static void each(auto& v, auto&& f) {
+    f("chips", v.chips);
+    f("pass", v.pass);
+    f("yield", v.yield);
+    f("ci95", v.ci95);
+    f("sfdr_mean_db", v.sfdr_mean_db);
+    f("sfdr_min_db", v.sfdr_min_db);
+    f("sndr_mean_db", v.sndr_mean_db);
+    f("ete_sfdr_mean_db", v.ete_sfdr_mean_db);
+    f("cells", v.cells);
+  }
+};
+
+struct ArchPoint {
+  std::uint8_t scheme = 0;  ///< arch::WeightingKind
+  std::int32_t param = 0;   ///< resolved split / cell budget
+  std::int32_t cells = 0;
+  double inl_yield = 0.0;
+  double inl_ci95 = 0.0;
+  double sfdr_db = 0.0;      ///< mean waveform-MC SFDR over dyn_chips
+  double ete_sfdr_db = 0.0;  ///< mean ETE-predicted SFDR, same draws
+  double activity = 0.0;     ///< timing-distortion proxy sum w^2 N
+};
+
+template <>
+struct Fields<ArchPoint> {
+  static void each(auto& v, auto&& f) {
+    f("scheme", v.scheme);
+    f("param", v.param);
+    f("cells", v.cells);
+    f("inl_yield", v.inl_yield);
+    f("inl_ci95", v.inl_ci95);
+    f("sfdr_db", v.sfdr_db);
+    f("ete_sfdr_db", v.ete_sfdr_db);
+    f("activity", v.activity);
+  }
+};
+
+struct ArchCompareResult {
+  std::vector<ArchPoint> points;
+};
+
+template <>
+struct Fields<ArchCompareResult> {
+  static constexpr std::uint8_t kSchema = 1;
+  static void each(auto& v, auto&& f) { f("points", v.points); }
+};
+
+/// kSpiceMc reuses the runner's own result struct (fixed-width fields).
+using SpiceMcResult = dacgen::SpiceMcResult;
+
+template <>
+struct Fields<SpiceMcResult> {
+  static constexpr std::uint8_t kSchema = 1;
+  static void each(auto& v, auto&& f) {
+    f("chips", v.chips);
+    f("pass", v.pass);
+    f("yield", v.yield);
+    f("ci95", v.ci95);
+    f("inl_mean", v.inl_mean);
+    f("inl_worst", v.inl_worst);
+    f("newton_iters", v.newton_iters);
+    f("factorizations", v.factorizations);
+    f("refactorizations", v.refactorizations);
+    f("warm_starts", v.warm_starts);
+    f("warm_start_hits", v.warm_start_hits);
+    f("device_evals", v.device_evals);
+    f("warm_start_hit_rate", v.warm_start_hit_rate);
+  }
+};
+
+using JobValue =
+    std::variant<YieldResult, CalYieldResult, SweepResult, SpectrumSummary,
+                 IsYieldResult, StratYieldResult, BridgeYieldResult,
+                 DynSpectrumResult, ArchCompareResult, SpiceMcResult>;
+
+// --- Jobs ------------------------------------------------------------------
+//
+// Every job names its kind, its wire name and its result type. Adding a
+// kind: README "Typed jobs".
+
 /// Monte-Carlo INL (or DNL) parametric yield. With `adaptive`, `chips` is
 /// the hard cap and the Wilson-CI early-stopping rule decides the actual
 /// count — still thread-count invariant, so still cacheable.
 struct InlYieldJob {
+  static constexpr JobKind kKind = JobKind::kInlYield;
+  static constexpr std::string_view kName = "inl_yield";
+  using Result = YieldResult;
   core::DacSpec spec;
   double sigma_unit = 0.0;
   int chips = 1000;
@@ -68,6 +321,9 @@ struct InlYieldJob {
 
 /// Calibration-in-the-loop yield (pre/post trim).
 struct CalYieldJob {
+  static constexpr JobKind kKind = JobKind::kCalYield;
+  static constexpr std::string_view kName = "cal_yield";
+  using Result = CalYieldResult;
   core::DacSpec spec;
   double sigma_unit = 0.0;
   dac::CalibrationOptions cal;
@@ -78,6 +334,9 @@ struct CalYieldJob {
 
 /// Basic-cell design-space grid (row-major DesignPoint output).
 struct SweepBasicJob {
+  static constexpr JobKind kKind = JobKind::kSweepBasic;
+  static constexpr std::string_view kName = "sweep_basic";
+  using Result = SweepResult;
   core::DacSpec spec;
   tech::MosTechParams tech;
   core::GridAxis cs;
@@ -88,6 +347,9 @@ struct SweepBasicJob {
 
 /// Cascode-cell design-space volume.
 struct SweepCascodeJob {
+  static constexpr JobKind kKind = JobKind::kSweepCascode;
+  static constexpr std::string_view kName = "sweep_cascode";
+  using Result = SweepResult;
   core::DacSpec spec;
   tech::MosTechParams tech;
   core::GridAxis cs;
@@ -101,6 +363,9 @@ struct SweepCascodeJob {
 /// Behavioral-model spectrum of a coherent sine capture (Fig. 8 style):
 /// one mismatch draw, dynamic waveform synthesis, DFT metrics.
 struct SpectrumJob {
+  static constexpr JobKind kKind = JobKind::kSpectrum;
+  static constexpr std::string_view kName = "spectrum";
+  using Result = SpectrumSummary;
   core::DacSpec spec;
   double sigma_unit = 0.0;  ///< 0 = ideal (mismatch-free) sources
   std::uint64_t seed = 0;   ///< mismatch stream (and jitter stream if any)
@@ -114,6 +379,9 @@ struct SpectrumJob {
 /// tilted along the first `modes` bridge modes by `sigma_scale` and each
 /// chip reweighted by the exact likelihood ratio (dac::inl_yield_is).
 struct InlYieldIsJob {
+  static constexpr JobKind kKind = JobKind::kInlYieldIs;
+  static constexpr std::string_view kName = "inl_yield_is";
+  using Result = IsYieldResult;
   core::DacSpec spec;
   double sigma_unit = 0.0;
   double sigma_scale = 2.2;  ///< first-mode tilt, >= 1 (1 = plain MC)
@@ -128,6 +396,9 @@ struct InlYieldIsJob {
 /// half-normal first-mode magnitude over `strata` equal-probability bins,
 /// reflected within the bin for the antithetic pair member.
 struct InlYieldStratJob {
+  static constexpr JobKind kKind = JobKind::kInlYieldStrat;
+  static constexpr std::string_view kName = "inl_yield_strat";
+  using Result = StratYieldResult;
   core::DacSpec spec;
   double sigma_unit = 0.0;
   int strata = 16;
@@ -140,6 +411,9 @@ struct InlYieldStratJob {
 /// Closed-form Brownian-bridge INL-excursion surrogate (no sampling;
 /// dac::inl_yield_bridge). sigma_unit must be > 0.
 struct InlYieldBridgeJob {
+  static constexpr JobKind kKind = JobKind::kInlYieldBridge;
+  static constexpr std::string_view kName = "inl_yield_bridge";
+  using Result = BridgeYieldResult;
   core::DacSpec spec;
   double sigma_unit = 0.0;
   double limit = 0.5;
@@ -152,6 +426,9 @@ struct InlYieldBridgeJob {
 /// The ETE prediction runs on the same draws as a cross-check. With
 /// `adaptive`, Wilson-CI early stopping as in InlYieldJob.
 struct DynSpectrumJob {
+  static constexpr JobKind kKind = JobKind::kDynSpectrum;
+  static constexpr std::string_view kName = "dyn_spectrum";
+  using Result = DynSpectrumResult;
   core::DacSpec spec;
   arch::WeightingKind scheme = arch::WeightingKind::kSegmented;
   /// Segmented: binary split (0 = spec default). Optimized: cell budget
@@ -174,6 +451,9 @@ struct DynSpectrumJob {
 /// reporting amplitude-INL yield (common-random-numbers unit pool shared
 /// across architectures) and timing-limited SFDR side by side.
 struct ArchCompareJob {
+  static constexpr JobKind kKind = JobKind::kArchCompare;
+  static constexpr std::string_view kName = "arch_compare";
+  using Result = ArchCompareResult;
   core::DacSpec spec;
   double sigma_unit = 0.0;  ///< relative unit-current mismatch sigma
   arch::TimingParams timing;
@@ -195,6 +475,9 @@ struct ArchCompareJob {
 /// MNA-solved transfer functions. The unit cell is sized inside the job
 /// from (spec, tech, vod_*), so the job stays fully value-specified.
 struct SpiceMcJob {
+  static constexpr JobKind kKind = JobKind::kSpiceMc;
+  static constexpr std::string_view kName = "spice_mc";
+  using Result = SpiceMcResult;
   core::DacSpec spec;
   tech::MosTechParams tech;
   double vod_cs = 0.25;
@@ -209,99 +492,27 @@ struct SpiceMcJob {
   bool with_caps = false;
 };
 
+/// The kind table: alternative i is the job of JobKind(i + 1).
 using Job = std::variant<InlYieldJob, CalYieldJob, SweepBasicJob,
                          SweepCascodeJob, SpectrumJob, InlYieldIsJob,
                          InlYieldStratJob, InlYieldBridgeJob, DynSpectrumJob,
                          ArchCompareJob, SpiceMcJob>;
 
-JobKind job_kind(const Job& job);
+inline constexpr std::size_t kNumKinds = std::variant_size_v<Job>;
 
-// --- Results ---------------------------------------------------------------
+// The kind byte is hashed into every cache key: reordering the
+// alternatives would silently re-key (and mis-serve) every cached result.
+static_assert(
+    []<std::size_t... I>(std::index_sequence<I...>) {
+      return ((std::variant_alternative_t<I, Job>::kKind ==
+               static_cast<JobKind>(I + 1)) &&
+              ...);
+    }(std::make_index_sequence<kNumKinds>{}),
+    "Job alternatives must be in JobKind order");
 
-struct YieldResult {
-  std::int64_t chips = 0;  ///< chips actually evaluated
-  std::int64_t pass = 0;
-  double yield = 0.0;
-  double ci95 = 0.0;
-};
-
-struct CalYieldResult {
-  std::int64_t chips = 0;
-  double yield_before = 0.0;
-  double yield_after = 0.0;
-};
-
-struct SweepResult {
-  std::vector<core::DesignPoint> points;  ///< row-major over the axes
-};
-
-struct SpectrumSummary {
-  double sfdr_db = 0.0;
-  double sndr_db = 0.0;
-  double thd_db = 0.0;
-  double enob = 0.0;
-};
-
-struct IsYieldResult {
-  std::int64_t chips = 0;
-  std::int64_t fails = 0;  ///< raw failures under the inflated proposal
-  double yield = 0.0;      ///< 1 - self-normalized failure probability
-  double ci95 = 0.0;       ///< delta-method 95 % half-width
-  double ess = 0.0;
-  double ess_fraction = 0.0;
-  double log_weight_max = 0.0;
-  double log_weight_min = 0.0;
-  bool low_ess = false;  ///< ess_fraction below the trust threshold
-};
-
-struct StratYieldResult {
-  std::int64_t chips = 0;
-  std::int64_t pairs = 0;
-  std::int32_t strata = 0;
-  double yield = 0.0;
-  double ci95 = 0.0;
-};
-
-struct BridgeYieldResult {
-  double yield = 0.0;
-  double c = 0.0;          ///< normalized excursion limit
-  double sigma_inl = 0.0;  ///< bridge scale [LSB]
-};
-
-struct DynSpectrumResult {
-  std::int64_t chips = 0;  ///< chips actually evaluated
-  std::int64_t pass = 0;
-  double yield = 0.0;
-  double ci95 = 0.0;
-  double sfdr_mean_db = 0.0;  ///< waveform-MC mean in-band SFDR
-  double sfdr_min_db = 0.0;
-  double sndr_mean_db = 0.0;
-  double ete_sfdr_mean_db = 0.0;  ///< ETE-predicted mean SFDR (cross-check)
-  std::int32_t cells = 0;         ///< resolved cell count of the weighting
-};
-
-struct ArchPoint {
-  std::uint8_t scheme = 0;  ///< arch::WeightingKind
-  std::int32_t param = 0;   ///< resolved split / cell budget
-  std::int32_t cells = 0;
-  double inl_yield = 0.0;
-  double inl_ci95 = 0.0;
-  double sfdr_db = 0.0;      ///< mean waveform-MC SFDR over dyn_chips
-  double ete_sfdr_db = 0.0;  ///< mean ETE-predicted SFDR, same draws
-  double activity = 0.0;     ///< timing-distortion proxy sum w^2 N
-};
-
-struct ArchCompareResult {
-  std::vector<ArchPoint> points;
-};
-
-/// kSpiceMc reuses the runner's own result struct (fixed-width fields).
-using SpiceMcResult = dacgen::SpiceMcResult;
-
-using JobValue =
-    std::variant<YieldResult, CalYieldResult, SweepResult, SpectrumSummary,
-                 IsYieldResult, StratYieldResult, BridgeYieldResult,
-                 DynSpectrumResult, ArchCompareResult, SpiceMcResult>;
+inline JobKind job_kind(const Job& job) {
+  return static_cast<JobKind>(job.index() + 1);
+}
 
 // --- Key and result codec --------------------------------------------------
 

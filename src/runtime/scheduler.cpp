@@ -203,28 +203,35 @@ void Scheduler::worker_loop(int /*worker*/) {
                               .count();
     m.job_us.observe(static_cast<std::int64_t>(wall_s * 1e6));
 
-    // Resolve the future BEFORE leaving the in-flight table, so a
-    // duplicate submit racing with completion either joins a resolved
-    // task or misses the table and hits the cache tiers — never recomputes
-    // a result that is milliseconds from materializing.
+    // Leave the in-flight table BEFORE resolving the future.
+    // JobExecutor::run has already stored the result in the cache tiers,
+    // so a duplicate submit arriving in the gap hits the cache. Resolving
+    // first would let a client that got this reply and resent at once
+    // join the finished task and be answered with its "deduped" miss
+    // record and compute stages instead of a cache hit. The client's
+    // admission slot frees only AFTER the future resolves, so a submit
+    // blocked on the per-client cap never returns ahead of the result
+    // that freed its slot.
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      inflight_.erase(task->key);
+      ++counters_.completed;
+      m.inflight.set(static_cast<double>(inflight_.size()));
+    }
+    m.completed.add(1);
     if (error) {
       task->promise.set_exception(error);
     } else {
       task->promise.set_value(std::move(result));
     }
-
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      inflight_.erase(task->key);
       if (--client_load_[task->client] == 0) {
         client_load_.erase(task->client);
         // Queues for idle clients stay around (empty deques are cheap and
         // keep the round-robin order stable for returning clients).
       }
-      ++counters_.completed;
-      m.inflight.set(static_cast<double>(inflight_.size()));
     }
-    m.completed.add(1);
     cv_slot_.notify_all();
   }
 }

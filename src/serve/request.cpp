@@ -151,242 +151,244 @@ arch::WeightingKind parse_scheme(const runtime::JsonValue& job) {
   return kind;
 }
 
+/// "<kind> <msg>" as a bad_job error.
+template <typename J>
+[[noreturn]] void bad_kind(const J&, const std::string& msg) {
+  bad_job(std::string(J::kName) + " " + msg);
+}
+
+// Per-kind field parsing and bounds checks, one overload per job type,
+// with j.spec already parsed and validated.
+
+void parse(runtime::InlYieldJob& j, const runtime::JsonValue& job) {
+  j.sigma_unit = parse_sigma(job, j.spec, 1.0);
+  j.chips = static_cast<int>(bounded_int(job, "chips", 1000, 1, kMaxChips));
+  j.seed = static_cast<std::uint64_t>(job.int_or("seed", 1000));
+  j.limit = job.number_or("limit", 0.5);
+  j.dnl = job.string_or("kind", "") == "dnl_yield";
+  j.ref = parse_ref(job);
+  j.adaptive = job.bool_or("adaptive", false);
+  j.min_chips = static_cast<int>(
+      bounded_int(job, "min_chips", j.min_chips, 1, kMaxChips));
+  j.batch =
+      static_cast<int>(bounded_int(job, "batch", j.batch, 1, kMaxChips));
+  j.ci_half_width = job.number_or("ci_half_width", j.ci_half_width);
+}
+
+void parse(runtime::CalYieldJob& j, const runtime::JsonValue& job) {
+  j.sigma_unit = parse_sigma(job, j.spec, 1.0);
+  j.cal.range_lsb = job.number_or("cal_range_lsb", j.cal.range_lsb);
+  j.cal.bits = static_cast<int>(
+      bounded_int(job, "cal_bits", j.cal.bits, 1, 24));
+  j.cal.measure_noise_lsb =
+      job.number_or("cal_noise_lsb", j.cal.measure_noise_lsb);
+  j.chips = static_cast<int>(bounded_int(job, "chips", 1000, 1, kMaxChips));
+  j.seed = static_cast<std::uint64_t>(job.int_or("seed", 1000));
+  j.limit = job.number_or("limit", 0.5);
+}
+
+void parse(runtime::SweepBasicJob& j, const runtime::JsonValue& job) {
+  j.tech = parse_tech(job);
+  j.cs = parse_axis(job, "cs");
+  j.sw = parse_axis(job, "sw");
+  j.policy = parse_policy(job);
+  j.fixed_margin = job.number_or("fixed_margin", j.fixed_margin);
+}
+
+void parse(runtime::SweepCascodeJob& j, const runtime::JsonValue& job) {
+  j.tech = parse_tech(job);
+  j.cs = parse_axis(job, "cs");
+  j.sw = parse_axis(job, "sw");
+  j.cas = parse_axis(job, "cas");
+  j.policy = parse_policy(job);
+  j.fixed_margin = job.number_or("fixed_margin", j.fixed_margin);
+  const std::string agg = job.string_or("agg", "max");
+  if (agg == "rss") j.agg = core::SigmaAggregation::kRss;
+  else if (agg != "max") bad_job("bad agg '" + agg + "'");
+}
+
+void parse(runtime::SpectrumJob& j, const runtime::JsonValue& job) {
+  // Spectrum questions default to the mismatch-free converter; ask for
+  // matching effects with sigma_mult/sigma_unit.
+  j.sigma_unit = parse_sigma(job, j.spec, 0.0);
+  j.seed = static_cast<std::uint64_t>(job.int_or("seed", 2003));
+  j.dyn.fs = bounded_number(job, "fs", j.dyn.fs, 1.0, 1e12);
+  j.dyn.oversample = static_cast<int>(
+      bounded_int(job, "oversample", j.dyn.oversample, 2, 256));
+  j.dyn.tau = bounded_number(job, "tau", j.dyn.tau, 1e-15, 1.0);
+  j.dyn.rout_unit =
+      bounded_number(job, "rout_unit", j.dyn.rout_unit, 1e-3, 1e18);
+  j.dyn.binary_skew =
+      bounded_number(job, "binary_skew", j.dyn.binary_skew, 0.0, 1.0);
+  j.dyn.jitter_sigma =
+      bounded_number(job, "jitter_sigma", j.dyn.jitter_sigma, 0.0, 1.0);
+  j.dyn.feedthrough_lsb = bounded_number(job, "feedthrough_lsb",
+                                         j.dyn.feedthrough_lsb, -1e3, 1e3);
+  try {
+    j.dyn.validate();  // cross-field rules (skew vs period, ...)
+  } catch (const std::exception& e) {
+    bad_job(std::string("bad dynamic params: ") + e.what());
+  }
+  j.n_samples = static_cast<int>(
+      bounded_int(job, "n_samples", j.n_samples, 8, kMaxSamples));
+  if (static_cast<std::int64_t>(j.n_samples) * j.dyn.oversample >
+      kMaxWavePoints) {
+    bad_job("n_samples * oversample exceeds the waveform ceiling");
+  }
+  j.cycles = static_cast<int>(
+      bounded_int(job, "cycles", j.cycles, 1, kMaxSamples));
+  j.differential = job.bool_or("differential", true);
+}
+
+void parse(runtime::InlYieldIsJob& j, const runtime::JsonValue& job) {
+  j.sigma_unit = parse_sigma(job, j.spec, 1.0);
+  j.sigma_scale = job.number_or("sigma_scale", j.sigma_scale);
+  if (!(j.sigma_scale >= 1.0 && j.sigma_scale <= kMaxSigmaScale)) {
+    bad_job("'sigma_scale' out of range [1, 8]");
+  }
+  j.modes = static_cast<int>(bounded_int(job, "modes", j.modes, 1,
+                                         kMaxIsModes));
+  j.chips = static_cast<int>(bounded_int(job, "chips", 1000, 1, kMaxChips));
+  j.seed = static_cast<std::uint64_t>(job.int_or("seed", 1000));
+  j.limit = job.number_or("limit", 0.5);
+  j.ref = parse_ref(job);
+}
+
+void parse(runtime::InlYieldStratJob& j, const runtime::JsonValue& job) {
+  j.sigma_unit = parse_sigma(job, j.spec, 1.0);
+  j.strata =
+      static_cast<int>(bounded_int(job, "strata", j.strata, 1, kMaxStrata));
+  j.chips = static_cast<int>(bounded_int(job, "chips", 1000, 2, kMaxChips));
+  if (j.chips / 2 < j.strata) bad_job("fewer chip pairs than strata");
+  if (j.spec.num_unary() < 2) {
+    bad_kind(j, "needs a thermometer segment (num_unary >= 2)");
+  }
+  j.seed = static_cast<std::uint64_t>(job.int_or("seed", 1000));
+  j.limit = job.number_or("limit", 0.5);
+  j.ref = parse_ref(job);
+}
+
+void parse(runtime::InlYieldBridgeJob& j, const runtime::JsonValue& job) {
+  j.sigma_unit = parse_sigma(job, j.spec, 1.0);
+  if (!(j.sigma_unit > 0.0)) bad_kind(j, "needs sigma > 0");
+  j.limit = job.number_or("limit", 0.5);
+  if (!(j.limit > 0.0)) bad_kind(j, "needs limit > 0");
+}
+
+void parse(runtime::DynSpectrumJob& j, const runtime::JsonValue& job) {
+  if (j.spec.nbits > kMaxArchBits) {
+    bad_kind(j, "supports nbits <= " + std::to_string(kMaxArchBits));
+  }
+  j.scheme = parse_scheme(job);
+  j.scheme_param = static_cast<int>(
+      bounded_int(job, "scheme_param", 0, 0, (1 << j.spec.nbits) - 1));
+  if ((j.scheme == arch::WeightingKind::kBinary ||
+       j.scheme == arch::WeightingKind::kUnary) &&
+      j.scheme_param != 0) {
+    bad_job("scheme_param only applies to segmented/optimized schemes");
+  }
+  if (j.scheme == arch::WeightingKind::kSegmented &&
+      j.scheme_param >= j.spec.nbits) {
+    bad_job("segmented scheme_param must be < nbits");
+  }
+  if (j.scheme == arch::WeightingKind::kOptimized &&
+      j.scheme_param != 0 && j.scheme_param < j.spec.nbits) {
+    bad_job("optimized scheme_param (cell budget) must be >= nbits");
+  }
+  j.n_samples = static_cast<int>(
+      bounded_int(job, "n_samples", j.n_samples, 32, kMaxDynSamples));
+  j.cycles = parse_cycles(job, j.n_samples, j.cycles);
+  j.timing = parse_timing(job, j.n_samples);
+  j.sfdr_limit_db =
+      bounded_number(job, "sfdr_limit_db", j.sfdr_limit_db, 0.0, 200.0);
+  j.chips =
+      static_cast<int>(bounded_int(job, "chips", j.chips, 1, kMaxDynChips));
+  j.seed = static_cast<std::uint64_t>(job.int_or("seed", 1000));
+  j.adaptive = job.bool_or("adaptive", false);
+  j.min_chips = static_cast<int>(
+      bounded_int(job, "min_chips", j.min_chips, 1, kMaxDynChips));
+  j.batch = static_cast<int>(
+      bounded_int(job, "batch", j.batch, 1, kMaxDynChips));
+  j.ci_half_width =
+      bounded_number(job, "ci_half_width", j.ci_half_width, 0.0, 1.0);
+}
+
+void parse(runtime::ArchCompareJob& j, const runtime::JsonValue& job) {
+  if (j.spec.nbits > kMaxArchBits) {
+    bad_kind(j, "supports nbits <= " + std::to_string(kMaxArchBits));
+  }
+  j.sigma_unit = parse_sigma(job, j.spec, 1.0);
+  j.n_samples = static_cast<int>(
+      bounded_int(job, "n_samples", j.n_samples, 32, kMaxDynSamples));
+  j.cycles = parse_cycles(job, j.n_samples, j.cycles);
+  j.timing = parse_timing(job, j.n_samples);
+  j.chips = static_cast<int>(
+      bounded_int(job, "chips", j.chips, 1, kMaxArchChips));
+  j.dyn_chips = static_cast<int>(
+      bounded_int(job, "dyn_chips", j.dyn_chips, 1, 64));
+  j.seed = static_cast<std::uint64_t>(job.int_or("seed", 1000));
+  j.limit = bounded_number(job, "limit", j.limit, 1e-6, 1e3);
+  j.seg_lo = static_cast<int>(
+      bounded_int(job, "seg_lo", j.seg_lo, 1, j.spec.nbits - 1));
+  j.seg_hi = static_cast<int>(
+      bounded_int(job, "seg_hi", std::min(j.seg_hi, j.spec.nbits - 1), 1,
+                  j.spec.nbits - 1));
+  if (j.seg_hi < j.seg_lo) bad_job("seg_hi must be >= seg_lo");
+  j.include_unary = job.bool_or("include_unary", false);
+  if (j.include_unary && j.spec.nbits > 10) {
+    bad_job("include_unary supports nbits <= 10 (cell count explodes)");
+  }
+  j.opt_cells = static_cast<int>(
+      bounded_int(job, "opt_cells", 0, 0, (1 << j.spec.nbits) - 1));
+  if (j.opt_cells != 0 && j.opt_cells < j.spec.nbits) {
+    bad_job("opt_cells must be 0 (default) or >= nbits");
+  }
+}
+
+void parse(runtime::SpiceMcJob& j, const runtime::JsonValue& job) {
+  if (j.spec.nbits > kMaxSpiceBits) {
+    bad_kind(j, "supports nbits <= " + std::to_string(kMaxSpiceBits));
+  }
+  j.tech = parse_tech(job);
+  j.vod_cs = bounded_number(job, "vod_cs", j.vod_cs, 0.01, 2.0);
+  j.vod_sw = bounded_number(job, "vod_sw", j.vod_sw, 0.01, 2.0);
+  j.vod_cas = bounded_number(job, "vod_cas", j.vod_cas, 0.01, 2.0);
+  j.cascode = job.bool_or("cascode", true);
+  j.chips = static_cast<int>(
+      bounded_int(job, "chips", j.chips, 1, kMaxSpiceChips));
+  j.seed = static_cast<std::uint64_t>(job.int_or("seed", 1000));
+  j.limit = bounded_number(job, "limit", j.limit, 1e-6, 1e3);
+  j.sigma_scale =
+      bounded_number(job, "sigma_scale", 1.0, 0.0, kMaxSigmaScale);
+  j.differential = job.bool_or("differential", true);
+  j.with_caps = job.bool_or("with_caps", false);
+}
+
+/// Finds the job type whose kName is `kind` and parses the job as it.
+template <std::size_t I = 0>
+runtime::Job parse_as(std::string_view kind, const core::DacSpec& spec,
+                      const runtime::JsonValue& job) {
+  if constexpr (I == runtime::kNumKinds) {
+    bad_job("unknown job kind '" + std::string(kind) + "'");
+  } else {
+    using J = std::variant_alternative_t<I, runtime::Job>;
+    if (kind != J::kName) return parse_as<I + 1>(kind, spec, job);
+    J j;
+    j.spec = spec;
+    parse(j, job);
+    return j;
+  }
+}
+
 }  // namespace
 
 runtime::Job parse_job(const runtime::JsonValue& job) {
   if (!job.is_object()) bad_job("job entries must be objects");
   const std::string kind = job.string_or("kind", "");
   const core::DacSpec spec = parse_spec(job);
-
-  if (kind == "inl_yield" || kind == "dnl_yield") {
-    runtime::InlYieldJob j;
-    j.spec = spec;
-    j.sigma_unit = parse_sigma(job, spec, 1.0);
-    j.chips = static_cast<int>(bounded_int(job, "chips", 1000, 1, kMaxChips));
-    j.seed = static_cast<std::uint64_t>(job.int_or("seed", 1000));
-    j.limit = job.number_or("limit", 0.5);
-    j.dnl = kind == "dnl_yield";
-    j.ref = parse_ref(job);
-    j.adaptive = job.bool_or("adaptive", false);
-    j.min_chips = static_cast<int>(
-        bounded_int(job, "min_chips", j.min_chips, 1, kMaxChips));
-    j.batch =
-        static_cast<int>(bounded_int(job, "batch", j.batch, 1, kMaxChips));
-    j.ci_half_width = job.number_or("ci_half_width", j.ci_half_width);
-    return j;
-  }
-  if (kind == "cal_yield") {
-    runtime::CalYieldJob j;
-    j.spec = spec;
-    j.sigma_unit = parse_sigma(job, spec, 1.0);
-    j.cal.range_lsb = job.number_or("cal_range_lsb", j.cal.range_lsb);
-    j.cal.bits = static_cast<int>(
-        bounded_int(job, "cal_bits", j.cal.bits, 1, 24));
-    j.cal.measure_noise_lsb =
-        job.number_or("cal_noise_lsb", j.cal.measure_noise_lsb);
-    j.chips = static_cast<int>(bounded_int(job, "chips", 1000, 1, kMaxChips));
-    j.seed = static_cast<std::uint64_t>(job.int_or("seed", 1000));
-    j.limit = job.number_or("limit", 0.5);
-    return j;
-  }
-  if (kind == "sweep_basic") {
-    runtime::SweepBasicJob j;
-    j.spec = spec;
-    j.tech = parse_tech(job);
-    j.cs = parse_axis(job, "cs");
-    j.sw = parse_axis(job, "sw");
-    j.policy = parse_policy(job);
-    j.fixed_margin = job.number_or("fixed_margin", j.fixed_margin);
-    return j;
-  }
-  if (kind == "sweep_cascode") {
-    runtime::SweepCascodeJob j;
-    j.spec = spec;
-    j.tech = parse_tech(job);
-    j.cs = parse_axis(job, "cs");
-    j.sw = parse_axis(job, "sw");
-    j.cas = parse_axis(job, "cas");
-    j.policy = parse_policy(job);
-    j.fixed_margin = job.number_or("fixed_margin", j.fixed_margin);
-    const std::string agg = job.string_or("agg", "max");
-    if (agg == "rss") j.agg = core::SigmaAggregation::kRss;
-    else if (agg != "max") bad_job("bad agg '" + agg + "'");
-    return j;
-  }
-  if (kind == "spectrum") {
-    runtime::SpectrumJob j;
-    j.spec = spec;
-    // Spectrum questions default to the mismatch-free converter; ask for
-    // matching effects with sigma_mult/sigma_unit.
-    j.sigma_unit = parse_sigma(job, spec, 0.0);
-    j.seed = static_cast<std::uint64_t>(job.int_or("seed", 2003));
-    j.dyn.fs = bounded_number(job, "fs", j.dyn.fs, 1.0, 1e12);
-    j.dyn.oversample = static_cast<int>(
-        bounded_int(job, "oversample", j.dyn.oversample, 2, 256));
-    j.dyn.tau = bounded_number(job, "tau", j.dyn.tau, 1e-15, 1.0);
-    j.dyn.rout_unit =
-        bounded_number(job, "rout_unit", j.dyn.rout_unit, 1e-3, 1e18);
-    j.dyn.binary_skew =
-        bounded_number(job, "binary_skew", j.dyn.binary_skew, 0.0, 1.0);
-    j.dyn.jitter_sigma =
-        bounded_number(job, "jitter_sigma", j.dyn.jitter_sigma, 0.0, 1.0);
-    j.dyn.feedthrough_lsb = bounded_number(job, "feedthrough_lsb",
-                                           j.dyn.feedthrough_lsb, -1e3, 1e3);
-    try {
-      j.dyn.validate();  // cross-field rules (skew vs period, ...)
-    } catch (const std::exception& e) {
-      bad_job(std::string("bad dynamic params: ") + e.what());
-    }
-    j.n_samples = static_cast<int>(
-        bounded_int(job, "n_samples", j.n_samples, 8, kMaxSamples));
-    if (static_cast<std::int64_t>(j.n_samples) * j.dyn.oversample >
-        kMaxWavePoints) {
-      bad_job("n_samples * oversample exceeds the waveform ceiling");
-    }
-    j.cycles = static_cast<int>(
-        bounded_int(job, "cycles", j.cycles, 1, kMaxSamples));
-    j.differential = job.bool_or("differential", true);
-    return j;
-  }
-  if (kind == "inl_yield_is") {
-    runtime::InlYieldIsJob j;
-    j.spec = spec;
-    j.sigma_unit = parse_sigma(job, spec, 1.0);
-    j.sigma_scale = job.number_or("sigma_scale", j.sigma_scale);
-    if (!(j.sigma_scale >= 1.0 && j.sigma_scale <= kMaxSigmaScale)) {
-      bad_job("'sigma_scale' out of range [1, 8]");
-    }
-    j.modes = static_cast<int>(bounded_int(job, "modes", j.modes, 1,
-                                           kMaxIsModes));
-    j.chips = static_cast<int>(bounded_int(job, "chips", 1000, 1, kMaxChips));
-    j.seed = static_cast<std::uint64_t>(job.int_or("seed", 1000));
-    j.limit = job.number_or("limit", 0.5);
-    j.ref = parse_ref(job);
-    return j;
-  }
-  if (kind == "inl_yield_strat") {
-    runtime::InlYieldStratJob j;
-    j.spec = spec;
-    j.sigma_unit = parse_sigma(job, spec, 1.0);
-    j.strata =
-        static_cast<int>(bounded_int(job, "strata", j.strata, 1, kMaxStrata));
-    j.chips = static_cast<int>(bounded_int(job, "chips", 1000, 2, kMaxChips));
-    if (j.chips / 2 < j.strata) bad_job("fewer chip pairs than strata");
-    if (spec.num_unary() < 2) {
-      bad_job("inl_yield_strat needs a thermometer segment (num_unary >= 2)");
-    }
-    j.seed = static_cast<std::uint64_t>(job.int_or("seed", 1000));
-    j.limit = job.number_or("limit", 0.5);
-    j.ref = parse_ref(job);
-    return j;
-  }
-  if (kind == "dyn_spectrum") {
-    runtime::DynSpectrumJob j;
-    j.spec = spec;
-    if (spec.nbits > kMaxArchBits) {
-      bad_job("dyn_spectrum supports nbits <= " +
-              std::to_string(kMaxArchBits));
-    }
-    j.scheme = parse_scheme(job);
-    j.scheme_param = static_cast<int>(
-        bounded_int(job, "scheme_param", 0, 0, (1 << spec.nbits) - 1));
-    if ((j.scheme == arch::WeightingKind::kBinary ||
-         j.scheme == arch::WeightingKind::kUnary) &&
-        j.scheme_param != 0) {
-      bad_job("scheme_param only applies to segmented/optimized schemes");
-    }
-    if (j.scheme == arch::WeightingKind::kSegmented &&
-        j.scheme_param >= spec.nbits) {
-      bad_job("segmented scheme_param must be < nbits");
-    }
-    if (j.scheme == arch::WeightingKind::kOptimized &&
-        j.scheme_param != 0 && j.scheme_param < spec.nbits) {
-      bad_job("optimized scheme_param (cell budget) must be >= nbits");
-    }
-    j.n_samples = static_cast<int>(
-        bounded_int(job, "n_samples", j.n_samples, 32, kMaxDynSamples));
-    j.cycles = parse_cycles(job, j.n_samples, j.cycles);
-    j.timing = parse_timing(job, j.n_samples);
-    j.sfdr_limit_db =
-        bounded_number(job, "sfdr_limit_db", j.sfdr_limit_db, 0.0, 200.0);
-    j.chips =
-        static_cast<int>(bounded_int(job, "chips", j.chips, 1, kMaxDynChips));
-    j.seed = static_cast<std::uint64_t>(job.int_or("seed", 1000));
-    j.adaptive = job.bool_or("adaptive", false);
-    j.min_chips = static_cast<int>(
-        bounded_int(job, "min_chips", j.min_chips, 1, kMaxDynChips));
-    j.batch = static_cast<int>(
-        bounded_int(job, "batch", j.batch, 1, kMaxDynChips));
-    j.ci_half_width =
-        bounded_number(job, "ci_half_width", j.ci_half_width, 0.0, 1.0);
-    return j;
-  }
-  if (kind == "arch_compare") {
-    runtime::ArchCompareJob j;
-    j.spec = spec;
-    if (spec.nbits > kMaxArchBits) {
-      bad_job("arch_compare supports nbits <= " +
-              std::to_string(kMaxArchBits));
-    }
-    j.sigma_unit = parse_sigma(job, spec, 1.0);
-    j.n_samples = static_cast<int>(
-        bounded_int(job, "n_samples", j.n_samples, 32, kMaxDynSamples));
-    j.cycles = parse_cycles(job, j.n_samples, j.cycles);
-    j.timing = parse_timing(job, j.n_samples);
-    j.chips = static_cast<int>(
-        bounded_int(job, "chips", j.chips, 1, kMaxArchChips));
-    j.dyn_chips = static_cast<int>(
-        bounded_int(job, "dyn_chips", j.dyn_chips, 1, 64));
-    j.seed = static_cast<std::uint64_t>(job.int_or("seed", 1000));
-    j.limit = bounded_number(job, "limit", j.limit, 1e-6, 1e3);
-    j.seg_lo = static_cast<int>(
-        bounded_int(job, "seg_lo", j.seg_lo, 1, spec.nbits - 1));
-    j.seg_hi = static_cast<int>(
-        bounded_int(job, "seg_hi", std::min(j.seg_hi, spec.nbits - 1), 1,
-                    spec.nbits - 1));
-    if (j.seg_hi < j.seg_lo) bad_job("seg_hi must be >= seg_lo");
-    j.include_unary = job.bool_or("include_unary", false);
-    if (j.include_unary && spec.nbits > 10) {
-      bad_job("include_unary supports nbits <= 10 (cell count explodes)");
-    }
-    j.opt_cells = static_cast<int>(
-        bounded_int(job, "opt_cells", 0, 0, (1 << spec.nbits) - 1));
-    if (j.opt_cells != 0 && j.opt_cells < spec.nbits) {
-      bad_job("opt_cells must be 0 (default) or >= nbits");
-    }
-    return j;
-  }
-  if (kind == "spice_mc") {
-    runtime::SpiceMcJob j;
-    j.spec = spec;
-    if (spec.nbits > kMaxSpiceBits) {
-      bad_job("spice_mc supports nbits <= " + std::to_string(kMaxSpiceBits));
-    }
-    j.tech = parse_tech(job);
-    j.vod_cs = bounded_number(job, "vod_cs", j.vod_cs, 0.01, 2.0);
-    j.vod_sw = bounded_number(job, "vod_sw", j.vod_sw, 0.01, 2.0);
-    j.vod_cas = bounded_number(job, "vod_cas", j.vod_cas, 0.01, 2.0);
-    j.cascode = job.bool_or("cascode", true);
-    j.chips = static_cast<int>(
-        bounded_int(job, "chips", j.chips, 1, kMaxSpiceChips));
-    j.seed = static_cast<std::uint64_t>(job.int_or("seed", 1000));
-    j.limit = bounded_number(job, "limit", j.limit, 1e-6, 1e3);
-    j.sigma_scale =
-        bounded_number(job, "sigma_scale", 1.0, 0.0, kMaxSigmaScale);
-    j.differential = job.bool_or("differential", true);
-    j.with_caps = job.bool_or("with_caps", false);
-    return j;
-  }
-  if (kind == "inl_yield_bridge") {
-    runtime::InlYieldBridgeJob j;
-    j.spec = spec;
-    j.sigma_unit = parse_sigma(job, spec, 1.0);
-    if (!(j.sigma_unit > 0.0)) bad_job("inl_yield_bridge needs sigma > 0");
-    j.limit = job.number_or("limit", 0.5);
-    if (!(j.limit > 0.0)) bad_job("inl_yield_bridge needs limit > 0");
-    return j;
-  }
-  bad_job("unknown job kind '" + kind + "'");
+  // "dnl_yield" is inl_yield judged on max|DNL| (see InlYieldJob::dnl).
+  return parse_as(kind == "dnl_yield" ? runtime::InlYieldJob::kName : kind,
+                  spec, job);
 }
 
 std::vector<RequestJob> parse_request(const runtime::JsonValue& request) {

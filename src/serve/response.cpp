@@ -1,6 +1,7 @@
 #include "serve/response.hpp"
 
 #include <optional>
+#include <string_view>
 #include <type_traits>
 
 #include "arch/weighting.hpp"
@@ -8,116 +9,70 @@
 
 namespace csdac::serve {
 
+namespace {
+
+/// Default body: the result's field list, one JSON field per field.
+void emit(bench::JsonWriter& w, const auto& v) {
+  runtime::Fields<std::decay_t<decltype(v)>>::each(
+      v, [&w](std::string_view name, auto x) { w.field(name, x); });
+}
+
+/// Sweeps answer with a summary and the best points, not every point.
+void emit(bench::JsonWriter& w, const runtime::SweepResult& v) {
+  w.field("points", static_cast<std::int64_t>(v.points.size()));
+  std::int64_t feasible = 0;
+  for (const auto& p : v.points) feasible += p.feasible ? 1 : 0;
+  w.field("feasible", feasible);
+  const auto emit_best = [&w](const char* name,
+                              const std::optional<core::DesignPoint>& best) {
+    if (!best) return;
+    w.key(name).begin_object();
+    w.field("vod_cs", best->vod_cs);
+    w.field("vod_sw", best->vod_sw);
+    w.field("vod_cas", best->vod_cas);
+    w.field("area_m2", best->area);
+    w.field("f_min_hz", best->f_min_hz);
+    w.field("t_settle_s", best->t_settle_s);
+    w.end_object();
+  };
+  emit_best("best_min_area", core::DesignSpaceExplorer::select(
+                                 v.points, core::Objective::kMinArea));
+  emit_best("best_max_speed", core::DesignSpaceExplorer::select(
+                                  v.points, core::Objective::kMaxSpeed));
+}
+
+/// Architectures as objects, the scheme byte spelled as its name.
+void emit(bench::JsonWriter& w, const runtime::ArchCompareResult& v) {
+  w.field("points", static_cast<std::int64_t>(v.points.size()));
+  w.key("architectures").begin_array();
+  for (const auto& p : v.points) {
+    w.begin_object();
+    w.field("scheme",
+            arch::weighting_name(static_cast<arch::WeightingKind>(p.scheme)));
+    runtime::Fields<runtime::ArchPoint>::each(
+        p, [&w](std::string_view name, auto x) {
+          if (name != "scheme") w.field(name, x);
+        });
+    w.end_object();
+  }
+  w.end_array();
+}
+
+/// The solver counters, newton_iters onward, nest under "solver".
+void emit(bench::JsonWriter& w, const runtime::SpiceMcResult& v) {
+  runtime::Fields<runtime::SpiceMcResult>::each(
+      v, [&w](std::string_view name, auto x) {
+        if (name == "newton_iters") w.key("solver").begin_object();
+        w.field(name, x);
+      });
+  w.end_object();
+}
+
+}  // namespace
+
 void emit_result(bench::JsonWriter& w, const runtime::JobValue& value) {
   w.key("result").begin_object();
-  std::visit(
-      [&w](const auto& v) {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, runtime::YieldResult>) {
-          w.field("chips", v.chips);
-          w.field("pass", v.pass);
-          w.field("yield", v.yield);
-          w.field("ci95", v.ci95);
-        } else if constexpr (std::is_same_v<T, runtime::CalYieldResult>) {
-          w.field("chips", v.chips);
-          w.field("yield_before", v.yield_before);
-          w.field("yield_after", v.yield_after);
-        } else if constexpr (std::is_same_v<T, runtime::SweepResult>) {
-          w.field("points", static_cast<std::int64_t>(v.points.size()));
-          std::int64_t feasible = 0;
-          for (const auto& p : v.points) feasible += p.feasible ? 1 : 0;
-          w.field("feasible", feasible);
-          const auto emit_best =
-              [&w](const char* name,
-                   const std::optional<core::DesignPoint>& best) {
-                if (!best) return;
-                w.key(name).begin_object();
-                w.field("vod_cs", best->vod_cs);
-                w.field("vod_sw", best->vod_sw);
-                w.field("vod_cas", best->vod_cas);
-                w.field("area_m2", best->area);
-                w.field("f_min_hz", best->f_min_hz);
-                w.field("t_settle_s", best->t_settle_s);
-                w.end_object();
-              };
-          emit_best("best_min_area",
-                    core::DesignSpaceExplorer::select(
-                        v.points, core::Objective::kMinArea));
-          emit_best("best_max_speed",
-                    core::DesignSpaceExplorer::select(
-                        v.points, core::Objective::kMaxSpeed));
-        } else if constexpr (std::is_same_v<T, runtime::SpectrumSummary>) {
-          w.field("sfdr_db", v.sfdr_db);
-          w.field("sndr_db", v.sndr_db);
-          w.field("thd_db", v.thd_db);
-          w.field("enob", v.enob);
-        } else if constexpr (std::is_same_v<T, runtime::IsYieldResult>) {
-          w.field("chips", v.chips);
-          w.field("fails", v.fails);
-          w.field("yield", v.yield);
-          w.field("ci95", v.ci95);
-          w.field("ess", v.ess);
-          w.field("ess_fraction", v.ess_fraction);
-          w.field("log_weight_max", v.log_weight_max);
-          w.field("log_weight_min", v.log_weight_min);
-          w.field("low_ess", v.low_ess);
-        } else if constexpr (std::is_same_v<T, runtime::StratYieldResult>) {
-          w.field("chips", v.chips);
-          w.field("pairs", v.pairs);
-          w.field("strata", static_cast<std::int64_t>(v.strata));
-          w.field("yield", v.yield);
-          w.field("ci95", v.ci95);
-        } else if constexpr (std::is_same_v<T, runtime::BridgeYieldResult>) {
-          w.field("yield", v.yield);
-          w.field("c", v.c);
-          w.field("sigma_inl", v.sigma_inl);
-        } else if constexpr (std::is_same_v<T, runtime::DynSpectrumResult>) {
-          w.field("chips", v.chips);
-          w.field("pass", v.pass);
-          w.field("yield", v.yield);
-          w.field("ci95", v.ci95);
-          w.field("sfdr_mean_db", v.sfdr_mean_db);
-          w.field("sfdr_min_db", v.sfdr_min_db);
-          w.field("sndr_mean_db", v.sndr_mean_db);
-          w.field("ete_sfdr_mean_db", v.ete_sfdr_mean_db);
-          w.field("cells", static_cast<std::int64_t>(v.cells));
-        } else if constexpr (std::is_same_v<T, runtime::ArchCompareResult>) {
-          w.field("points", static_cast<std::int64_t>(v.points.size()));
-          w.key("architectures").begin_array();
-          for (const auto& p : v.points) {
-            w.begin_object();
-            w.field("scheme",
-                    arch::weighting_name(
-                        static_cast<arch::WeightingKind>(p.scheme)));
-            w.field("param", static_cast<std::int64_t>(p.param));
-            w.field("cells", static_cast<std::int64_t>(p.cells));
-            w.field("inl_yield", p.inl_yield);
-            w.field("inl_ci95", p.inl_ci95);
-            w.field("sfdr_db", p.sfdr_db);
-            w.field("ete_sfdr_db", p.ete_sfdr_db);
-            w.field("activity", p.activity);
-            w.end_object();
-          }
-          w.end_array();
-        } else if constexpr (std::is_same_v<T, runtime::SpiceMcResult>) {
-          w.field("chips", v.chips);
-          w.field("pass", v.pass);
-          w.field("yield", v.yield);
-          w.field("ci95", v.ci95);
-          w.field("inl_mean", v.inl_mean);
-          w.field("inl_worst", v.inl_worst);
-          w.key("solver").begin_object();
-          w.field("newton_iters", v.newton_iters);
-          w.field("factorizations", v.factorizations);
-          w.field("refactorizations", v.refactorizations);
-          w.field("warm_starts", v.warm_starts);
-          w.field("warm_start_hits", v.warm_start_hits);
-          w.field("device_evals", v.device_evals);
-          w.field("warm_start_hit_rate", v.warm_start_hit_rate);
-          w.end_object();
-        }
-      },
-      value);
+  std::visit([&w](const auto& v) { emit(w, v); }, value);
   w.end_object();
 }
 

@@ -1,8 +1,10 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <map>
+#include <mutex>
 #include <stdexcept>
 
 #include <arpa/inet.h>
@@ -75,25 +77,26 @@ constexpr const char* kStageNames[] = {
 constexpr int kNumStages = 8;
 
 /// serve.stage_us{kind=...,stage=...} histograms for one job kind. The
-/// labeled registry lookup takes a mutex, so references are resolved once
-/// per kind and cached — the per-job cost is eight wait-free observe()s.
+/// labeled registry lookup takes a mutex, so a kind's references are
+/// resolved once, on its first job, into a table indexed by kind (kinds
+/// never seen register no series) — the per-job cost is one once-flag
+/// check and eight wait-free observe()s.
 struct StageHists {
   obs::Histogram* stage[kNumStages] = {};
 
   static const StageHists& get(runtime::JobKind kind) {
-    static std::mutex mu;
-    static std::map<runtime::JobKind, StageHists> cache;
-    std::lock_guard<std::mutex> lock(mu);
-    auto [it, fresh] = cache.try_emplace(kind);
-    if (fresh) {
+    static std::array<StageHists, runtime::kNumKinds> table;
+    static std::array<std::once_flag, runtime::kNumKinds> resolved;
+    const auto k = static_cast<std::size_t>(kind) - 1;
+    std::call_once(resolved[k], [kind, &hists = table[k]] {
       const std::string kind_s(runtime::kind_name(kind));
       for (int s = 0; s < kNumStages; ++s) {
-        it->second.stage[s] = &obs::Registry::global().histogram(
+        hists.stage[s] = &obs::Registry::global().histogram(
             "serve.stage_us", {{"kind", kind_s}, {"stage", kStageNames[s]}},
             "per-stage job latency attribution [us]");
       }
-    }
-    return it->second;
+    });
+    return table[k];
   }
 
   void observe(const JobStages& j) const {

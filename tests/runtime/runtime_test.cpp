@@ -17,6 +17,7 @@
 
 #include "core/accuracy.hpp"
 #include "dac/static_analysis.hpp"
+#include "golden_kind_jobs.hpp"
 #include "obs/json_escape.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/executor.hpp"
@@ -263,75 +264,17 @@ TEST(JobEquivalence, FixedAndAdaptiveMatchDirectCalls) {
 // --- Runner timing ---------------------------------------------------------
 
 TEST(RunStats, EveryKindReportsWallTime) {
-  core::DacSpec spec8;
-  spec8.nbits = 8;
-  spec8.binary_bits = 3;
-  const double sigma = 0.0259427;
-  const tech::MosTechParams nmos = tech::generic_035um().nmos;
-
-  CalYieldJob cal;
-  cal.spec = spec8;
-  cal.sigma_unit = 4.0 * sigma;
-  cal.chips = 20;
-  SweepBasicJob basic;
-  basic.tech = nmos;
-  basic.cs = {0.1, 0.9, 3};
-  basic.sw = {0.1, 0.9, 3};
-  SweepCascodeJob cascode;
-  cascode.tech = nmos;
-  cascode.cs = cascode.sw = cascode.cas = {0.1, 0.9, 3};
-  SpectrumJob spectrum;
-  spectrum.spec = spec8;
-  spectrum.n_samples = 256;
-  spectrum.cycles = 7;
-  InlYieldIsJob is;
-  is.spec = spec8;
-  is.sigma_unit = sigma;
-  is.chips = 50;
-  InlYieldStratJob strat;
-  strat.spec = spec8;
-  strat.sigma_unit = sigma;
-  strat.strata = 2;
-  strat.chips = 50;
-  InlYieldBridgeJob bridge;
-  bridge.spec = spec8;
-  bridge.sigma_unit = sigma;
-  DynSpectrumJob dyn;
-  dyn.spec = spec8;
-  dyn.timing.oversample = 8;
-  dyn.n_samples = 128;
-  dyn.cycles = 7;
-  dyn.chips = 2;
-  ArchCompareJob compare;
-  compare.spec = spec8;
-  compare.sigma_unit = 0.01;
-  compare.timing.oversample = 8;
-  compare.n_samples = 128;
-  compare.cycles = 7;
-  compare.chips = 10;
-  compare.dyn_chips = 1;
-  compare.seg_hi = 3;
-  SpiceMcJob spice;
-  spice.spec.nbits = 4;
-  spice.spec.binary_bits = 2;
-  spice.tech = nmos;
-  spice.chips = 1;
-
-  const Job jobs[] = {small_inl_job(), cal,    basic,  cascode,
-                      spectrum,        is,     strat,  bridge,
-                      dyn,             compare, spice};
   std::set<JobKind> kinds;
-  for (const Job& job : jobs) {
-    const std::string_view kind = kind_name(job_kind(job));
+  for (const auto& [name, job] : golden::golden_kind_jobs()) {
     mathx::RunStats stats;
     (void)execute_job(job, 1, &stats);
-    EXPECT_GT(stats.wall_seconds, 0.0) << kind;
+    EXPECT_GT(stats.wall_seconds, 0.0) << name;
     EXPECT_EQ(stats.items_per_second,
               static_cast<double>(stats.evaluated) / stats.wall_seconds)
-        << kind;
+        << name;
     kinds.insert(job_kind(job));
   }
-  EXPECT_EQ(kinds.size(), 11u);
+  EXPECT_EQ(kinds.size(), kNumKinds);
 }
 
 // --- Corruption and eviction ----------------------------------------------

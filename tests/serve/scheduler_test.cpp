@@ -33,16 +33,6 @@ SchedulerOptions ram_only(int workers) {
   return o;
 }
 
-/// The worker finishes its bookkeeping (in-flight erase, completed
-/// counter) AFTER resolving the future, so a test that observed the
-/// future must give that tail a bounded moment before asserting on it.
-void wait_for_completed(const Scheduler& sched, std::int64_t n) {
-  for (int spin = 0; spin < 2000; ++spin) {
-    if (sched.counters().completed >= n) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
 TEST(Scheduler, ResolvesFutureWithTheDirectResult) {
   Scheduler sched(ram_only(2));
   const Job job = job_with(11, 50);
@@ -54,7 +44,6 @@ TEST(Scheduler, ResolvesFutureWithTheDirectResult) {
             std::get<YieldResult>(direct).yield);
   EXPECT_EQ(std::get<YieldResult>(res->value).pass,
             std::get<YieldResult>(direct).pass);
-  wait_for_completed(sched, 1);
   const SchedulerCounters c = sched.counters();
   EXPECT_EQ(c.submitted, 1);
   EXPECT_EQ(c.completed, 1);
@@ -93,10 +82,13 @@ TEST(Scheduler, CompletedJobsAreServedByTheCacheNotDedup) {
   Scheduler sched(ram_only(1));
   const Job job = job_with(77, 50);
   sched.submit(job, 0).future.wait();
-  wait_for_completed(sched, 1);  // the in-flight erase trails the future
-  const auto again = sched.submit(job, 0);
-  EXPECT_FALSE(again.deduped);  // left the in-flight table on completion
-  EXPECT_EQ(again.future.get()->tier, ResultTier::kHot);
+  // A task leaves the in-flight table before its future resolves, so a
+  // resubmit right after get() can never join the finished task.
+  for (int i = 0; i < 200; ++i) {
+    const auto again = sched.submit(job, 0);
+    ASSERT_FALSE(again.deduped) << "resubmit " << i;
+    ASSERT_EQ(again.future.get()->tier, ResultTier::kHot) << "resubmit " << i;
+  }
 }
 
 TEST(Scheduler, AdmissionCapBlocksSubmitUntilSlotsFree) {
@@ -224,13 +216,6 @@ TEST(Scheduler, ManyConcurrentSubmittersAllGetCorrectResults) {
                 std::get<YieldResult>(expect[(c + i) % kUnique]).yield)
           << "client " << c << " job " << i;
     }
-  }
-  // The completed counter is bumped after the future resolves; give the
-  // worker's bookkeeping a bounded moment to catch up.
-  for (int spin = 0; spin < 2000; ++spin) {
-    const SchedulerCounters c = sched.counters();
-    if (c.completed == c.submitted) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   const SchedulerCounters counters = sched.counters();
   EXPECT_EQ(counters.submitted + counters.dedup_inflight,

@@ -46,12 +46,17 @@
 //
 // Request schema ("csdac-request/1"):
 //   { "schema": "csdac-request/1", "jobs": [ <job>, ... ] }
-// Every job object has "kind": one of inl_yield | dnl_yield | cal_yield |
-// sweep_basic | sweep_cascode | spectrum | inl_yield_is | inl_yield_strat |
-// inl_yield_bridge | dyn_spectrum | arch_compare | spice_mc, an optional
-// "id" echoed in the response, an optional "spec" object overriding
-// DacSpec fields, and kind-specific fields (see src/serve/request.cpp and
-// EXPERIMENTS.md).
+// Every job object has "kind": one of inl_yield | cal_yield | sweep_basic
+// | sweep_cascode | spectrum | inl_yield_is | inl_yield_strat |
+// inl_yield_bridge | dyn_spectrum | arch_compare | spice_mc (the kName of
+// each job struct in src/runtime/job.hpp, in JobKind order), or the alias
+// dnl_yield (inl_yield judged on max|DNL|); an optional "id" echoed in
+// the response; an optional "spec" object overriding DacSpec fields; and
+// kind-specific fields, read by the kind's parse() overload in
+// src/serve/request.cpp (see EXPERIMENTS.md). Each result's fields are
+// its Fields<T> list in src/runtime/job.hpp, except the sweep summary,
+// the arch_compare table and the spice_mc "solver" object
+// (src/serve/response.cpp).
 #include <atomic>
 #include <chrono>
 #include <csignal>

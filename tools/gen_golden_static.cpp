@@ -3,21 +3,30 @@
 //   build/tools/csdac_gen_golden_static      > tests/dac/golden_static_8bit.inc
 //   build/tools/csdac_gen_golden_static 12   > tests/dac/golden_static_12bit.inc
 //   build/tools/csdac_gen_golden_static rare > tests/dac/golden_rare_8bit.inc
+//   build/tools/csdac_gen_golden_static kinds
+//       > tests/runtime/golden_kinds.inc
 // The 12-bit output is strided (every 16th code) so the .inc stays small
 // while still pinning the paper's design point; the maxima are exact.
 // The "rare" output pins the rare-event yield estimators (importance
 // sampling, stratified+antithetic, bridge surrogate) on a fixed-seed
 // 8-bit case: a changed mode tilt, stream order or reduction order shows
 // up as a golden diff, not as a silent statistics shift.
+// The "kinds" output pins, for one small job of every job kind
+// (tests/runtime/golden_kind_jobs.hpp), the cache key, the encoded
+// result bytes (length and hash) and the reply JSON: a refactor of the
+// key, the cache codec or the reply emitter must leave it unchanged.
 // Run it only when the RNG derivation or the DAC model changes
 // INTENTIONALLY, and say so in the commit.
 #include <cstdio>
 #include <cstring>
 
+#include "bench_json.hpp"
 #include "dac/rare_event.hpp"
 #include "dac/static_analysis.hpp"
 #include "mathx/rare_event.hpp"
 #include "mathx/rng.hpp"
+#include "runtime/golden_kind_jobs.hpp"
+#include "serve/response.hpp"
 
 using namespace csdac;
 
@@ -167,13 +176,36 @@ int emit_rare() {
   return 0;
 }
 
+int emit_kinds() {
+  std::printf(
+      "// GENERATED by tools/gen_golden_static.cpp — do not edit by hand.\n"
+      "// Per job of tests/runtime/golden_kind_jobs.hpp: name, job_key hex,\n"
+      "// encode_value length and hash128 hex, emit_result JSON.\n\n"
+      "inline constexpr csdac::golden::GoldenKind kGoldenKinds[] = {\n");
+  for (const auto& [name, job] : golden::golden_kind_jobs()) {
+    const runtime::JobValue value = runtime::execute_job(job, 1, nullptr);
+    mathx::ByteWriter bytes;
+    runtime::encode_value(value, bytes);
+    bench::JsonWriter json;
+    json.begin_object();
+    serve::emit_result(json, value);
+    json.end_object();
+    std::printf("    {\"%s\", \"%s\", %zu, \"%s\",\n     R\"json(%s)json\"},\n",
+                name.c_str(), runtime::job_key(job).hex().c_str(),
+                bytes.size(), bytes.hash().hex().c_str(), json.str().c_str());
+  }
+  std::printf("};\n");
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "12") == 0) return emit_12bit();
   if (argc > 1 && std::strcmp(argv[1], "rare") == 0) return emit_rare();
+  if (argc > 1 && std::strcmp(argv[1], "kinds") == 0) return emit_kinds();
   if (argc > 1) {
-    std::fprintf(stderr, "usage: gen_golden_static [12|rare]\n");
+    std::fprintf(stderr, "usage: gen_golden_static [12|rare|kinds]\n");
     return 2;
   }
   return emit_8bit();
