@@ -18,13 +18,17 @@ SourceErrors calibrate(const core::DacSpec& spec, const SourceErrors& chip,
   return out;
 }
 
+void CalibrationOptions::validate() const {
+  if (!(range_lsb > 0.0) || bits < 1 || bits > 20 ||
+      !(measure_noise_lsb >= 0.0)) {
+    throw std::invalid_argument("calibrate: bad options");
+  }
+}
+
 void calibrate_into(const core::DacSpec& spec, const SourceErrors& chip,
                     const CalibrationOptions& opts, mathx::Xoshiro256& rng,
                     SourceErrors& out) {
-  if (!(opts.range_lsb > 0.0) || opts.bits < 1 || opts.bits > 20 ||
-      !(opts.measure_noise_lsb >= 0.0)) {
-    throw std::invalid_argument("calibrate: bad options");
-  }
+  opts.validate();
   out.unary = chip.unary;
   out.binary = chip.binary;
   const double nominal = spec.unary_weight();

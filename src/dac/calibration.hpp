@@ -27,6 +27,10 @@ struct CalibrationOptions {
 
   /// Smallest trim step [LSB].
   double step_lsb() const { return range_lsb / (1 << bits); }
+
+  /// Throws std::invalid_argument unless range_lsb > 0, bits in [1, 20]
+  /// and measure_noise_lsb >= 0.
+  void validate() const;
 };
 
 /// Applies calibration to every unary source (the binary sources are left

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "mathx/alloc_counter.hpp"
 #include "obs/metrics.hpp"
@@ -95,11 +96,18 @@ void ThreadPool::worker_loop(int worker) {
 }
 
 void ThreadPool::work(int worker) {
-  for (;;) {
-    const std::int64_t lo = next_.fetch_add(chunk_);
-    if (lo >= end_) return;
-    const std::int64_t hi = std::min(lo + chunk_, end_);
-    for (std::int64_t i = lo; i < hi; ++i) (*fn_)(worker, i);
+  try {
+    for (;;) {
+      const std::int64_t lo = next_.fetch_add(chunk_);
+      if (lo >= end_) return;
+      const std::int64_t hi = std::min(lo + chunk_, end_);
+      for (std::int64_t i = lo; i < hi; ++i) (*fn_)(worker, i);
+    }
+  } catch (...) {
+    // Keep the first error for the caller and let no one claim more.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!error_) error_ = std::current_exception();
+    next_.store(end_);
   }
 }
 
@@ -133,6 +141,7 @@ void ThreadPool::for_each_indexed(
   std::unique_lock<std::mutex> lock(mutex_);
   cv_done_.wait(lock, [&] { return busy_ == 0; });
   fn_ = nullptr;
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 double wilson_half_width(std::int64_t pass, std::int64_t n, double z) {

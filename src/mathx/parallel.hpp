@@ -24,6 +24,7 @@
 #include <concepts>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -96,6 +97,8 @@ class ThreadPool {
   int threads() const { return static_cast<int>(workers_.size()) + 1; }
 
   /// Runs fn(worker, i) for every i in [begin, end); blocks until done.
+  /// If fn throws, no further indices are claimed and the first exception
+  /// is rethrown here once every worker has stopped.
   /// Threads claim `chunk` consecutive indices at a time (chunk >= 1). The
   /// worker id in [0, threads()) — 0 is the calling thread, 1.. are the
   /// pool workers — is what lets a caller attach per-worker state (a
@@ -122,6 +125,7 @@ class ThreadPool {
   std::int64_t end_ = 0;
   std::int64_t chunk_ = 1;
   const std::function<void(int, std::int64_t)>* fn_ = nullptr;
+  std::exception_ptr error_;  ///< first throw of the current job
   /// Span id the dispatching thread had open when it launched the current
   /// job; worker spans nest under it (0 = tracing off or no open span).
   std::uint64_t span_parent_ = 0;

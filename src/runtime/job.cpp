@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "arch/ete.hpp"
 #include "arch/instruments.hpp"
@@ -16,215 +17,32 @@ namespace csdac::runtime {
 
 namespace {
 
-// Canonical serialization of the shared parameter structs. Every
-// result-determining field, in declaration order, fixed width — adding a
-// field here (because it gained influence on results) is a key change for
-// every job that embeds the struct, which is exactly right.
-
-void put(const core::DacSpec& s, mathx::ByteWriter& w) {
-  w.i32(s.nbits);
-  w.i32(s.binary_bits);
-  w.f64(s.vdd);
-  w.f64(s.v_swing);
-  w.f64(s.v_out_min);
-  w.f64(s.r_load);
-  w.f64(s.c_load);
-  w.f64(s.c_int);
-  w.f64(s.inl_yield);
-  w.f64(s.r_load_tol);
-}
-
-void put(const tech::MosTechParams& t, mathx::ByteWriter& w) {
-  w.u8(static_cast<std::uint8_t>(t.type));
-  w.f64(t.kp);
-  w.f64(t.vt0);
-  w.f64(t.lambda_l);
-  w.f64(t.gamma);
-  w.f64(t.phi_2f);
-  w.f64(t.cox);
-  w.f64(t.cgso);
-  w.f64(t.cgdo);
-  w.f64(t.cj);
-  w.f64(t.cjsw);
-  w.f64(t.l_diff);
-  w.f64(t.a_vt);
-  w.f64(t.a_beta);
-  w.f64(t.l_min);
-  w.f64(t.w_min);
-}
-
-void put(const core::GridAxis& a, mathx::ByteWriter& w) {
-  w.f64(a.lo);
-  w.f64(a.hi);
-  w.i32(a.steps);
-}
-
-void put(const dac::CalibrationOptions& c, mathx::ByteWriter& w) {
-  w.f64(c.range_lsb);
-  w.i32(c.bits);
-  w.f64(c.measure_noise_lsb);
-}
-
-void put(const dac::DynamicParams& d, mathx::ByteWriter& w) {
-  w.f64(d.fs);
-  w.i32(d.oversample);
-  w.f64(d.tau);
-  w.f64(d.rout_unit);
-  w.f64(d.binary_skew);
-  w.f64(d.jitter_sigma);
-  w.f64(d.feedthrough_lsb);
-}
-
-void put_params(const InlYieldJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.f64(j.sigma_unit);
-  w.i32(j.chips);
-  w.u64(j.seed);
-  w.f64(j.limit);
-  w.u8(static_cast<std::uint8_t>(j.ref));
-  w.boolean(j.dnl);
-  w.boolean(j.adaptive);
-  w.i32(j.min_chips);
-  w.i32(j.batch);
-  w.f64(j.ci_half_width);
-}
-
-void put_params(const CalYieldJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.f64(j.sigma_unit);
-  put(j.cal, w);
-  w.i32(j.chips);
-  w.u64(j.seed);
-  w.f64(j.limit);
-}
-
-void put_params(const SweepBasicJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  put(j.tech, w);
-  put(j.cs, w);
-  put(j.sw, w);
-  w.u8(static_cast<std::uint8_t>(j.policy));
-  w.f64(j.fixed_margin);
-}
-
-void put_params(const SweepCascodeJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  put(j.tech, w);
-  put(j.cs, w);
-  put(j.sw, w);
-  put(j.cas, w);
-  w.u8(static_cast<std::uint8_t>(j.policy));
-  w.f64(j.fixed_margin);
-  w.u8(static_cast<std::uint8_t>(j.agg));
-}
-
-void put_params(const SpectrumJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.f64(j.sigma_unit);
-  w.u64(j.seed);
-  put(j.dyn, w);
-  w.i32(j.n_samples);
-  w.i32(j.cycles);
-  w.boolean(j.differential);
-}
-
-void put_params(const InlYieldIsJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.f64(j.sigma_unit);
-  w.f64(j.sigma_scale);
-  w.i32(j.modes);
-  w.i32(j.chips);
-  w.u64(j.seed);
-  w.f64(j.limit);
-  w.u8(static_cast<std::uint8_t>(j.ref));
-}
-
-void put_params(const InlYieldStratJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.f64(j.sigma_unit);
-  w.i32(j.strata);
-  w.i32(j.chips);
-  w.u64(j.seed);
-  w.f64(j.limit);
-  w.u8(static_cast<std::uint8_t>(j.ref));
-}
-
-void put_params(const InlYieldBridgeJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.f64(j.sigma_unit);
-  w.f64(j.limit);
-}
-
-void put(const arch::TimingParams& t, mathx::ByteWriter& w) {
-  w.f64(t.fs);
-  w.i32(t.oversample);
-  w.f64(t.tau);
-  w.f64(t.sigma_t);
-  w.f64(t.asym_sigma);
-}
-
-void put_params(const DynSpectrumJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.u8(static_cast<std::uint8_t>(j.scheme));
-  w.i32(j.scheme_param);
-  put(j.timing, w);
-  w.i32(j.n_samples);
-  w.i32(j.cycles);
-  w.f64(j.sfdr_limit_db);
-  w.i32(j.chips);
-  w.u64(j.seed);
-  w.boolean(j.adaptive);
-  w.i32(j.min_chips);
-  w.i32(j.batch);
-  w.f64(j.ci_half_width);
-}
-
-void put_params(const ArchCompareJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  w.f64(j.sigma_unit);
-  put(j.timing, w);
-  w.i32(j.n_samples);
-  w.i32(j.cycles);
-  w.i32(j.chips);
-  w.i32(j.dyn_chips);
-  w.u64(j.seed);
-  w.f64(j.limit);
-  w.i32(j.seg_lo);
-  w.i32(j.seg_hi);
-  w.boolean(j.include_unary);
-  w.i32(j.opt_cells);
-}
-
-void put_params(const SpiceMcJob& j, mathx::ByteWriter& w) {
-  put(j.spec, w);
-  put(j.tech, w);
-  w.f64(j.vod_cs);
-  w.f64(j.vod_sw);
-  w.f64(j.vod_cas);
-  w.boolean(j.cascode);
-  w.i32(j.chips);
-  w.u64(j.seed);
-  w.f64(j.limit);
-  w.f64(j.sigma_scale);
-  w.boolean(j.differential);
-  w.boolean(j.with_caps);
-}
-
-// Result payload codec, driven by the Fields<T> lists in job.hpp: each
-// field is written fixed width by its type, a vector as a u32 count plus
-// its elements. The schema byte leads, so a layout change invalidates only
-// its own kind's entries (the reader rejects, the caller recomputes).
-struct FieldWriter {
+// One fixed-width writer for a job's Params (the key) and a result's Fields
+// (the cache payload, led by its schema byte): an enum as its u8 value, a
+// nested input struct as its own list, a vector as a u32 count plus its
+// elements. Params rules are wire-only and ignored here.
+struct Writer {
   mathx::ByteWriter& w;
   void operator()(std::string_view, std::uint8_t v) { w.u8(v); }
-  void operator()(std::string_view, bool v) { w.boolean(v); }
-  void operator()(std::string_view, std::int32_t v) { w.i32(v); }
+  void operator()(std::string_view, bool v, auto&&...) { w.boolean(v); }
+  void operator()(std::string_view, std::int32_t v, auto&&...) { w.i32(v); }
   void operator()(std::string_view, std::int64_t v) { w.i64(v); }
-  void operator()(std::string_view, double v) { w.f64(v); }
+  void operator()(std::string_view, std::uint64_t v, auto&&...) { w.u64(v); }
+  void operator()(std::string_view, double v, auto&&...) { w.f64(v); }
+  template <typename E>
+    requires std::is_enum_v<E>
+  void operator()(std::string_view, E v) {
+    w.u8(static_cast<std::uint8_t>(v));
+  }
   template <typename T>
   void operator()(std::string_view, const std::vector<T>& v) {
     w.u32(static_cast<std::uint32_t>(v.size()));
     for (const T& e : v) Fields<T>::each(e, *this);
+  }
+  template <typename T>
+    requires std::is_class_v<T>
+  void operator()(std::string_view, const T& v) {
+    Params<T>::each(v, *this);
   }
 };
 
@@ -286,15 +104,15 @@ constexpr auto kKindTable = []<std::size_t... I>(std::index_sequence<I...>) {
 
 }  // namespace
 
-void canonical_inputs(const Job& job, mathx::ByteWriter& w) {
-  w.str(kEngineVersion);
-  w.u8(static_cast<std::uint8_t>(job_kind(job)));
-  std::visit([&w](const auto& j) { put_params(j, w); }, job);
-}
-
 mathx::HashKey128 job_key(const Job& job) {
   mathx::ByteWriter w;
-  canonical_inputs(job, w);
+  w.str(kEngineVersion);
+  w.u8(static_cast<std::uint8_t>(job_kind(job)));
+  std::visit(
+      [&w](const auto& j) {
+        Params<std::decay_t<decltype(j)>>::each(j, Writer{w});
+      },
+      job);
   return w.hash();
 }
 
@@ -308,7 +126,7 @@ void encode_value(const JobValue& value, mathx::ByteWriter& w) {
       [&w](const auto& v) {
         using F = Fields<std::decay_t<decltype(v)>>;
         w.u8(F::kSchema);
-        F::each(v, FieldWriter{w});
+        F::each(v, Writer{w});
       },
       value);
 }

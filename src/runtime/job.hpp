@@ -8,7 +8,11 @@
 #pragma once
 
 #include <cstddef>
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <utility>
 #include <variant>
@@ -294,10 +298,186 @@ using JobValue =
                  IsYieldResult, StratYieldResult, BridgeYieldResult,
                  DynSpectrumResult, ArchCompareResult, SpiceMcResult>;
 
+// --- Job inputs ------------------------------------------------------------
+//
+// Params<T> is a job's (or a nested input struct's) one input list:
+// each(j, f) calls f(wire_name, member[, rule]) per member in key order.
+// job_key writes it; serve::parse_job reads a request through it, so a
+// rule's bounds may read members listed before it. Changing a list
+// re-keys every job that lists it: bump kEngineVersion with it.
+template <typename T>
+struct Params;
+
+/// Inclusive wire bounds. `def`, when set, is the default of an absent
+/// field instead of the member's own value.
+struct In {
+  double lo;
+  double hi;
+  std::optional<double> def = {};
+};
+/// The wire default of `seed` (the struct default is 0).
+struct Seed {
+  std::int64_t def;
+};
+/// `sigma_unit`, or `sigma_mult` (default `mult`) times the eq. 1 unit
+/// sigma of `spec`.
+struct Sigma {
+  double mult;
+  const core::DacSpec& spec;
+};
+/// In the key, never on the wire (set by a request alias).
+struct KeyOnly {};
+
+// Abuse ceilings for count-like job fields. Generous for real use (the
+// paper's studies run ~1e3 chips and 40-step axes) but small enough that
+// a hostile request cannot size an unbounded allocation or loop.
+inline constexpr std::int64_t kMaxChips = 10'000'000;
+inline constexpr std::int64_t kMaxAxisSteps = 2048;
+inline constexpr std::int64_t kMaxSamples = 1 << 22;
+inline constexpr std::int64_t kMaxStrata = 4096;
+inline constexpr std::int64_t kMaxIsModes = 64;
+inline constexpr double kMaxSigmaScale = 8.0;
+// Arch jobs synthesize oversampled waveforms (n_samples * oversample
+// points each), so their ceilings are much tighter than the static MC's.
+inline constexpr std::int64_t kMaxDynChips = 4096;
+inline constexpr std::int64_t kMaxArchChips = 10'000;
+inline constexpr std::int64_t kMaxDynSamples = 1 << 14;
+inline constexpr std::int64_t kMaxWavePoints = 1 << 20;
+inline constexpr std::int64_t kMaxArchBits = 14;
+// SPICE-in-the-loop MC solves 2^nbits MNA systems per corner, so both the
+// resolution and the corner count get much tighter ceilings than the
+// behavioral MC paths.
+inline constexpr std::int64_t kMaxSpiceBits = 8;
+inline constexpr std::int64_t kMaxSpiceChips = 64;
+
+template <typename E>
+struct Named {
+  std::string_view name;
+  E value;
+};
+
+/// Wire names of the enums a request spells by name. An absent field
+/// keeps the member's value.
+template <typename E>
+inline constexpr std::array<Named<E>, 0> kEnumNames{};
+template <>
+inline constexpr std::array<Named<dac::InlReference>, 2>
+    kEnumNames<dac::InlReference>{{{"endpoint", dac::InlReference::kEndpoint},
+                                   {"bestfit", dac::InlReference::kBestFit}}};
+template <>
+inline constexpr std::array<Named<core::MarginPolicy>, 3>
+    kEnumNames<core::MarginPolicy>{{
+        {"none", core::MarginPolicy::kNone},
+        {"fixed", core::MarginPolicy::kFixedMargin},
+        {"statistical", core::MarginPolicy::kStatistical},
+    }};
+template <>
+inline constexpr std::array<Named<core::SigmaAggregation>, 2>
+    kEnumNames<core::SigmaAggregation>{{{"max", core::SigmaAggregation::kMax},
+                                        {"rss", core::SigmaAggregation::kRss}}};
+template <>
+inline constexpr std::array<Named<arch::WeightingKind>, 4>
+    kEnumNames<arch::WeightingKind>{{
+        {"binary", arch::WeightingKind::kBinary},
+        {"unary", arch::WeightingKind::kUnary},
+        {"segmented", arch::WeightingKind::kSegmented},
+        {"optimized", arch::WeightingKind::kOptimized},
+    }};
+
+/// `tech` presets by wire name (their NMOS device); the first is the
+/// default.
+inline constexpr std::array<Named<tech::TechParams (*)()>, 2> kTechPresets{{
+    {"generic_035um", &tech::generic_035um},
+    {"generic_025um", &tech::generic_025um},
+}};
+
+template <>
+struct Params<core::DacSpec> {
+  static void each(auto& s, auto&& f) {
+    f("nbits", s.nbits);
+    f("binary_bits", s.binary_bits);
+    f("vdd", s.vdd);
+    f("v_swing", s.v_swing);
+    f("v_out_min", s.v_out_min);
+    f("r_load", s.r_load);
+    f("c_load", s.c_load);
+    f("c_int", s.c_int);
+    f("inl_yield", s.inl_yield);
+    f("r_load_tol", s.r_load_tol);
+  }
+};
+
+template <>
+struct Params<tech::MosTechParams> {
+  static void each(auto& t, auto&& f) {
+    f("type", t.type);
+    f("kp", t.kp);
+    f("vt0", t.vt0);
+    f("lambda_l", t.lambda_l);
+    f("gamma", t.gamma);
+    f("phi_2f", t.phi_2f);
+    f("cox", t.cox);
+    f("cgso", t.cgso);
+    f("cgdo", t.cgdo);
+    f("cj", t.cj);
+    f("cjsw", t.cjsw);
+    f("l_diff", t.l_diff);
+    f("a_vt", t.a_vt);
+    f("a_beta", t.a_beta);
+    f("l_min", t.l_min);
+    f("w_min", t.w_min);
+  }
+};
+
+template <>
+struct Params<core::GridAxis> {
+  /// CellSizer's overdrive domain 0 < vod < 3 V, as inclusive bounds.
+  static constexpr double kVodMin = 0x1p-1074;
+  static constexpr double kVodMax = 0x1.7ffffffffffffp+1;
+  static void each(auto& a, auto&& f) {
+    f("lo", a.lo, In{kVodMin, kVodMax});
+    f("hi", a.hi, In{a.lo, kVodMax});
+    f("steps", a.steps, In{1, kMaxAxisSteps});
+  }
+};
+
+template <>
+struct Params<dac::CalibrationOptions> {
+  static void each(auto& c, auto&& f) {
+    f("range_lsb", c.range_lsb);
+    f("bits", c.bits, In{1, 20});
+    f("noise_lsb", c.measure_noise_lsb);
+  }
+};
+
+template <>
+struct Params<dac::DynamicParams> {
+  static void each(auto& d, auto&& f) {
+    f("fs", d.fs, In{1.0, 1e12});
+    f("oversample", d.oversample, In{2, 256});
+    f("tau", d.tau, In{1e-15, 1.0});
+    f("rout_unit", d.rout_unit, In{1e-3, 1e18});
+    f("binary_skew", d.binary_skew, In{0.0, 1.0});
+    f("jitter_sigma", d.jitter_sigma, In{0.0, 1.0});
+    f("feedthrough_lsb", d.feedthrough_lsb, In{-1e3, 1e3});
+  }
+};
+
+template <>
+struct Params<arch::TimingParams> {
+  static void each(auto& t, auto&& f) {
+    f("fs", t.fs, In{1.0, 1e12});
+    f("oversample", t.oversample, In{2, 256});
+    f("tau", t.tau, In{1e-15, 1.0});
+    f("sigma_t", t.sigma_t, In{0.0, 1.0});
+    f("asym_sigma", t.asym_sigma, In{0.0, 1.0});
+  }
+};
+
 // --- Jobs ------------------------------------------------------------------
 //
-// Every job names its kind, its wire name and its result type. Adding a
-// kind: README "Typed jobs".
+// Every job names its kind, its wire name and its result type, and lists
+// its inputs in Params. Adding a kind: README "Typed jobs".
 
 /// Monte-Carlo INL (or DNL) parametric yield. With `adaptive`, `chips` is
 /// the hard cap and the Wilson-CI early-stopping rule decides the actual
@@ -319,6 +499,23 @@ struct InlYieldJob {
   double ci_half_width = 0.0;
 };
 
+template <>
+struct Params<InlYieldJob> {
+  static void each(auto& j, auto&& f) {
+    f("spec", j.spec);
+    f("sigma_unit", j.sigma_unit, Sigma{1.0, j.spec});
+    f("chips", j.chips, In{1, kMaxChips});
+    f("seed", j.seed, Seed{1000});
+    f("limit", j.limit);
+    f("ref", j.ref);
+    f("dnl", j.dnl, KeyOnly{});  // the "dnl_yield" alias
+    f("adaptive", j.adaptive);
+    f("min_chips", j.min_chips, In{1, kMaxChips});
+    f("batch", j.batch, In{1, kMaxChips});
+    f("ci_half_width", j.ci_half_width, In{0.0, 1.0});
+  }
+};
+
 /// Calibration-in-the-loop yield (pre/post trim).
 struct CalYieldJob {
   static constexpr JobKind kKind = JobKind::kCalYield;
@@ -332,6 +529,18 @@ struct CalYieldJob {
   double limit = 0.5;
 };
 
+template <>
+struct Params<CalYieldJob> {
+  static void each(auto& j, auto&& f) {
+    f("spec", j.spec);
+    f("sigma_unit", j.sigma_unit, Sigma{1.0, j.spec});
+    f("cal_", j.cal);
+    f("chips", j.chips, In{1, kMaxChips});
+    f("seed", j.seed, Seed{1000});
+    f("limit", j.limit);
+  }
+};
+
 /// Basic-cell design-space grid (row-major DesignPoint output).
 struct SweepBasicJob {
   static constexpr JobKind kKind = JobKind::kSweepBasic;
@@ -343,6 +552,18 @@ struct SweepBasicJob {
   core::GridAxis sw;
   core::MarginPolicy policy = core::MarginPolicy::kStatistical;
   double fixed_margin = 0.5;
+};
+
+template <>
+struct Params<SweepBasicJob> {
+  static void each(auto& j, auto&& f) {
+    f("spec", j.spec);
+    f("tech", j.tech);
+    f("cs", j.cs);
+    f("sw", j.sw);
+    f("policy", j.policy);
+    f("fixed_margin", j.fixed_margin, In{0.0, HUGE_VAL});
+  }
 };
 
 /// Cascode-cell design-space volume.
@@ -360,6 +581,20 @@ struct SweepCascodeJob {
   core::SigmaAggregation agg = core::SigmaAggregation::kMax;
 };
 
+template <>
+struct Params<SweepCascodeJob> {
+  static void each(auto& j, auto&& f) {
+    f("spec", j.spec);
+    f("tech", j.tech);
+    f("cs", j.cs);
+    f("sw", j.sw);
+    f("cas", j.cas);
+    f("policy", j.policy);
+    f("fixed_margin", j.fixed_margin, In{0.0, HUGE_VAL});
+    f("agg", j.agg);
+  }
+};
+
 /// Behavioral-model spectrum of a coherent sine capture (Fig. 8 style):
 /// one mismatch draw, dynamic waveform synthesis, DFT metrics.
 struct SpectrumJob {
@@ -373,6 +608,20 @@ struct SpectrumJob {
   int n_samples = 1024;
   int cycles = 181;  ///< coprime with n_samples for coherent capture
   bool differential = true;
+};
+
+template <>
+struct Params<SpectrumJob> {
+  static void each(auto& j, auto&& f) {
+    f("spec", j.spec);
+    // Spectrum questions default to the mismatch-free converter.
+    f("sigma_unit", j.sigma_unit, Sigma{0.0, j.spec});
+    f("seed", j.seed, Seed{2003});
+    f("", j.dyn);
+    f("n_samples", j.n_samples, In{8, kMaxSamples});
+    f("cycles", j.cycles, In{1, kMaxSamples});
+    f("differential", j.differential);
+  }
 };
 
 /// Importance-sampled INL yield (rare-event tail): the mismatch draw is
@@ -392,6 +641,20 @@ struct InlYieldIsJob {
   dac::InlReference ref = dac::InlReference::kBestFit;
 };
 
+template <>
+struct Params<InlYieldIsJob> {
+  static void each(auto& j, auto&& f) {
+    f("spec", j.spec);
+    f("sigma_unit", j.sigma_unit, Sigma{1.0, j.spec});
+    f("sigma_scale", j.sigma_scale, In{1.0, kMaxSigmaScale});
+    f("modes", j.modes, In{1, kMaxIsModes});
+    f("chips", j.chips, In{1, kMaxChips});
+    f("seed", j.seed, Seed{1000});
+    f("limit", j.limit);
+    f("ref", j.ref);
+  }
+};
+
 /// Stratified + antithetic INL yield (dac::inl_yield_stratified):
 /// half-normal first-mode magnitude over `strata` equal-probability bins,
 /// reflected within the bin for the antithetic pair member.
@@ -408,6 +671,19 @@ struct InlYieldStratJob {
   dac::InlReference ref = dac::InlReference::kBestFit;
 };
 
+template <>
+struct Params<InlYieldStratJob> {
+  static void each(auto& j, auto&& f) {
+    f("spec", j.spec);
+    f("sigma_unit", j.sigma_unit, Sigma{1.0, j.spec});
+    f("strata", j.strata, In{1, kMaxStrata});
+    f("chips", j.chips, In{2, kMaxChips});
+    f("seed", j.seed, Seed{1000});
+    f("limit", j.limit);
+    f("ref", j.ref);
+  }
+};
+
 /// Closed-form Brownian-bridge INL-excursion surrogate (no sampling;
 /// dac::inl_yield_bridge). sigma_unit must be > 0.
 struct InlYieldBridgeJob {
@@ -417,6 +693,15 @@ struct InlYieldBridgeJob {
   core::DacSpec spec;
   double sigma_unit = 0.0;
   double limit = 0.5;
+};
+
+template <>
+struct Params<InlYieldBridgeJob> {
+  static void each(auto& j, auto&& f) {
+    f("spec", j.spec);
+    f("sigma_unit", j.sigma_unit, Sigma{1.0, j.spec});
+    f("limit", j.limit);
+  }
 };
 
 /// Mismatch-MC yield over the timing-limited SFDR of an arbitrary cell
@@ -446,6 +731,27 @@ struct DynSpectrumJob {
   double ci_half_width = 0.0;
 };
 
+template <>
+struct Params<DynSpectrumJob> {
+  static void each(auto& j, auto&& f) {
+    f("spec", j.spec);
+    f("scheme", j.scheme);
+    f("scheme_param", j.scheme_param,
+      In{0, std::ldexp(1.0, j.spec.nbits) - 1});
+    f("", j.timing);
+    f("n_samples", j.n_samples, In{32, kMaxDynSamples});
+    // The fundamental stays strictly inside the first Nyquist zone.
+    f("cycles", j.cycles, In{1, j.n_samples / 2 - 1.0});
+    f("sfdr_limit_db", j.sfdr_limit_db, In{0.0, 200.0});
+    f("chips", j.chips, In{1, kMaxDynChips});
+    f("seed", j.seed, Seed{1000});
+    f("adaptive", j.adaptive);
+    f("min_chips", j.min_chips, In{1, kMaxDynChips});
+    f("batch", j.batch, In{1, kMaxDynChips});
+    f("ci_half_width", j.ci_half_width, In{0.0, 1.0});
+  }
+};
+
 /// Architecture-comparison sweep: binary, segmented splits in
 /// [seg_lo, seg_hi], optionally unary, and the optimized weighting, each
 /// reporting amplitude-INL yield (common-random-numbers unit pool shared
@@ -469,6 +775,26 @@ struct ArchCompareJob {
   int opt_cells = 0;  ///< 0 = match the default segmented cell count
 };
 
+template <>
+struct Params<ArchCompareJob> {
+  static void each(auto& j, auto&& f) {
+    f("spec", j.spec);
+    f("sigma_unit", j.sigma_unit, Sigma{1.0, j.spec});
+    f("", j.timing);
+    f("n_samples", j.n_samples, In{32, kMaxDynSamples});
+    f("cycles", j.cycles, In{1, j.n_samples / 2 - 1.0});
+    f("chips", j.chips, In{1, kMaxArchChips});
+    f("dyn_chips", j.dyn_chips, In{1, 64});
+    f("seed", j.seed, Seed{1000});
+    f("limit", j.limit, In{1e-6, 1e3});
+    f("seg_lo", j.seg_lo, In{1, j.spec.nbits - 1.0});
+    f("seg_hi", j.seg_hi,
+      In{1, j.spec.nbits - 1.0, std::min(j.seg_hi, j.spec.nbits - 1)});
+    f("include_unary", j.include_unary);
+    f("opt_cells", j.opt_cells, In{0, std::ldexp(1.0, j.spec.nbits) - 1});
+  }
+};
+
 /// SPICE-in-the-loop mismatch MC (dacgen::spice_mismatch_mc): each corner
 /// perturbs every transistor of the netlist-level DAC with Pelgrom
 /// Vth/beta draws from the (seed, corner) stream and judges max|INL| on
@@ -490,6 +816,24 @@ struct SpiceMcJob {
   double sigma_scale = 1.0;  ///< scales the Pelgrom sigmas
   bool differential = true;
   bool with_caps = false;
+};
+
+template <>
+struct Params<SpiceMcJob> {
+  static void each(auto& j, auto&& f) {
+    f("spec", j.spec);
+    f("tech", j.tech);
+    f("vod_cs", j.vod_cs, In{0.01, 2.0});
+    f("vod_sw", j.vod_sw, In{0.01, 2.0});
+    f("vod_cas", j.vod_cas, In{0.01, 2.0});
+    f("cascode", j.cascode);
+    f("chips", j.chips, In{1, kMaxSpiceChips});
+    f("seed", j.seed, Seed{1000});
+    f("limit", j.limit, In{1e-6, 1e3});
+    f("sigma_scale", j.sigma_scale, In{0.0, kMaxSigmaScale});
+    f("differential", j.differential);
+    f("with_caps", j.with_caps);
+  }
 };
 
 /// The kind table: alternative i is the job of JobKind(i + 1).
@@ -516,11 +860,8 @@ inline JobKind job_kind(const Job& job) {
 
 // --- Key and result codec --------------------------------------------------
 
-/// Appends the canonical input bytes (engine version, kind tag, every
-/// result-determining parameter in fixed order) to `w`.
-void canonical_inputs(const Job& job, mathx::ByteWriter& w);
-
-/// The job's cache key: hash128 of canonical_inputs.
+/// The job's cache key: hash128 of the engine version, the kind byte and
+/// the job's Params list.
 mathx::HashKey128 job_key(const Job& job);
 
 /// Result payload codec (the cache adds its own corruption framing).

@@ -6,8 +6,9 @@
 // error frame and keep serving — nothing in here calls exit().
 //
 // Because the network path feeds this parser hostile bytes, all count-like
-// fields are clamped against explicit ceilings (kMax*) before they can
-// size an allocation or a Monte-Carlo loop.
+// fields are clamped against explicit ceilings (the runtime::kMax* bounds
+// of the kinds' Params lists) before they can size an allocation or a
+// Monte-Carlo loop.
 #pragma once
 
 #include <stdexcept>
@@ -22,31 +23,12 @@ namespace csdac::serve {
 
 inline constexpr std::string_view kRequestSchema = "csdac-request/1";
 
-// Abuse ceilings for count-like request fields. Generous for real use
-// (the paper's studies run ~1e3 chips and 40-step axes) but small enough
-// that a hostile request cannot size an unbounded allocation or loop.
+// Envelope ceilings; the job fields' ceilings sit beside their Params
+// lists in runtime/job.hpp.
 inline constexpr std::int64_t kMaxJobsPerRequest = 4096;
 /// Client-supplied trace ids are capped so they embed whole in the
 /// fixed-size flight-recorder events (kFlightTraceBytes minus the NUL).
 inline constexpr std::size_t kMaxTraceIdBytes = 39;
-inline constexpr std::int64_t kMaxChips = 10'000'000;
-inline constexpr std::int64_t kMaxAxisSteps = 2048;
-inline constexpr std::int64_t kMaxSamples = 1 << 22;
-inline constexpr std::int64_t kMaxStrata = 4096;
-inline constexpr std::int64_t kMaxIsModes = 64;
-inline constexpr double kMaxSigmaScale = 8.0;
-// Arch jobs synthesize oversampled waveforms (n_samples * oversample
-// points each), so their ceilings are much tighter than the static MC's.
-inline constexpr std::int64_t kMaxDynChips = 4096;
-inline constexpr std::int64_t kMaxArchChips = 10'000;
-inline constexpr std::int64_t kMaxDynSamples = 1 << 14;
-inline constexpr std::int64_t kMaxWavePoints = 1 << 20;
-inline constexpr std::int64_t kMaxArchBits = 14;
-// SPICE-in-the-loop MC solves 2^nbits MNA systems per corner, so both the
-// resolution and the corner count get much tighter ceilings than the
-// behavioral MC paths.
-inline constexpr std::int64_t kMaxSpiceBits = 8;
-inline constexpr std::int64_t kMaxSpiceChips = 64;
 
 /// Request-level failure with a stable error code for the wire protocol:
 /// "bad_json", "bad_schema", "bad_request" (request envelope), or
@@ -68,8 +50,13 @@ struct RequestJob {
   runtime::Job job;
 };
 
-/// Parses a single job object. Throws RequestError("bad_job", ...).
+/// Parses a single job object through its kind's Params list, then
+/// check_job. Throws RequestError("bad_job", ...).
 runtime::Job parse_job(const runtime::JsonValue& job);
+
+/// The kind's cross-field rules (the per-field rules are the Params
+/// list's). Throws RequestError("bad_job", ...).
+void check_job(const runtime::Job& job);
 
 /// Validates the envelope (schema tag, jobs array) and parses every job.
 std::vector<RequestJob> parse_request(const runtime::JsonValue& request);

@@ -51,29 +51,34 @@ struct ServeMetrics {
   }
 };
 
-/// The per-job pipeline stages, in pipeline order. Every job observes
-/// EVERY stage (zeros included) so stage counts always match job counts:
-/// a warm pass then shows compute with count > 0 and sum == 0, which is
-/// the signal the regression checks key on.
+/// The per-job pipeline stages, in pipeline order: the runtime's stage
+/// times plus this reply's serialize time. Every job observes EVERY stage
+/// (zeros included) so stage counts always match job counts: a warm pass
+/// then shows compute with count > 0 and sum == 0, which is the signal
+/// the regression checks key on.
 struct JobStages {
-  std::int64_t admission_us = 0;
-  std::int64_t queue_us = 0;
-  std::int64_t hot_us = 0;
-  std::int64_t disk_us = 0;
-  std::int64_t compute_us = 0;
-  std::int64_t store_us = 0;
+  runtime::StageTimes times;
   std::int64_t serialize_us = 0;
 
-  std::int64_t total_us() const {
-    return admission_us + queue_us + hot_us + disk_us + compute_us +
-           store_us + serialize_us;
+  /// f(key, us) per stage, then "total_us" (their sum): the reply's and
+  /// the slow log's field names; the histogram label drops the "_us".
+  void each(auto&& f) const {
+    std::int64_t total = 0;
+    const auto stage = [&](std::string_view key, std::int64_t us) {
+      total += us;
+      f(key, us);
+    };
+    stage("admission_us", times.admission_us);
+    stage("queue_us", times.queue_us);
+    stage("hot_us", times.hot_us);
+    stage("disk_us", times.disk_us);
+    stage("compute_us", times.compute_us);
+    stage("store_us", times.store_us);
+    stage("serialize_us", serialize_us);
+    f("total_us", total);
   }
 };
 
-constexpr const char* kStageNames[] = {
-    "admission", "queue", "hot", "disk",
-    "compute",   "store", "serialize", "total",
-};
 constexpr int kNumStages = 8;
 
 /// serve.stage_us{kind=...,stage=...} histograms for one job kind. The
@@ -90,34 +95,27 @@ struct StageHists {
     const auto k = static_cast<std::size_t>(kind) - 1;
     std::call_once(resolved[k], [kind, &hists = table[k]] {
       const std::string kind_s(runtime::kind_name(kind));
-      for (int s = 0; s < kNumStages; ++s) {
-        hists.stage[s] = &obs::Registry::global().histogram(
-            "serve.stage_us", {{"kind", kind_s}, {"stage", kStageNames[s]}},
+      int s = 0;
+      JobStages{}.each([&](std::string_view key, std::int64_t) {
+        hists.stage[s++] = &obs::Registry::global().histogram(
+            "serve.stage_us",
+            {{"kind", kind_s},
+             {"stage", std::string(key.substr(0, key.size() - 3))}},
             "per-stage job latency attribution [us]");
-      }
+      });
     });
     return table[k];
   }
 
   void observe(const JobStages& j) const {
-    const std::int64_t v[kNumStages] = {
-        j.admission_us, j.queue_us, j.hot_us,      j.disk_us,
-        j.compute_us,   j.store_us, j.serialize_us, j.total_us()};
-    for (int s = 0; s < kNumStages; ++s) stage[s]->observe(v[s]);
+    int s = 0;
+    j.each(
+        [&](std::string_view, std::int64_t us) { stage[s++]->observe(us); });
   }
 };
 
 void emit_stages(bench::JsonWriter& w, const JobStages& j) {
-  w.key("stages").begin_object();
-  w.field("admission_us", j.admission_us);
-  w.field("queue_us", j.queue_us);
-  w.field("hot_us", j.hot_us);
-  w.field("disk_us", j.disk_us);
-  w.field("compute_us", j.compute_us);
-  w.field("store_us", j.store_us);
-  w.field("serialize_us", j.serialize_us);
-  w.field("total_us", j.total_us());
-  w.end_object();
+  j.each([&w](std::string_view key, std::int64_t us) { w.field(key, us); });
 }
 
 }  // namespace
@@ -294,17 +292,19 @@ void Server::handle_connection(int fd, std::uint64_t conn_id) {
 std::string Server::handle_payload(const std::string& payload,
                                    std::uint64_t conn_id,
                                    bool* shutdown_after) {
-  ServeMetrics& m = ServeMetrics::get();
+  // A refused payload: one flight event, one error count, an error frame.
+  const auto refuse = [this](std::string_view code, std::string_view msg) {
+    obs::FlightRecorder::global().record(obs::FlightEventKind::kError, code,
+                                         {}, obs::trace_now_us(), 0.0);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.errors;
+    ServeMetrics::get().errors.add(1);
+    return error_frame(code, msg);
+  };
   runtime::JsonValue request;
   std::string err;
   if (!runtime::parse_json(payload, request, &err)) {
-    obs::FlightRecorder::global().record(obs::FlightEventKind::kError,
-                                         "bad_json", {},
-                                         obs::trace_now_us(), 0.0);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.errors;
-    m.errors.add(1);
-    return error_frame("bad_json", err);
+    return refuse("bad_json", err);
   }
   const std::string schema = request.string_or("schema", "");
   if (schema == kControlSchema) {
@@ -314,21 +314,9 @@ std::string Server::handle_payload(const std::string& payload,
   try {
     return handle_request(request, conn_id);
   } catch (const RequestError& e) {
-    obs::FlightRecorder::global().record(obs::FlightEventKind::kError,
-                                         e.code(), {}, obs::trace_now_us(),
-                                         0.0);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.errors;
-    m.errors.add(1);
-    return error_frame(e.code(), e.what());
+    return refuse(e.code(), e.what());
   } catch (const std::exception& e) {
-    obs::FlightRecorder::global().record(obs::FlightEventKind::kError,
-                                         "internal", {}, obs::trace_now_us(),
-                                         0.0);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.errors;
-    m.errors.add(1);
-    return error_frame("internal", e.what());
+    return refuse("internal", e.what());
   }
 }
 
@@ -435,16 +423,13 @@ std::string Server::handle_request(const runtime::JsonValue& request,
       const auto s0 = std::chrono::steady_clock::now();
       emit_result(w, res->value);
       JobStages& js = job_stages[i];
-      js.admission_us = res->stages.admission_us;
-      js.queue_us = res->stages.queue_us;
-      js.hot_us = res->stages.hot_us;
-      js.disk_us = res->stages.disk_us;
-      js.compute_us = res->stages.compute_us;
-      js.store_us = res->stages.store_us;
+      js.times = res->stages;
       js.serialize_us = std::chrono::duration_cast<std::chrono::microseconds>(
                             std::chrono::steady_clock::now() - s0)
                             .count();
+      w.key("stages").begin_object();
       emit_stages(w, js);
+      w.end_object();
       StageHists::get(kind).observe(js);
       if (counted.emplace(t.key, true).second) {
         chip_evals += res->stats.evaluated;
@@ -506,14 +491,7 @@ std::string Server::handle_request(const runtime::JsonValue& request,
       sl.field("id", jobs[i].id);
       sl.field("kind",
                runtime::kind_name(runtime::job_kind(jobs[i].job)));
-      sl.field("admission_us", js.admission_us);
-      sl.field("queue_us", js.queue_us);
-      sl.field("hot_us", js.hot_us);
-      sl.field("disk_us", js.disk_us);
-      sl.field("compute_us", js.compute_us);
-      sl.field("store_us", js.store_us);
-      sl.field("serialize_us", js.serialize_us);
-      sl.field("total_us", js.total_us());
+      emit_stages(sl, js);
       sl.end_object();
     }
     sl.end_array();

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "mathx/rng.hpp"
@@ -56,6 +57,37 @@ TEST(Parallel, PoolIsReusableAcrossJobs) {
   EXPECT_EQ(sum.load(), 20 * (99 * 100 / 2));
   // An empty range is a no-op.
   pool.for_each_indexed(5, 5, [](int, std::int64_t) { FAIL(); });
+}
+
+TEST(Parallel, ThrowingCallbackReachesTheCallerAndTheEngineKeepsWorking) {
+  const auto block = [](std::int64_t bad) {
+    return [bad](int, std::int64_t lo, std::int64_t) -> std::int64_t {
+      if (lo == bad) throw std::runtime_error("block failed");
+      return 1;
+    };
+  };
+  for (const std::int64_t bad : {0, 37, 99}) {
+    EXPECT_THROW(run_blocks({.max_items = 100, .batch = 100}, 4, 1,
+                            block(bad)),
+                 std::runtime_error)
+        << bad;
+    const YieldRun ok =
+        run_blocks({.max_items = 100, .batch = 100}, 4, 1, block(-1));
+    EXPECT_EQ(ok.passed, 100) << bad;
+  }
+  // A pool that saw a throw runs its next job in full.
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.for_each_indexed(0, 100,
+                                     [](int, std::int64_t i) {
+                                       if (i == 50) {
+                                         throw std::runtime_error("index");
+                                       }
+                                     }),
+               std::runtime_error);
+  std::atomic<int> visits{0};
+  pool.for_each_indexed(0, 100,
+                        [&](int, std::int64_t) { visits.fetch_add(1); });
+  EXPECT_EQ(visits.load(), 100);
 }
 
 TEST(Parallel, MapOutputIsIndexOrderedForAnyThreadCount) {

@@ -277,6 +277,18 @@ TEST(RunStats, EveryKindReportsWallTime) {
   EXPECT_EQ(kinds.size(), kNumKinds);
 }
 
+TEST(RunStats, ComputeErrorOnAnEngineWorkerReachesTheCaller) {
+  // calibrate rejects bits > 20 per chip, inside the engine's workers: the
+  // error must surface from execute_job, not terminate the process.
+  CalYieldJob j;
+  j.spec.nbits = 8;
+  j.spec.binary_bits = 3;
+  j.sigma_unit = 0.05;
+  j.cal.bits = 22;
+  j.chips = 64;
+  EXPECT_THROW((void)execute_job(j, 4, nullptr), std::invalid_argument);
+}
+
 // --- Corruption and eviction ----------------------------------------------
 
 TEST(Cache, CorruptEntryRecomputesInsteadOfServingGarbage) {

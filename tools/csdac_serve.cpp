@@ -52,8 +52,8 @@
 // each job struct in src/runtime/job.hpp, in JobKind order), or the alias
 // dnl_yield (inl_yield judged on max|DNL|); an optional "id" echoed in
 // the response; an optional "spec" object overriding DacSpec fields; and
-// kind-specific fields, read by the kind's parse() overload in
-// src/serve/request.cpp (see EXPERIMENTS.md). Each result's fields are
+// kind-specific fields, read by the kind's Params list in
+// src/runtime/job.hpp (see EXPERIMENTS.md). Each result's fields are
 // its Fields<T> list in src/runtime/job.hpp, except the sweep summary,
 // the arch_compare table and the spice_mc "solver" object
 // (src/serve/response.cpp).
