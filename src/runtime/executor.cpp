@@ -20,6 +20,13 @@ std::int64_t lap_us(std::chrono::steady_clock::time_point& from) {
   return us;
 }
 
+/// Marks `r` as answered by a cache tier: nothing evaluated, one hit.
+void answered_by(ResultTier tier, ExecResult& r) {
+  r.tier = tier;
+  r.stats = mathx::RunStats{};
+  r.stats.cache_hits = 1;
+}
+
 }  // namespace
 
 std::string_view tier_name(ResultTier tier) {
@@ -49,34 +56,40 @@ JobExecutor::JobExecutor(ExecutorOptions opts) : opts_(std::move(opts)) {
   }
 }
 
+bool JobExecutor::lookup_hot(JobKind kind, const mathx::HashKey128& key,
+                             ExecResult& r, bool count_miss) {
+  if (!hot_) return false;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto mark = t0;
+  std::vector<unsigned char> payload;
+  // A hot entry that fails the decode is impossible unless the process
+  // mixes engine versions; the caller falls through and recomputes.
+  if (hot_->get(key, payload, count_miss)) {
+    mathx::ByteReader reader(payload);
+    if (decode_value(kind, reader, r.value)) answered_by(ResultTier::kHot, r);
+  }
+  r.stages.hot_us = lap_us(mark);
+  r.wall_seconds = std::chrono::duration<double>(mark - t0).count();
+  return r.tier == ResultTier::kHot;
+}
+
 ExecResult JobExecutor::run(const Job& job, const mathx::HashKey128& key,
                             int threads, std::string_view trace_id) {
   const auto t0 = std::chrono::steady_clock::now();
-  auto mark = t0;
   ExecResult r;
   const JobKind kind = job_kind(job);
   obs::ScopedSpan span("exec.job");
   span.attr("kind", kind_name(kind));
   if (!trace_id.empty()) span.attr("trace_id", trace_id);
 
-  std::vector<unsigned char> payload;
-  if (hot_) {
-    if (hot_->get(key, payload)) {
-      mathx::ByteReader reader(payload);
-      if (decode_value(kind, reader, r.value)) {
-        r.tier = ResultTier::kHot;
-      }
-      // A hot entry that fails the decode is impossible unless the process
-      // mixes engine versions; fall through and recompute.
-    }
-    r.stages.hot_us = lap_us(mark);
-  }
+  lookup_hot(kind, key, r);
+  auto mark = std::chrono::steady_clock::now();
   if (r.tier == ResultTier::kComputed && disk_) {
-    payload.clear();
+    std::vector<unsigned char> payload;
     if (disk_->get(key, payload)) {
       mathx::ByteReader reader(payload);
       if (decode_value(kind, reader, r.value)) {
-        r.tier = ResultTier::kDisk;
+        answered_by(ResultTier::kDisk, r);
         // Promote so the next identical question never touches the disk.
         if (hot_) hot_->put(key, payload);
       }
@@ -85,10 +98,7 @@ ExecResult JobExecutor::run(const Job& job, const mathx::HashKey128& key,
     r.stages.disk_us = lap_us(mark);
   }
 
-  if (r.tier != ResultTier::kComputed) {
-    r.stats = mathx::RunStats{};
-    r.stats.cache_hits = 1;
-  } else {
+  if (r.tier == ResultTier::kComputed) {
     r.value = execute_job(job, threads, &r.stats);
     r.stats.cache_hits = 0;
     r.stats.cache_misses = (disk_ || hot_) ? 1 : 0;

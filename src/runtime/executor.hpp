@@ -80,6 +80,16 @@ class JobExecutor {
   ExecResult run(const Job& job, const mathx::HashKey128& key, int threads,
                  std::string_view trace_id = {});
 
+  /// The hot-tier step of run(), callable alone: on a hit fills `r` with
+  /// the decoded value, tier kHot and the cache-hit stats, and returns
+  /// true. Fills stages.hot_us and wall_seconds either way (a no-op
+  /// returning false when the hot tier is disabled). `count_miss` false
+  /// keeps a miss out of the counters, for a probe whose miss run()
+  /// counts later — the Scheduler answers hits this way on the
+  /// submitting thread.
+  bool lookup_hot(JobKind kind, const mathx::HashKey128& key, ExecResult& r,
+                  bool count_miss = true);
+
   /// Counters of the disk tier (zeroes when disabled).
   CacheCounters disk_counters() const;
   /// Counters of the hot tier (zeroes when disabled).

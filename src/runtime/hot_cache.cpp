@@ -42,11 +42,12 @@ HotCache::HotCache(HotCacheOptions opts) : opts_(opts) {
 }
 
 bool HotCache::get(const mathx::HashKey128& key,
-                   std::vector<unsigned char>& payload) {
+                   std::vector<unsigned char>& payload, bool count_miss) {
   Shard& s = shard_for(key);
   std::lock_guard<std::mutex> lock(s.mutex);
   const auto it = s.by_key.find(key);
   if (it == s.by_key.end()) {
+    if (!count_miss) return false;
     ++s.counters.misses;
     HotMetrics::get().misses.add(1);
     return false;

@@ -48,7 +48,10 @@ class HotCache {
   HotCache& operator=(const HotCache&) = delete;
 
   /// On hit copies the payload out, refreshes recency, and returns true.
-  bool get(const mathx::HashKey128& key, std::vector<unsigned char>& payload);
+  /// `count_miss` false keeps a miss out of the counters: a probe whose
+  /// miss a later lookup of the same job counts.
+  bool get(const mathx::HashKey128& key, std::vector<unsigned char>& payload,
+           bool count_miss = true);
 
   /// Admits `payload` under `key` (no-op if already resident, which only
   /// refreshes recency — same-key payloads are identical by construction)

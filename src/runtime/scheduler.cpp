@@ -40,6 +40,16 @@ struct SchedMetrics {
   }
 };
 
+/// The sched.job span's attributes, for a worker-run job and an inline
+/// hot hit alike.
+void tag_job_span(obs::ScopedSpan& span, JobKind kind, std::string_view label,
+                  std::uint64_t client, std::string_view trace_id) {
+  span.attr("kind", kind_name(kind))
+      .attr("label", label)
+      .attr("client", static_cast<std::int64_t>(client));
+  if (!trace_id.empty()) span.attr("trace_id", trace_id);
+}
+
 double now_us() {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -82,7 +92,38 @@ Scheduler::Ticket Scheduler::submit(Job job, std::uint64_t client,
                                     std::string label, std::string trace_id,
                                     std::uint64_t parent_span) {
   const mathx::HashKey128 key = job_key(job);
+  const JobKind kind = job_kind(job);
   SchedMetrics& m = SchedMetrics::get();
+  if (label.empty()) label = std::string(kind_name(kind));
+
+  // A hot hit adds no work, so it is answered here on the caller's
+  // thread: no in-flight entry, no client queue, no admission slot, no
+  // worker wake-up. The probe counts only hits; a miss is counted by the
+  // worker's lookup, which also answers from RAM a task that finished
+  // between this probe and the enqueue below.
+  if (ExecResult hit;
+      executor_->lookup_hot(kind, key, hit, /*count_miss=*/false)) {
+    {
+      // Opened after the lookup, so a miss emits no span; the pair keeps
+      // the sched.job > exec.job shape of a job a worker ran.
+      obs::ScopedSpan span("sched.job", parent_span);
+      tag_job_span(span, kind, label, client, trace_id);
+      obs::ScopedSpan exec("exec.job");
+      exec.attr("kind", kind_name(kind)).attr("tier", tier_name(hit.tier));
+      if (!trace_id.empty()) exec.attr("trace_id", trace_id);
+    }
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++counters_.submitted;
+      ++counters_.completed;
+    }
+    m.submitted.add(1);
+    m.completed.add(1);
+    std::promise<ResultPtr> done;
+    done.set_value(std::make_shared<const ExecResult>(std::move(hit)));
+    return Ticket{key, done.get_future().share(), false};
+  }
+
   std::int64_t admission_us = 0;
   std::unique_lock<std::mutex> lock(mutex_);
 
@@ -119,9 +160,7 @@ Scheduler::Ticket Scheduler::submit(Job job, std::uint64_t client,
   auto task = std::make_shared<Task>();
   task->job = std::move(job);
   task->key = key;
-  task->label = label.empty()
-                    ? std::string(kind_name(job_kind(task->job)))
-                    : std::move(label);
+  task->label = std::move(label);
   task->trace_id = std::move(trace_id);
   task->parent_span = parent_span;
   task->admission_us = admission_us;
@@ -142,22 +181,20 @@ Scheduler::Ticket Scheduler::submit(Job job, std::uint64_t client,
   return Ticket{key, task->future, false};
 }
 
-/// Round-robin pick: the first non-empty client queue strictly after the
-/// cursor, wrapping. Requires at least one queued task. Lock held.
+/// Round-robin pick: the front task of the first client queue strictly
+/// after the cursor, wrapping. Only clients with queued tasks have a
+/// queue, so the pick is one map lookup and a drained client leaves no
+/// queue behind. Lock held.
 Scheduler::TaskPtr Scheduler::next_task_locked() {
+  if (queues_.empty()) return nullptr;
   auto it = queues_.upper_bound(rr_cursor_);
-  for (std::size_t hops = 0; hops <= queues_.size(); ++hops) {
-    if (it == queues_.end()) it = queues_.begin();
-    if (!it->second.empty()) {
-      TaskPtr task = std::move(it->second.front());
-      it->second.pop_front();
-      rr_cursor_ = it->first;
-      --queued_;
-      return task;
-    }
-    ++it;
-  }
-  return nullptr;
+  if (it == queues_.end()) it = queues_.begin();
+  TaskPtr task = std::move(it->second.front());
+  it->second.pop_front();
+  rr_cursor_ = it->first;
+  if (it->second.empty()) queues_.erase(it);
+  --queued_;
+  return task;
 }
 
 void Scheduler::worker_loop(int /*worker*/) {
@@ -184,10 +221,8 @@ void Scheduler::worker_loop(int /*worker*/) {
       // (parent 0 keeps the span a root, which is what worker threads had
       // before trace propagation existed).
       obs::ScopedSpan span("sched.job", task->parent_span);
-      span.attr("kind", kind_name(job_kind(task->job)))
-          .attr("label", task->label)
-          .attr("client", static_cast<std::int64_t>(task->client));
-      if (!task->trace_id.empty()) span.attr("trace_id", task->trace_id);
+      tag_job_span(span, job_kind(task->job), task->label, task->client,
+                   task->trace_id);
       ExecResult er = executor_->run(task->job, task->key,
                                      opts_.threads_per_job, task->trace_id);
       // The scheduler alone can see the pre-execution waits; fold them
@@ -228,8 +263,6 @@ void Scheduler::worker_loop(int /*worker*/) {
       std::lock_guard<std::mutex> lock(mutex_);
       if (--client_load_[task->client] == 0) {
         client_load_.erase(task->client);
-        // Queues for idle clients stay around (empty deques are cheap and
-        // keep the round-robin order stable for returning clients).
       }
     }
     cv_slot_.notify_all();
@@ -244,6 +277,11 @@ SchedulerCounters Scheduler::counters() const {
 std::int64_t Scheduler::inflight() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return static_cast<std::int64_t>(inflight_.size());
+}
+
+std::size_t Scheduler::client_state() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return queues_.size() + client_load_.size();
 }
 
 }  // namespace csdac::runtime

@@ -4,7 +4,7 @@
 // JobExecutor (hot tier + disk cache), so any number of concurrent clients
 // multiplex over one set of cores and one result store.
 //
-// Three properties the serve path depends on:
+// Four properties the serve path depends on:
 //
 //  * Cross-request single-flight dedup. Submissions are keyed by the job's
 //    128-bit content hash; while a key is queued or running, every further
@@ -25,6 +25,14 @@
 //    batch: futures resolve in completion order, a second batch submitted
 //    while the first is in flight shares the workers and the cache but
 //    never blocks on the first batch's completion.
+//
+//  * Hot hits never queue. submit() looks the key up in the executor's
+//    hot tier on the caller's thread; a hit returns a ticket whose future
+//    is already resolved (tier hot, queue and admission waits 0). It adds
+//    no queued work, so it bypasses the in-flight table, the client
+//    queues, round-robin and the admission cap, and no worker wakes. A
+//    miss takes the path above unchanged: the disk tier, compute and
+//    single-flight dedup behave as if the probe never ran.
 #pragma once
 
 #include <condition_variable>
@@ -57,7 +65,7 @@ struct SchedulerOptions {
 /// Counters of one scheduler instance (process-wide equivalents live in
 /// the obs registry as sched.*).
 struct SchedulerCounters {
-  std::int64_t submitted = 0;
+  std::int64_t submitted = 0;  ///< tasks enqueued plus inline hot hits
   std::int64_t completed = 0;
   std::int64_t dedup_inflight = 0;  ///< submissions attached to a live task
   std::int64_t admission_waits = 0;  ///< submits that blocked on the cap
@@ -87,11 +95,14 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Enqueues `job` for `client` (any stable id — the server uses the
-  /// connection id). Blocks while the client is at its admission cap.
+  /// Answers `job` from the hot tier on the calling thread when it can
+  /// (the ticket's future is then ready on return); otherwise enqueues it
+  /// for `client` (any stable id — the server uses the connection id),
+  /// blocking while the client is at its admission cap.
   /// `trace_id` tags the job's sched.job/exec.job spans and flows into the
-  /// flight recorder; `parent_span` cross-thread-parents the worker's
-  /// sched.job span under the caller's span (a serve.request, typically).
+  /// flight recorder; `parent_span` parents the sched.job span (on the
+  /// worker, or on the caller for a hot hit) under the caller's span (a
+  /// serve.request, typically).
   /// Deduped submissions join the FIRST submitter's task and keep its
   /// trace id — by design: one execution, one attribution.
   Ticket submit(Job job, std::uint64_t client = 0, std::string label = {},
@@ -102,6 +113,9 @@ class Scheduler {
   int workers() const { return static_cast<int>(threads_.size()); }
   /// Jobs queued or running right now.
   std::int64_t inflight() const;
+  /// Per-client entries held (client queues plus load counts); 0 once
+  /// every client's work has drained, however many clients came and went.
+  std::size_t client_state() const;
 
  private:
   struct Task {
@@ -129,8 +143,9 @@ class Scheduler {
   std::condition_variable cv_slot_;  ///< submitters wait for client slots
   bool stop_ = false;
   std::map<mathx::HashKey128, TaskPtr> inflight_;  ///< queued + running
+  /// Clients with queued tasks only: a queue is erased when it empties.
   std::map<std::uint64_t, std::deque<TaskPtr>> queues_;
-  std::map<std::uint64_t, int> client_load_;  ///< queued + running per client
+  std::map<std::uint64_t, int> client_load_;  ///< queued + running, > 0
   std::uint64_t rr_cursor_ = 0;  ///< last client served (round-robin)
   std::int64_t queued_ = 0;
   SchedulerCounters counters_;

@@ -185,13 +185,14 @@ void Server::stop() {
     ::shutdown(listen_fd_, SHUT_RDWR);
     accept_thread_.join();
   }
-  std::vector<std::thread> threads;
+  std::map<std::uint64_t, std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
     threads.swap(conn_threads_);
+    ended_conns_.clear();
   }
-  for (auto& t : threads) t.join();
+  for (auto& [id, t] : threads) t.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -214,6 +215,11 @@ ServerCounters Server::counters() const {
   return counters_;
 }
 
+std::size_t Server::connection_threads() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return conn_threads_.size();
+}
+
 void Server::accept_loop() {
   ServeMetrics& m = ServeMetrics::get();
   while (running_.load(std::memory_order_acquire)) {
@@ -225,6 +231,7 @@ void Server::accept_loop() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
+    join_ended_connections();
     std::lock_guard<std::mutex> lock(mutex_);
     if (!running_.load(std::memory_order_acquire)) {
       ::close(fd);
@@ -243,9 +250,24 @@ void Server::accept_loop() {
     m.connections.add(1);
     m.active.set(static_cast<double>(active_));
     conn_fds_.push_back(fd);
-    conn_threads_.emplace_back(
-        [this, fd, id] { handle_connection(fd, id); });
+    conn_threads_.emplace(
+        id, std::thread([this, fd, id] { handle_connection(fd, id); }));
   }
+}
+
+void Server::join_ended_connections() {
+  std::vector<std::thread> ended;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const std::uint64_t id : ended_conns_) {
+      const auto it = conn_threads_.find(id);
+      ended.push_back(std::move(it->second));
+      conn_threads_.erase(it);
+    }
+    ended_conns_.clear();
+  }
+  // Outside the lock: an ended thread may still be releasing it.
+  for (auto& t : ended) t.join();
 }
 
 void Server::handle_connection(int fd, std::uint64_t conn_id) {
@@ -285,6 +307,7 @@ void Server::handle_connection(int fd, std::uint64_t conn_id) {
   std::lock_guard<std::mutex> lock(mutex_);
   conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
                   conn_fds_.end());
+  ended_conns_.push_back(conn_id);
   --active_;
   m.active.set(static_cast<double>(active_));
 }

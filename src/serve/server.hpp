@@ -7,11 +7,13 @@
 //
 // Connection model: one thread per connection (bounded by
 // max_connections; excess connections get a "busy" error frame and are
-// closed). Framing errors answer a best-effort error frame and drop the
-// connection; payload errors (bad JSON, bad schema, bad job fields)
-// answer a structured "csdac-serve/4" error frame and KEEP the
-// connection open — one malformed request never takes down a client's
-// session, let alone the server.
+// closed). A connection's thread is joined at the next accept after it
+// ends, so the server holds threads for its live connections, not for
+// every connection it has seen. Framing errors answer a best-effort
+// error frame and drop the connection; payload errors (bad JSON, bad
+// schema, bad job fields) answer a structured "csdac-serve/4" error frame
+// and KEEP the connection open — one malformed request never takes down
+// a client's session, let alone the server.
 //
 // Control channel ("csdac-ctl/1" payloads on the same port):
 //   {"schema":"csdac-ctl/1","cmd":"ping"}      liveness probe
@@ -43,6 +45,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -112,10 +115,17 @@ class Server {
   int port() const { return port_; }
   runtime::Scheduler& scheduler() { return *sched_; }
   ServerCounters counters() const;
+  /// Connection threads not yet joined: the live connections plus those
+  /// that ended since the last accept (each accept joins them).
+  std::size_t connection_threads() const;
   bool running() const { return running_.load(std::memory_order_acquire); }
 
  private:
   void accept_loop();
+  /// Joins the threads of connections that ended since the last call, so
+  /// the server holds only its live connections' threads (and stacks),
+  /// however many connections it has seen. Called on every accept.
+  void join_ended_connections();
   void handle_connection(int fd, std::uint64_t conn_id);
   /// One payload in, one reply payload out. Never throws. Sets
   /// *shutdown_after when the reply acknowledges a ctl shutdown (the
@@ -141,7 +151,8 @@ class Server {
 
   mutable std::mutex mutex_;
   std::condition_variable cv_stop_;
-  std::vector<std::thread> conn_threads_;
+  std::map<std::uint64_t, std::thread> conn_threads_;  ///< by conn id
+  std::vector<std::uint64_t> ended_conns_;  ///< threads done, not joined
   std::vector<int> conn_fds_;  ///< open connection fds (for shutdown())
   std::int64_t active_ = 0;
   std::uint64_t next_conn_id_ = 1;

@@ -190,6 +190,27 @@ TEST(Protocol, MidRequestDisconnectLeavesServerServing) {
   EXPECT_EQ(error_code(parse_reply(reply)), "");
 }
 
+TEST(Protocol, EndedConnectionsLeaveNoUnjoinedThreads) {
+  ServerFixture fx;
+  REQUIRE_SERVER(fx);
+  // One short connection after another: each accept joins the threads of
+  // the connections that ended before it, so the count stays bounded by
+  // the live-connection cap instead of growing with every connection.
+  constexpr int kConnections = 1000;
+  const std::string ping = "{\"schema\":\"csdac-ctl/1\",\"cmd\":\"ping\"}";
+  for (int i = 0; i < kConnections; ++i) {
+    Client c = fx.connect();
+    std::string reply;
+    ASSERT_EQ(c.call(ping, reply), FrameStatus::kOk) << "connection " << i;
+  }
+  EXPECT_LE(fx.server->connection_threads(),
+            static_cast<std::size_t>(ServerOptions{}.max_connections));
+  EXPECT_EQ(fx.server->counters().connections, kConnections);
+  // stop() still joins whatever is left.
+  fx.server->stop();
+  EXPECT_EQ(fx.server->connection_threads(), 0u);
+}
+
 TEST(Protocol, PingReportsWorkers) {
   ServerFixture fx;
   REQUIRE_SERVER(fx);

@@ -1,8 +1,9 @@
 // Tests for the shared long-lived scheduler: future-based submission,
 // cross-request single-flight dedup, per-client admission control,
 // round-robin fairness, batch-lifetime independence (the regression for
-// the old batch-scoped runtime), and several schedulers sharing one
-// executor.
+// the old batch-scoped runtime), per-client state that goes when a client
+// drains, hot hits answered on the submitting thread, and several
+// schedulers sharing one executor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -221,6 +222,149 @@ TEST(Scheduler, ManyConcurrentSubmittersAllGetCorrectResults) {
   EXPECT_EQ(counters.submitted + counters.dedup_inflight,
             kClients * kJobsEach);
   EXPECT_EQ(counters.completed, counters.submitted);
+}
+
+TEST(Scheduler, DrainedClientsLeaveNoPerClientState) {
+  // The server gives every connection a fresh client id, so per-client
+  // entries must go when a client's work drains, or a long-lived server
+  // walks every past connection's empty queue under its global lock.
+  Scheduler sched(ram_only(4));
+  constexpr int kClients = 10000;
+  std::vector<Scheduler::Ticket> tickets;
+  tickets.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    tickets.push_back(sched.submit(job_with(20000 + c, 1),
+                                   static_cast<std::uint64_t>(c)));
+  }
+  for (const auto& t : tickets) t.future.wait();
+  // A client's load drops just after its future resolves; give the last
+  // workers a moment to get there.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (sched.client_state() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(sched.client_state(), 0u);
+  EXPECT_EQ(sched.inflight(), 0);
+  EXPECT_EQ(sched.counters().completed, kClients);
+}
+
+// --- Hot hits answered on the submitting thread ---------------------------
+
+TEST(SchedulerHotHit, FutureIsReadyOnReturnWithZeroWaits) {
+  Scheduler sched(ram_only(1));
+  const Job job = job_with(1100, 50);
+  const Scheduler::ResultPtr cold = sched.submit(job, 3).future.get();
+  ASSERT_EQ(cold->tier, ResultTier::kComputed);
+
+  const auto warm = sched.submit(job, 3, "warm");
+  ASSERT_EQ(warm.future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_FALSE(warm.deduped);
+  const Scheduler::ResultPtr hit = warm.future.get();
+  EXPECT_EQ(hit->tier, ResultTier::kHot);
+  EXPECT_EQ(hit->stages.queue_us, 0);
+  EXPECT_EQ(hit->stages.admission_us, 0);
+  EXPECT_EQ(hit->stages.compute_us, 0);
+  EXPECT_EQ(hit->stats.evaluated, 0);
+  EXPECT_EQ(std::get<YieldResult>(hit->value).yield,
+            std::get<YieldResult>(cold->value).yield);
+  const SchedulerCounters c = sched.counters();
+  EXPECT_EQ(c.submitted, 2);
+  EXPECT_EQ(c.completed, 2);
+  EXPECT_EQ(sched.inflight(), 0);
+}
+
+TEST(SchedulerHotHit, ClientAtItsCapIsAnsweredWithoutBlocking) {
+  SchedulerOptions o = ram_only(1);
+  o.max_inflight_per_client = 1;
+  Scheduler sched(o);
+  const Job warm = job_with(1200, 50);
+  sched.submit(warm, 7).future.wait();
+
+  // The slow job fills client 7's only slot; a miss would now block until
+  // it finishes, a hot hit must not.
+  const auto slow = sched.submit(job_with(1201, 20000), 7, "slow");
+  const std::int64_t waits = sched.counters().admission_waits;
+  const auto hit = sched.submit(warm, 7, "hit");
+  EXPECT_EQ(hit.future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(hit.future.get()->tier, ResultTier::kHot);
+  EXPECT_EQ(hit.future.get()->stages.admission_us, 0);
+  EXPECT_EQ(sched.counters().admission_waits, waits);
+  slow.future.wait();
+}
+
+TEST(SchedulerHotHit, EmitsSchedJobOverExecJobWithTraceAndParent) {
+  obs::SpanCollector collector;
+  obs::Tracer::global().add_sink(&collector);
+  std::vector<obs::SpanRecord> cold_spans, hit_spans;
+  {
+    Scheduler sched(ram_only(1));
+    const Job job = job_with(1300, 50);
+    sched.submit(job, 5, "cold", "t-cold", 4241).future.wait();
+    cold_spans = collector.take();
+    sched.submit(job, 5, "warm", "t-hot", 4242).future.wait();
+    hit_spans = collector.take();
+  }
+  obs::Tracer::global().remove_sink(&collector);
+
+  const auto attr = [](const obs::SpanRecord& s, const std::string& key) {
+    for (const auto& [k, v] : s.attrs) {
+      if (k == key) return v;
+    }
+    return std::string();
+  };
+  const auto named = [](const std::vector<obs::SpanRecord>& spans,
+                        const std::string& name) {
+    std::vector<const obs::SpanRecord*> out;
+    for (const auto& s : spans) {
+      if (s.name == name) out.push_back(&s);
+    }
+    return out;
+  };
+  // The cold job's probe missed: the worker's span is the only one.
+  EXPECT_EQ(named(cold_spans, "sched.job").size(), 1u);
+
+  const auto sched_spans = named(hit_spans, "sched.job");
+  const auto exec_spans = named(hit_spans, "exec.job");
+  ASSERT_EQ(sched_spans.size(), 1u);
+  ASSERT_EQ(exec_spans.size(), 1u);
+  const obs::SpanRecord& sj = *sched_spans[0];
+  const obs::SpanRecord& ej = *exec_spans[0];
+  EXPECT_EQ(sj.parent, 4242u);
+  EXPECT_EQ(attr(sj, "trace_id"), "t-hot");
+  EXPECT_EQ(attr(sj, "kind"), "inl_yield");
+  EXPECT_EQ(attr(sj, "label"), "warm");
+  EXPECT_EQ(attr(sj, "client"), "5");
+  EXPECT_EQ(ej.parent, sj.id);
+  EXPECT_EQ(attr(ej, "trace_id"), "t-hot");
+  EXPECT_EQ(attr(ej, "tier"), "hot");
+}
+
+TEST(SchedulerHotHit, EverySubmittedJobRecordsOneHotOutcome) {
+  // Cold then warm, with in-flight duplicates: each submitted job counts
+  // exactly one hot-tier hit or miss (a queued task's miss by the worker,
+  // an inline hit by the probe), and a dedup attachment counts none.
+  Scheduler sched(ram_only(1));
+  std::vector<Scheduler::Ticket> tickets;
+  tickets.push_back(sched.submit(job_with(1400, 300), 0, "blocker"));
+  for (int i = 0; i < 4; ++i) {
+    tickets.push_back(sched.submit(job_with(1401 + i, 50), 1));
+    tickets.push_back(sched.submit(job_with(1401 + i % 2, 50), 2));
+  }
+  for (const auto& t : tickets) t.future.wait();
+  for (int i = 0; i < 5; ++i) {
+    const auto warm = sched.submit(job_with(1400 + i, i ? 50 : 300), 3);
+    EXPECT_EQ(warm.future.get()->tier, ResultTier::kHot);
+  }
+  const SchedulerCounters c = sched.counters();
+  const HotCacheCounters hot = sched.executor().hot_counters();
+  EXPECT_GE(c.dedup_inflight, 1);
+  EXPECT_EQ(hot.hits + hot.misses, c.submitted);
+  EXPECT_GE(hot.hits, 5);
+  EXPECT_EQ(c.completed, c.submitted);
 }
 
 // --- Schedulers on a shared executor -------------------------------------

@@ -33,8 +33,13 @@ Modes:
 
 --expect-serve (either mode) additionally requires the design-server
 counters: connections and requests accepted, zero error frames, a
-complete serve.request_us latency histogram. Used by the CI serve-smoke
-job on the dumps the server writes at shutdown.
+complete serve.request_us latency histogram, and — when the hot-tier
+series are present — one hot-tier outcome per submitted job:
+csdac_cache_hot_hits_total + csdac_cache_hot_misses_total ==
+csdac_sched_submitted_total (a queued task's worker counts its hit or
+miss, a hit answered at submit counts itself, a dedup attachment is not
+a submission). Used by the CI serve-smoke and trace-smoke jobs on the
+dumps the server writes at shutdown.
 
 --expect-rare (either mode) additionally requires the rare-event
 estimator instruments: the cold dump must show at least one importance-
@@ -344,6 +349,14 @@ def check_serve(path, samples):
     if latency_count < requests:
         fail(f"{path}: latency histogram recorded {int(latency_count)} "
              f"requests, counter says {int(requests)}")
+    if "csdac_cache_hot_hits_total" in samples:
+        hits = counter(samples, "csdac_cache_hot_hits_total")
+        misses = counter(samples, "csdac_cache_hot_misses_total")
+        submitted = counter(samples, "csdac_sched_submitted_total")
+        if hits + misses != submitted:
+            fail(f"{path}: {int(hits)} hot hits + {int(misses)} hot misses "
+                 f"!= {int(submitted)} submitted jobs — a job's hot-tier "
+                 f"outcome was counted twice or not at all")
 
 
 def check_rare_cold(path, samples):
