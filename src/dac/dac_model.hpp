@@ -37,8 +37,7 @@ SourceErrors ideal_sources(const core::DacSpec& spec);
 /// draw → transfer → INL/DNL pipeline needs, preallocated once and reused
 /// for every chip. The kernels that fill it live in static_analysis.hpp
 /// (mc_chip_metrics) and calibration.hpp (cal_chip_passes) — the scalar
-/// references the lane kernels are pinned against — and the lane kernels'
-/// ChipWorkspaceXN embeds one as its calibration-trim scratch.
+/// references the lane kernels are pinned against.
 struct ChipWorkspace {
   explicit ChipWorkspace(const core::DacSpec& spec);
 

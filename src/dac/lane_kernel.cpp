@@ -9,7 +9,7 @@
 namespace csdac::dac {
 
 ChipWorkspaceXN::ChipWorkspaceXN(const core::DacSpec& s, int nlanes)
-    : spec(s), lanes(nlanes), scalar(s) {
+    : spec(s), lanes(nlanes) {
   spec.validate();
   if (lanes < 1 || lanes > kMaxSimdLanes) {
     throw std::invalid_argument("ChipWorkspaceXN: bad lane count");
@@ -17,14 +17,17 @@ ChipWorkspaceXN::ChipWorkspaceXN(const core::DacSpec& s, int nlanes)
   const auto ll = static_cast<std::size_t>(lanes);
   const auto nu = static_cast<std::size_t>(spec.num_unary());
   const auto nb = static_cast<std::size_t>(spec.binary_bits);
-  const auto n_codes = static_cast<std::size_t>(1) << spec.nbits;
+  trim.errors.unary.reserve(nu);
+  trim.errors.binary.reserve(nb);
+  trim.trimmed.unary.reserve(nu);
+  trim.trimmed.binary.reserve(nb);
   unary.resize(nu * ll, 0.0);
   binary.resize(nb * ll, 0.0);
   trimmed_unary.resize(nu * ll, 0.0);
   unary_prefix.resize((nu + 1) * ll, 0.0);
   binsum.resize((static_cast<std::size_t>(1) << spec.binary_bits) * ll, 0.0);
-  levels.resize(n_codes * ll, 0.0);
-  z.resize(nu * ll, 0.0);
+  z.resize((nu + nb) * ll, 0.0);
+  polar.resize((nu + nb) * ll, 0.0);
   amp.resize(nu * ll, 0.0);
 }
 
@@ -42,8 +45,8 @@ LaneView lane_view(ChipWorkspaceXN& ws) {
   v.trimmed_unary = ws.trimmed_unary.data();
   v.unary_prefix = ws.unary_prefix.data();
   v.binsum = ws.binsum.data();
-  v.levels = ws.levels.data();
   v.z = ws.z.data();
+  v.polar = ws.polar.data();
   v.amp = ws.amp.data();
   return v;
 }
@@ -51,7 +54,7 @@ LaneView lane_view(ChipWorkspaceXN& ws) {
 void cal_trim_lanes(ChipWorkspaceXN& ws, int lanes,
                     const CalibrationOptions& opts, std::uint64_t seed,
                     std::int64_t chip0) {
-  ChipWorkspace& s = ws.scalar;
+  TrimScratch& s = ws.trim;
   const auto nu = static_cast<std::size_t>(ws.spec.num_unary());
   const auto nb = static_cast<std::size_t>(ws.spec.binary_bits);
   const auto ll = static_cast<std::size_t>(lanes);

@@ -36,26 +36,38 @@ namespace csdac::dac {
 /// stack output arrays with this.
 inline constexpr int kMaxSimdLanes = 4;
 
-/// Per-worker scratch for the lane-batched MC path: the widened
-/// ChipWorkspace. Arrays are lane-interleaved — element i of lane l lives
-/// at [i * lanes + l], so one vector load/store touches element i of every
-/// lane at once. A kernel narrower than the workspace (the width-1 kernel
-/// running a run's short last block) uses the same arrays at its own lane
-/// stride. Also embeds a plain scalar ChipWorkspace as the gather/scatter
-/// scratch of the per-lane scalar calibration trim.
+/// One chip's scratch for the scalar calibration trim (calibrate_into
+/// reads and writes nothing else), so a lane workspace carries no 2^n
+/// per-chip arrays.
+struct TrimScratch {
+  mathx::Xoshiro256 rng{0};  ///< re-seeded per lane via stream_rng_into
+  SourceErrors errors;       ///< the lane's gathered mismatch draw
+  SourceErrors trimmed;      ///< calibrate_into's output
+};
+
+/// Per-worker scratch for the lane-batched MC path. Arrays are
+/// lane-interleaved — element i of lane l lives at [i * lanes + l], so one
+/// vector load/store touches element i of every lane at once. A kernel
+/// narrower than the workspace (the width-1 kernel running a run's short
+/// last block) uses the same arrays at its own lane stride. Nothing here
+/// scales with 2^n: the kernels form each transfer level on the fly from
+/// unary_prefix and binsum, so the largest array is binsum's 2^b rows.
 struct ChipWorkspaceXN {
   ChipWorkspaceXN(const core::DacSpec& spec, int lanes);
 
   core::DacSpec spec;   ///< validated copy
   int lanes;            ///< chips per block (the widest kernel it serves)
-  ChipWorkspace scalar; ///< calibration trim gather/scatter
+  TrimScratch trim;     ///< calibration trim gather/scatter
   std::vector<double> unary;          ///< num_unary() x lanes mismatch draw
   std::vector<double> binary;         ///< binary_bits x lanes
   std::vector<double> trimmed_unary;  ///< post-calibration unary weights
   std::vector<double> unary_prefix;   ///< (num_unary()+1) x lanes
   std::vector<double> binsum;         ///< 2^b x lanes partial sums
-  std::vector<double> levels;         ///< 2^n x lanes transfer levels
-  std::vector<double> z;              ///< num_unary() x lanes standard draw
+  /// (num_unary()+binary_bits) x lanes standard normal draws in stream
+  /// order: the unary draws (rows 0..num_unary()-1, tilted in place by the
+  /// rare-event blocks), then the binary ones.
+  std::vector<double> z;
+  std::vector<double> polar;          ///< z-sized normal_batch_xN scratch
   std::vector<double> amp;            ///< num_unary() x lanes mode amplitudes
 };
 
@@ -75,8 +87,8 @@ struct LaneView {
   double* trimmed_unary = nullptr;
   double* unary_prefix = nullptr;
   double* binsum = nullptr;
-  double* levels = nullptr;
   double* z = nullptr;
+  double* polar = nullptr;
   double* amp = nullptr;
 };
 
@@ -142,7 +154,8 @@ struct LaneKernel {
 
   /// Test hooks: `count` lane-parallel draws from the (seed, index0 +
   /// stride*l) substreams, lane-interleaved into out[draw * lanes + l].
-  /// Each lane must reproduce the scalar stream_rng / normal sequence.
+  /// Each lane must reproduce the scalar stream_rng / normal sequence;
+  /// draw_normals runs the blocks' batched draw, mathx::normal_batch_xN.
   void (*draw_normals)(std::uint64_t seed, std::uint64_t index0,
                        std::uint64_t stride, int count, double* out) = nullptr;
   void (*draw_bits)(std::uint64_t seed, std::uint64_t index0,
@@ -172,7 +185,7 @@ LaneView lane_view(ChipWorkspaceXN& ws);
 
 /// Scalar per-lane calibration trim for a `lanes`-wide kernel: gathers
 /// lane l's mismatch draw (lane stride `lanes`, which may be less than
-/// ws.lanes) into ws.scalar.errors, runs the real calibrate_into on the
+/// ws.lanes) into ws.trim.errors, runs the real calibrate_into on the
 /// (seed, 2*(chip0+l)+1) stream, scatters the trimmed unary weights into
 /// ws.trimmed_unary at the same stride. Scalar because the trim rounds
 /// with std::round (half-away-from-zero) while SIMD rounding is

@@ -18,6 +18,13 @@
 // zero, which none of the downstream arithmetic can observe (abs() feeds
 // the INL max; the DNL level steps are never -0.0).
 //
+// Two steps differ in schedule, not in arithmetic. No 2^n levels array is
+// stored: analyze_block walks the codes in order and forms each level as
+// unary_prefix[c >> b] + binsum[c & mask], the same single rounded add
+// transfer_into stores. And the polar draw takes its logs in a loop of
+// their own after the rejection loop (mathx::normal_batch_xN), on the same
+// accepted s values the scalar draw would pass to log.
+//
 // The rare-event blocks (is_block, strat_block) have no separate scalar
 // body: the width-1 ScalarOps instance is the reference, and every wider
 // lane repeats its operations in the same order — mode projections summed
@@ -41,21 +48,21 @@ struct LaneKernelImpl {
   static constexpr int L = Ops::kLanes;
 
   /// The standard-normal draws of draw_source_errors_into, one chip per
-  /// lane, in its stream order: the unary draws into `z` (raw), then the
-  /// binary source errors into v.binary. rng must already be seeded to the
-  /// per-lane streams.
+  /// lane, in its stream order, into v.z: the unary draws (raw), then the
+  /// binary ones, which also become the binary source errors in v.binary.
+  /// rng must already be seeded to the per-lane streams.
   static void draw_standard(const LaneView& v, mathx::Xoshiro256xN<Ops>& rng,
-                            double sigma_unit, double* z) {
+                            double sigma_unit) {
     if (!(sigma_unit >= 0.0)) detail::throw_bad_sigma();
-    for (int i = 0; i < v.num_unary; ++i) {
-      Ops::fstoreu(z + i * L, mathx::normal_xN(rng));
-    }
+    const int nu = v.num_unary;
+    mathx::normal_batch_xN(rng, nu + v.binary_bits, v.z, v.polar);
     for (int k = 0; k < v.binary_bits; ++k) {
       const double w = std::ldexp(1.0, k);
       const double cw = sigma_unit * std::sqrt(w);
       Ops::fstoreu(v.binary + k * L,
                    Ops::fadd(Ops::fset1(w),
-                             Ops::fmul(Ops::fset1(cw), mathx::normal_xN(rng))));
+                             Ops::fmul(Ops::fset1(cw),
+                                       Ops::floadu(v.z + (nu + k) * L))));
     }
   }
 
@@ -75,8 +82,8 @@ struct LaneKernelImpl {
   /// draw_source_errors_into, one chip per lane.
   static void draw_block(const LaneView& v, mathx::Xoshiro256xN<Ops>& rng,
                          double sigma_unit) {
-    draw_standard(v, rng, sigma_unit, v.unary);
-    unary_from_z(v, sigma_unit, v.unary);
+    draw_standard(v, rng, sigma_unit);
+    unary_from_z(v, sigma_unit, v.z);
   }
 
   /// Mode amplitude sum_i basis[i] * z_i, accumulated in index order.
@@ -98,8 +105,10 @@ struct LaneKernelImpl {
     }
   }
 
-  /// transfer_into, one chip per lane, from the given unary weights
-  /// (v.unary pre-calibration, v.trimmed_unary post).
+  /// transfer_into's tables, one chip per lane, from the given unary
+  /// weights (v.unary pre-calibration, v.trimmed_unary post): the unary
+  /// prefix sums and the binary partial sums. The levels themselves are
+  /// formed by analyze_block.
   static void transfer_block(const LaneView& v, const double* unary_src) {
     F64 acc = Ops::fset1(0.0);
     Ops::fstoreu(v.unary_prefix, acc);
@@ -115,26 +124,28 @@ struct LaneKernelImpl {
                    Ops::fadd(Ops::floadu(v.binsum + (j ^ (1 << k)) * L),
                              Ops::floadu(v.binary + k * L)));
     }
-    const int mask = (1 << v.binary_bits) - 1;
-    for (int c = 0; c < v.n_codes; ++c) {
-      Ops::fstoreu(
-          v.levels + c * L,
-          Ops::fadd(Ops::floadu(v.unary_prefix + (c >> v.binary_bits) * L),
-                    Ops::floadu(v.binsum + (c & mask) * L)));
-    }
   }
 
-  /// analyze_levels_summary, one chip per lane, over v.levels.
+  /// Transfer level of code (u << b) | j: transfer_into's one rounded add.
+  static F64 level(const LaneView& v, int u, int j) {
+    return Ops::fadd(Ops::floadu(v.unary_prefix + u * L),
+                     Ops::floadu(v.binsum + j * L));
+  }
+
+  /// analyze_levels_summary, one chip per lane, over the levels formed from
+  /// v.unary_prefix and v.binsum in code order (code c = u * nb + j).
   static void analyze_block(const LaneView& v, InlReference ref,
                             StaticSummary* out) {
     const int n = v.n_codes;
-    const double* levels = v.levels;
+    const int nb = 1 << v.binary_bits;  // codes per unary step
+    const int np = v.num_unary + 1;     // unary steps
+    const F64 one = Ops::fset1(1.0);
+    const F64 l0 = level(v, 0, 0);
     F64 gain, offset;
     if (ref == InlReference::kEndpoint) {
-      gain = Ops::fdiv(Ops::fsub(Ops::floadu(levels + (n - 1) * L),
-                                 Ops::floadu(levels)),
+      gain = Ops::fdiv(Ops::fsub(level(v, np - 1, nb - 1), l0),
                        Ops::fset1(static_cast<double>(n - 1)));
-      offset = Ops::floadu(levels);
+      offset = l0;
     } else {
       // The x statistics are lane-independent; compute them in scalar with
       // analyze_levels_summary's exact branches.
@@ -153,12 +164,15 @@ struct LaneKernelImpl {
           sxx += x * x;
         }
       }
-      F64 sy = Ops::fset1(0.0), sxy = Ops::fset1(0.0);
-      for (int i = 0; i < n; ++i) {
-        const F64 li = Ops::floadu(levels + i * L);
-        sy = Ops::fadd(sy, li);
-        sxy = Ops::fadd(
-            sxy, Ops::fmul(Ops::fset1(static_cast<double>(i)), li));
+      // x runs through the codes as an exact integer-valued double.
+      F64 sy = Ops::fset1(0.0), sxy = Ops::fset1(0.0), x = Ops::fset1(0.0);
+      for (int u = 0; u < np; ++u) {
+        for (int j = 0; j < nb; ++j) {
+          const F64 li = level(v, u, j);
+          sy = Ops::fadd(sy, li);
+          sxy = Ops::fadd(sxy, Ops::fmul(x, li));
+          x = Ops::fadd(x, one);
+        }
       }
       const double denom = nn * sxx - sx * sx;
       if (denom == 0.0) detail::throw_degenerate();
@@ -175,20 +189,24 @@ struct LaneKernelImpl {
       detail::throw_flat();
     }
 
-    F64 rmax = Ops::fabs(Ops::fsub(Ops::floadu(levels), offset));
-    F64 dmin = Ops::fsub(Ops::floadu(levels + L), Ops::floadu(levels));
+    F64 rmax = Ops::fabs(Ops::fsub(l0, offset));
+    F64 dmin = Ops::fsub(level(v, 1 >> v.binary_bits, 1 & (nb - 1)), l0);
     F64 dmax = dmin;
-    for (int i = 1; i < n; ++i) {
-      const F64 li = Ops::floadu(levels + i * L);
-      const F64 resid = Ops::fsub(
-          li, Ops::fadd(offset,
-                        Ops::fmul(gain, Ops::fset1(static_cast<double>(i)))));
-      rmax = Ops::fmax(rmax, Ops::fabs(resid));
-      const F64 d = Ops::fsub(li, Ops::floadu(levels + (i - 1) * L));
-      dmin = Ops::fmin(dmin, d);
-      dmax = Ops::fmax(dmax, d);
+    F64 prev = l0;
+    F64 x = one;
+    for (int u = 0; u < np; ++u) {
+      for (int j = u == 0 ? 1 : 0; j < nb; ++j) {  // codes 1 .. n-1
+        const F64 li = level(v, u, j);
+        const F64 resid =
+            Ops::fsub(li, Ops::fadd(offset, Ops::fmul(gain, x)));
+        rmax = Ops::fmax(rmax, Ops::fabs(resid));
+        const F64 d = Ops::fsub(li, prev);
+        dmin = Ops::fmin(dmin, d);
+        dmax = Ops::fmax(dmax, d);
+        prev = li;
+        x = Ops::fadd(x, one);
+      }
     }
-    const F64 one = Ops::fset1(1.0);
     const F64 inl = Ops::fdiv(rmax, Ops::fabs(gain));
     const F64 dlo = Ops::fsub(Ops::fdiv(dmin, gain), one);
     const F64 dhi = Ops::fsub(Ops::fdiv(dmax, gain), one);
@@ -240,7 +258,7 @@ struct LaneKernelImpl {
     const LaneView v = detail::lane_view(ws);
     mathx::Xoshiro256xN<Ops> rng;
     rng.seed_streams(r.seed, static_cast<std::uint64_t>(chip0), 1);
-    draw_standard(v, rng, r.sigma_unit, v.z);
+    draw_standard(v, rng, r.sigma_unit);
     const int u = v.num_unary;
     F64 lw = Ops::fset1(0.0);
     for (int k = 0; k < r.modes; ++k) {
@@ -268,7 +286,7 @@ struct LaneKernelImpl {
     const LaneView v = detail::lane_view(ws);
     mathx::Xoshiro256xN<Ops> rng;
     rng.seed_streams(r.seed, static_cast<std::uint64_t>(pair0), 1);
-    draw_standard(v, rng, r.sigma_unit, v.z);
+    draw_standard(v, rng, r.sigma_unit);
     double u_raw[L], flip[L], t[L];
     Ops::fstoreu(u_raw, mathx::uniform01_from_bits<Ops>(rng.next()));
     Ops::fstoreu(flip, mathx::uniform01_from_bits<Ops>(rng.next()));
@@ -298,8 +316,12 @@ struct LaneKernelImpl {
                            std::uint64_t stride, int count, double* out) {
     mathx::Xoshiro256xN<Ops> rng;
     rng.seed_streams(seed, index0, stride);
-    for (int i = 0; i < count; ++i) {
-      Ops::fstoreu(out + i * L, mathx::normal_xN(rng));
+    // The production batched draw, in chunks sized to a stack scratch.
+    constexpr int kChunk = 64;
+    double scratch[kChunk * L];
+    for (int i = 0; i < count; i += kChunk) {
+      const int c = count - i < kChunk ? count - i : kChunk;
+      mathx::normal_batch_xN(rng, c, out + i * L, scratch);
     }
   }
 

@@ -12,7 +12,10 @@
 // tail of the Gaussian draw (std::log) stays scalar per lane — IEEE basic
 // operations (+,-,*,/,sqrt, abs) are correctly rounded and therefore
 // lane-wise identical to their scalar counterparts, libm's log is not
-// guaranteed to be, so it is never vectorized.
+// guaranteed to be, so it is never vectorized. normal_batch_xN keeps that
+// log out of the rejection loop instead: the loop only collects each
+// lane's accepted (u, s) in stream order, one branch-free scalar loop then
+// takes every log, and a vector pass forms u * sqrt(-2 log(s) / s).
 //
 // This header is intrinsics-free: the templates are generic over an Ops
 // policy (lane count, vector types, arithmetic). ScalarOps (width 1, plain
@@ -84,13 +87,10 @@ struct ScalarOps {
   static F64 fabs(F64 v) { return std::abs(v); }
   static F64 fsqrt(F64 v) { return std::sqrt(v); }
 
-  static Mask mask_all() { return true; }
   static Mask cmp_gt(F64 a, F64 b) { return a > b; }
   static Mask cmp_lt(F64 a, F64 b) { return a < b; }
   static Mask cmp_eq(F64 a, F64 b) { return a == b; }
   static Mask mand(Mask a, Mask b) { return a && b; }
-  /// ~a & b.
-  static Mask mandnot(Mask a, Mask b) { return !a && b; }
   /// Bit i set iff lane i's predicate holds.
   static int movemask(Mask m) { return m ? 1 : 0; }
 
@@ -116,9 +116,9 @@ struct ScalarOps {
 /// N independent xoshiro256++ states advanced in lockstep, lane l seeded to
 /// the (seed, index0 + stride*l) substream of the scalar engine's
 /// stream_rng derivation. next(active) advances only the lanes named by
-/// `active` — the masked-rejection Gaussian needs lanes that already
-/// accepted to stop consuming draws, or their sequences would diverge from
-/// the per-chip scalar ones.
+/// `active` — the batched Gaussian needs lanes that already hold all their
+/// draws to stop consuming uniforms, or the generator state a block reads
+/// after the draw would diverge from the per-chip scalar one.
 template <class Ops>
 class Xoshiro256xN {
  public:
@@ -178,47 +178,72 @@ typename Ops::F64 uniform01_from_bits(typename Ops::U64 raw) {
                    Ops::fset1(0x1.0p-53));
 }
 
-/// Lane-wise standard normal: the masked-rejection Marsaglia polar method.
-/// Every lane reproduces the scalar mathx::normal draw sequence exactly:
-/// an iteration consumes two uniforms on every still-active lane (masked
-/// state advance), the acceptance predicate 0 < s < 1 is evaluated with
-/// the same comparisons, and the accepted tail u*sqrt(-2*log(s)/s) is
-/// computed in scalar per lane (log is libm's — vectorizing it would break
-/// bit-identity; it is one call per ACCEPTED draw, so the vector win on
-/// the uniform/rejection part survives).
+/// `count` lane-wise standard normals into out[i * kLanes + l]: the
+/// Marsaglia polar method in three phases. Every lane reproduces the
+/// scalar mathx::normal draw sequence exactly:
+///   1. the rejection loop. Each iteration draws a (u, v) pair on every
+///      live lane, tests 0 < s < 1 with the scalar comparisons, and writes
+///      the lane's (u, s) into its next free slot of out / scratch; only
+///      an accepted pair advances the slot, so a rejected one is
+///      overwritten by the lane's next pair. Lanes are not lockstepped per
+///      draw, so no iteration waits for the slowest lane's acceptance. A
+///      lane leaves the loop after its count-th acceptance and its
+///      generator stops (masked state advance), so each lane consumes
+///      exactly the uniforms of its scalar sequence;
+///   2. one branch-free scalar loop replaces each s by -2.0 * log(s) / s
+///      (libm's log, the scalar expression's association);
+///   3. a vector pass forms u * sqrt(that).
+/// Each draw sees the same IEEE operations on the same values in the same
+/// order as the scalar u * sqrt(-2.0 * log(s) / s). scratch holds count *
+/// kLanes doubles; out and scratch must not overlap.
 template <class Ops>
-typename Ops::F64 normal_xN(Xoshiro256xN<Ops>& rng) {
+void normal_batch_xN(Xoshiro256xN<Ops>& rng, int count, double* out,
+                     double* scratch) {
   using F64 = typename Ops::F64;
   using Mask = typename Ops::Mask;
+  constexpr int L = Ops::kLanes;
+  constexpr int kAll = (1 << L) - 1;
   const F64 one = Ops::fset1(1.0);
   const F64 two = Ops::fset1(2.0);
   const F64 zero = Ops::fset1(0.0);
-  double u_arr[Ops::kLanes], s_arr[Ops::kLanes], out[Ops::kLanes];
-  Mask active = Ops::mask_all();
-  for (;;) {
+  int filled[L] = {};  // accepted draws per lane
+  int live = count > 0 ? kAll : 0;  // bit l: lane l still drawing
+  const auto iterate = [&](const auto& next) {
     const F64 u =
-        Ops::fsub(Ops::fmul(two, uniform01_from_bits<Ops>(rng.next(active))),
-                  one);
+        Ops::fsub(Ops::fmul(two, uniform01_from_bits<Ops>(next())), one);
     const F64 v =
-        Ops::fsub(Ops::fmul(two, uniform01_from_bits<Ops>(rng.next(active))),
-                  one);
+        Ops::fsub(Ops::fmul(two, uniform01_from_bits<Ops>(next())), one);
     const F64 s = Ops::fadd(Ops::fmul(u, u), Ops::fmul(v, v));
-    const Mask accept =
-        Ops::mand(active, Ops::mand(Ops::cmp_gt(s, zero), Ops::cmp_lt(s, one)));
-    const int bits = Ops::movemask(accept);
-    if (bits != 0) {
-      Ops::fstoreu(u_arr, u);
-      Ops::fstoreu(s_arr, s);
-      for (int l = 0; l < Ops::kLanes; ++l) {
-        if (bits & (1 << l)) {
-          out[l] = u_arr[l] * std::sqrt(-2.0 * std::log(s_arr[l]) / s_arr[l]);
-        }
-      }
-      active = Ops::mandnot(accept, active);
-      if (Ops::movemask(active) == 0) break;
+    const int accept =
+        Ops::movemask(Ops::mand(Ops::cmp_gt(s, zero), Ops::cmp_lt(s, one)));
+    double u_l[L], s_l[L];
+    Ops::fstoreu(u_l, u);
+    Ops::fstoreu(s_l, s);
+    for (int l = 0; l < L; ++l) {
+      if (((live >> l) & 1) == 0) continue;
+      out[filled[l] * L + l] = u_l[l];
+      scratch[filled[l] * L + l] = s_l[l];
+      filled[l] += (accept >> l) & 1;
+      if (filled[l] == count) live &= ~(1 << l);
     }
+  };
+  // Unmasked steps while every lane is live keep the lane masks off the
+  // generator's dependency chain; the last lanes finish under a mask.
+  while (live == kAll) iterate([&] { return rng.next(); });
+  while (live != 0) {
+    double live_l[L];
+    for (int l = 0; l < L; ++l) live_l[l] = (live >> l) & 1;
+    const Mask active = Ops::cmp_gt(Ops::floadu(live_l), zero);
+    iterate([&] { return rng.next(active); });
   }
-  return Ops::floadu(out);
+  for (int j = 0; j < count * L; ++j) {
+    scratch[j] = -2.0 * std::log(scratch[j]) / scratch[j];
+  }
+  for (int i = 0; i < count; ++i) {
+    Ops::fstoreu(out + i * L,
+                 Ops::fmul(Ops::floadu(out + i * L),
+                           Ops::fsqrt(Ops::floadu(scratch + i * L))));
+  }
 }
 
 }  // namespace csdac::mathx

@@ -33,14 +33,10 @@ struct Avx2Ops {
   }
   static F64 fsqrt(F64 v) { return _mm256_sqrt_pd(v); }
 
-  static Mask mask_all() {
-    return _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  }
   static Mask cmp_gt(F64 a, F64 b) { return _mm256_cmp_pd(a, b, _CMP_GT_OQ); }
   static Mask cmp_lt(F64 a, F64 b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
   static Mask cmp_eq(F64 a, F64 b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
   static Mask mand(Mask a, Mask b) { return _mm256_and_pd(a, b); }
-  static Mask mandnot(Mask a, Mask b) { return _mm256_andnot_pd(a, b); }
   static int movemask(Mask m) { return _mm256_movemask_pd(m); }
 
   static U64 uset1(std::uint64_t v) {

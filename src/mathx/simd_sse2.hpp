@@ -30,14 +30,10 @@ struct Sse2Ops {
   static F64 fabs(F64 v) { return _mm_andnot_pd(_mm_set1_pd(-0.0), v); }
   static F64 fsqrt(F64 v) { return _mm_sqrt_pd(v); }
 
-  static Mask mask_all() {
-    return _mm_castsi128_pd(_mm_set1_epi64x(-1));
-  }
   static Mask cmp_gt(F64 a, F64 b) { return _mm_cmpgt_pd(a, b); }
   static Mask cmp_lt(F64 a, F64 b) { return _mm_cmplt_pd(a, b); }
   static Mask cmp_eq(F64 a, F64 b) { return _mm_cmpeq_pd(a, b); }
   static Mask mand(Mask a, Mask b) { return _mm_and_pd(a, b); }
-  static Mask mandnot(Mask a, Mask b) { return _mm_andnot_pd(a, b); }
   static int movemask(Mask m) { return _mm_movemask_pd(m); }
 
   static U64 uset1(std::uint64_t v) {

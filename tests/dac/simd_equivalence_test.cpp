@@ -6,6 +6,8 @@
 // any thread count and any chips-to-lanes remainder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "dac/calibration.hpp"
 #include "dac/lane_kernel.hpp"
 #include "dac/static_analysis.hpp"
+#include "mathx/alloc_counter.hpp"
 #include "mathx/rng.hpp"
 #include "mathx/simd.hpp"
 
@@ -175,6 +178,113 @@ TEST(SimdEquivalence, CalBlockMatchesScalarChips) {
       }
     }
   }
+}
+
+// The rare-event blocks have no scalar chip body of their own: the width-1
+// kernel is their reference, so every wider lane must reproduce it at its
+// own chip — the likelihood ratio, the pass/fail flags, and the tilted
+// (IS) or stratified (second pair member) unary weights left in the
+// workspace.
+TEST(SimdEquivalence, IsAndStratBlocksMatchWidthOne) {
+  constexpr std::uint64_t kSeed = 4242;
+  constexpr double kSigma = 0.05;
+  const LaneKernel* k1 = lane_kernel(SimdBackend::kScalar);
+  for (const KernelInput& in : kernel_inputs()) {
+    const LaneKernel* k = in.k;
+    const SimdBackend b = k->backend;
+    SCOPED_TRACE(testing::Message() << "workspace lanes " << in.ws_lanes);
+    for (const auto& spec : kernel_specs()) {
+      const int nu = spec.num_unary();
+      // Cosine rows over the unary sources and a tapered tilt, as
+      // inl_yield_is builds them (any fixed values pin the arithmetic).
+      const int modes = std::min(3, nu - 1);
+      std::vector<double> basis(static_cast<std::size_t>(std::max(modes, 1)) *
+                                static_cast<std::size_t>(nu));
+      for (int m = 0; m < std::max(modes, 1); ++m) {
+        for (int i = 0; i < nu; ++i) {
+          basis[static_cast<std::size_t>(m) * nu + i] =
+              std::sqrt(2.0 / nu) * std::cos((m + 1) * M_PI * (i + 0.5) / nu);
+        }
+      }
+      std::vector<double> log_g, half_g2m1, g_minus_1;
+      for (int m = 0; m < modes; ++m) {
+        const double g = 1.0 + 1.5 / (m + 1);
+        log_g.push_back(std::log(g));
+        half_g2m1.push_back(0.5 * (g * g - 1.0));
+        g_minus_1.push_back(g - 1.0);
+      }
+      ChipWorkspaceXN ws(spec, in.ws_lanes);
+      ChipWorkspaceXN ws1(spec, 1);
+      const auto stride = static_cast<std::size_t>(k->lanes);
+      for (auto ref : {InlReference::kEndpoint, InlReference::kBestFit}) {
+        RareRun run;
+        run.sigma_unit = kSigma;
+        run.seed = kSeed;
+        run.inl_limit = 0.5;
+        run.ref = ref;
+        run.basis = basis.data();
+        run.modes = modes;
+        run.log_g = log_g.data();
+        run.half_g2m1 = half_g2m1.data();
+        run.g_minus_1 = g_minus_1.data();
+        run.strata = 4;
+        for (std::int64_t chip0 : {0, 7}) {
+          double log_w[kMaxSimdLanes];
+          unsigned char fail[kMaxSimdLanes];
+          k->is_block(ws, run, chip0, log_w, fail);
+          for (int l = 0; l < k->lanes; ++l) {
+            double want_w;
+            unsigned char want_fail;
+            k1->is_block(ws1, run, chip0 + l, &want_w, &want_fail);
+            EXPECT_EQ(log_w[l], want_w)
+                << simd_backend_name(b) << " nbits=" << spec.nbits
+                << " b=" << spec.binary_bits << " IS chip " << chip0 + l;
+            EXPECT_EQ(fail[l], want_fail)
+                << simd_backend_name(b) << " nbits=" << spec.nbits
+                << " b=" << spec.binary_bits << " IS chip " << chip0 + l;
+            for (int i = 0; i < nu; ++i) {
+              ASSERT_EQ(ws.unary[static_cast<std::size_t>(i) * stride + l],
+                        ws1.unary[static_cast<std::size_t>(i)])
+                  << simd_backend_name(b) << " IS chip " << chip0 + l
+                  << " source " << i;
+            }
+          }
+          if (nu < 2) continue;  // stratification needs a thermometer
+          unsigned char pass[2 * kMaxSimdLanes];
+          k->strat_block(ws, run, chip0, pass);
+          for (int l = 0; l < k->lanes; ++l) {
+            unsigned char want[2];
+            k1->strat_block(ws1, run, chip0 + l, want);
+            for (int m = 0; m < 2; ++m) {
+              EXPECT_EQ(pass[2 * l + m], want[m])
+                  << simd_backend_name(b) << " nbits=" << spec.nbits
+                  << " b=" << spec.binary_bits << " pair " << chip0 + l
+                  << " member " << m;
+            }
+            for (int i = 0; i < nu; ++i) {
+              ASSERT_EQ(ws.unary[static_cast<std::size_t>(i) * stride + l],
+                        ws1.unary[static_cast<std::size_t>(i)])
+                  << simd_backend_name(b) << " pair " << chip0 + l
+                  << " source " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The lane workspace holds no per-code array: the kernels form each level
+// from the unary prefix sums and the 2^b binary partial sums, and the
+// calibration trim scratch keeps only one chip's draw. A 20-bit
+// converter's workspace therefore stays far below a single 2^20-code lane
+// array (32 MiB at four lanes).
+TEST(LaneWorkspace, DoesNotScaleWithCodeCount) {
+  const core::DacSpec spec = make_spec(20, 10);
+  const mathx::ScopedAllocCounting counting;
+  const ChipWorkspaceXN ws(spec, 4);
+  EXPECT_LT(counting.so_far().bytes, std::int64_t{1} << 20);
+  EXPECT_EQ(ws.lanes, 4);
 }
 
 TEST(SimdEquivalence, ActiveKernelFollowsForcedBackend) {

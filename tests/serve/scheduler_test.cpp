@@ -58,9 +58,21 @@ TEST(Scheduler, RejectsBadOptions) {
 
 TEST(Scheduler, DedupsIdenticalInFlightJobsAcrossClients) {
   // One worker: the blocker pins it, so both target submissions are
-  // queued when the second arrives — deterministic dedup.
+  // queued when the second arrives — deterministic dedup. Sized like the
+  // admission-cap test's blocker (~100 ms of chips) so it outlasts both
+  // submits even on a loaded runner.
   Scheduler sched(ram_only(1));
-  const auto blocker = sched.submit(job_with(900, 400), 0, "blocker");
+  const auto blocker = sched.submit(job_with(900, 20000), 0, "blocker");
+  // The worker must hold the blocker before the target is queued: were
+  // both queued at its first pick, round-robin could run the small target
+  // first and finish it before the second submit. Taking the blocker
+  // drops client 0's queue and keeps its load entry.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (sched.client_state() > 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   const Job target = job_with(901, 50);
   const auto t1 = sched.submit(target, 1, "first");
   const auto t2 = sched.submit(target, 2, "second");
