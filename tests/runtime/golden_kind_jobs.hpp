@@ -33,7 +33,11 @@ struct NamedJob {
 };
 
 /// The eleven kinds in JobKind order, then a request-parsed dnl_yield job
-/// (the one wire alias, which maps onto InlYieldJob with dnl = true).
+/// (the one wire alias, which maps onto InlYieldJob with dnl = true), then
+/// timing-skew variants of dyn_spectrum and arch_compare. The plain rows
+/// run with sigma_t = asym_sigma = 0, where every edge ties; the skew rows
+/// pin the sorted-edge walk, including edges held at the [0, 0.45 ts]
+/// clamp.
 inline std::vector<NamedJob> golden_kind_jobs() {
   using namespace runtime;
   core::DacSpec spec8;
@@ -106,6 +110,24 @@ inline std::vector<NamedJob> golden_kind_jobs() {
                  "sigma_unit": 0.0259427, "chips": 50, "seed": 7})",
              dnl, nullptr);
   jobs.push_back({"dnl_yield", serve::parse_job(dnl)});
+
+  DynSpectrumJob skew = dyn;
+  skew.timing.sigma_t = 300e-12;
+  skew.timing.asym_sigma = 200e-12;
+  skew.chips = 3;
+  skew.seed = 5;
+  jobs.push_back({"dyn_spectrum_skew", skew});
+  DynSpectrumJob skew_binary = skew;
+  skew_binary.scheme = arch::WeightingKind::kBinary;
+  skew_binary.timing.oversample = 16;
+  jobs.push_back({"dyn_spectrum_skew_binary", skew_binary});
+  ArchCompareJob compare_skew = compare;
+  compare_skew.timing.sigma_t = 300e-12;
+  compare_skew.timing.asym_sigma = 200e-12;
+  compare_skew.dyn_chips = 2;
+  compare_skew.include_unary = true;
+  compare_skew.seed = 3;
+  jobs.push_back({"arch_compare_skew", compare_skew});
   return jobs;
 }
 
