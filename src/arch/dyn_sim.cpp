@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "arch/instruments.hpp"
 
@@ -59,6 +60,119 @@ double edge_time(const CellTiming& t, std::size_t c, bool turning_on,
   return std::clamp(raw, 0.0, 0.45 * ts);
 }
 
+CodeRecord::CodeRecord(const CellArray& arr, std::vector<int> codes)
+    : codes_(std::move(codes)), cells_(arr.cells()) {
+  const auto& w = arr.weights();
+  for (std::size_t c = 0; c < w.size(); ++c) {
+    if (c > 0 && w[c] == w[c - 1]) {
+      ++runs_.back().count;
+    } else {
+      runs_.push_back({static_cast<std::int32_t>(c), 1, w[c]});
+    }
+  }
+  for (int code : codes_) {
+    if (code < 0 || code > arr.full_scale()) {
+      throw std::out_of_range("CodeRecord: code out of range");
+    }
+  }
+  // Cells on in each equal-weight run: greedy encoding turns on
+  // min(count, rem / weight) cells of a run, the first ones by index.
+  const auto on_counts = [&](int code, std::vector<std::int32_t>& on) {
+    int rem = code;
+    for (std::size_t r = 0; r < runs_.size(); ++r) {
+      const int n = std::min(runs_[r].count, rem / runs_[r].weight);
+      on[r] = n;
+      rem -= n * runs_[r].weight;
+    }
+  };
+  begin_.reserve(codes_.size() + 1);
+  begin_.push_back(0);
+  if (codes_.empty()) return;
+  std::vector<std::int32_t> prev(runs_.size());
+  std::vector<std::int32_t> cur(runs_.size());
+  on_counts(codes_.back(), prev);
+  for (int code : codes_) {
+    on_counts(code, cur);
+    std::size_t switching = 0;
+    for (std::size_t r = 0; r < runs_.size(); ++r) {
+      if (cur[r] == prev[r]) continue;
+      const bool on = cur[r] > prev[r];
+      const std::int32_t lo = on ? prev[r] : cur[r];
+      const std::int32_t hi = on ? cur[r] : prev[r];
+      switches_.push_back({runs_[r].first + lo, hi - lo, on});
+      switching += static_cast<std::size_t>(hi - lo);
+    }
+    begin_.push_back(switches_.size());
+    max_switching_ = std::max(max_switching_, switching);
+    std::swap(prev, cur);
+  }
+}
+
+bool CodeRecord::built_for(const CellArray& arr) const {
+  if (arr.cells() != cells_) return false;
+  // Weights are descending, so matching both ends of every run pins it.
+  const auto& w = arr.weights();
+  for (const WeightRun& r : runs_) {
+    if (w[static_cast<std::size_t>(r.first)] != r.weight ||
+        w[static_cast<std::size_t>(r.first + r.count - 1)] != r.weight) {
+      return false;
+    }
+  }
+  return true;
+}
+
+namespace {
+
+struct Edge {
+  double t;
+  int dlevel;  // signed weight of the switching cell [LSB]
+};
+
+/// Stable sort by edge instant in reused storage: insertion sort on runs
+/// of kRun edges, then bottom-up std::merge passes through `scratch`.
+/// Equal instants keep their insertion (cell) order, which is the order
+/// std::stable_sort gives, without its per-call buffer.
+void sort_edges(std::vector<Edge>& ev, std::vector<Edge>& scratch) {
+  constexpr std::size_t kRun = 32;
+  const std::size_t n = ev.size();
+  for (std::size_t lo = 0; lo < n; lo += kRun) {
+    const std::size_t hi = std::min(n, lo + kRun);
+    for (std::size_t i = lo + 1; i < hi; ++i) {
+      const Edge e = ev[i];
+      std::size_t j = i;
+      for (; j > lo && e.t < ev[j - 1].t; --j) ev[j] = ev[j - 1];
+      ev[j] = e;
+    }
+  }
+  if (n <= kRun) return;
+  const auto before = [](const Edge& a, const Edge& b) { return a.t < b.t; };
+  scratch.resize(n);
+  for (std::size_t width = kRun; width < n; width *= 2) {
+    for (std::size_t lo = 0; lo < n; lo += 2 * width) {
+      const std::size_t mid = std::min(n, lo + width);
+      const std::size_t hi = std::min(n, lo + 2 * width);
+      std::merge(ev.begin() + lo, ev.begin() + mid, ev.begin() + mid,
+                 ev.begin() + hi, scratch.begin() + lo, before);
+    }
+    ev.swap(scratch);
+  }
+}
+
+}  // namespace
+
+void check_walk_inputs(const CellArray& arr, const CodeRecord& record,
+                       const CellTiming& timing, const char* who) {
+  const std::size_t n_cells = static_cast<std::size_t>(arr.cells());
+  if (timing.dt.size() != n_cells || timing.asym.size() != n_cells) {
+    throw std::invalid_argument(std::string(who) +
+                                ": timing size != cell count");
+  }
+  if (!record.built_for(arr)) {
+    throw std::invalid_argument(std::string(who) +
+                                ": record built for another cell array");
+  }
+}
+
 ArchSimulator::ArchSimulator(CellArray array, TimingParams params,
                              double v_lsb)
     : array_(std::move(array)), params_(params), v_lsb_(v_lsb) {
@@ -66,15 +180,21 @@ ArchSimulator::ArchSimulator(CellArray array, TimingParams params,
   if (!std::isfinite(v_lsb_) || !(v_lsb_ > 0.0)) {
     throw std::invalid_argument("ArchSimulator: v_lsb must be > 0");
   }
+  const int os = params_.oversample;
+  const double dt_sub = (1.0 / params_.fs) / os;
+  decay_.resize(static_cast<std::size_t>(os));
+  for (int s = 0; s < os; ++s) {
+    const double t_end = (s + 1) * dt_sub;
+    const double t_cur = s * dt_sub;
+    decay_[static_cast<std::size_t>(s)] =
+        std::exp(-(t_end - t_cur) / params_.tau);
+  }
 }
 
-std::vector<double> ArchSimulator::waveform(const std::vector<int>& codes,
+std::vector<double> ArchSimulator::waveform(const CodeRecord& record,
                                             const CellTiming& timing) const {
-  const std::size_t n_cells = static_cast<std::size_t>(array_.cells());
-  if (timing.dt.size() != n_cells || timing.asym.size() != n_cells) {
-    throw std::invalid_argument("ArchSimulator: timing size != cell count");
-  }
-  if (codes.empty()) return {};
+  check_walk_inputs(array_, record, timing, "ArchSimulator");
+  if (record.size() == 0) return {};
   arch_instruments().waveforms.add(1);
 
   const int os = params_.oversample;
@@ -82,6 +202,7 @@ std::vector<double> ArchSimulator::waveform(const std::vector<int>& codes,
   const double dt_sub = ts / os;
   const double tau = params_.tau;
   const auto& w = array_.weights();
+  const auto& codes = record.codes();
 
   std::vector<double> out;
   out.reserve(codes.size() * static_cast<std::size_t>(os));
@@ -92,43 +213,40 @@ std::vector<double> ArchSimulator::waveform(const std::vector<int>& codes,
   // extension exactly — starting cold at codes.front() instead leaves a
   // one-off start-up transient that smears ~-60 dB/bin of broadband
   // error across the whole band and buries the quantization floor.
-  std::vector<std::uint8_t> prev;
-  std::vector<std::uint8_t> cur;
-  array_.encode(codes.back(), prev);
-
-  struct Edge {
-    double t;
-    int dlevel;  // signed weight of the switching cell [LSB]
-  };
   std::vector<Edge> events;
+  std::vector<Edge> scratch;
+  events.reserve(record.max_switching_cells());
 
   double target = static_cast<double>(codes.back()) * v_lsb_;
   double v = target;  // start settled
   for (std::size_t k = 0; k < codes.size(); ++k) {
     events.clear();
-    array_.encode(codes[k], cur);
-    for (std::size_t c = 0; c < n_cells; ++c) {
-      if (cur[c] == prev[c]) continue;
-      const bool on = cur[c] != 0;
-      events.push_back(Edge{edge_time(timing, c, on, ts),
-                            on ? w[c] : -w[c]});
+    for (const CodeRecord::Switch& sw : record.switches(k)) {
+      for (std::int32_t i = 0; i < sw.count; ++i) {
+        const auto c = static_cast<std::size_t>(sw.first + i);
+        events.push_back(
+            Edge{edge_time(timing, c, sw.on, ts), sw.on ? w[c] : -w[c]});
+      }
     }
     // stable: equal instants keep cell-index order, so the walk is
     // deterministic for any timing draw.
-    std::stable_sort(events.begin(), events.end(),
-                     [](const Edge& a, const Edge& b) { return a.t < b.t; });
-    std::swap(prev, cur);
+    sort_edges(events, scratch);
     std::size_t e = 0;
     double t_cur = 0.0;
     for (int s = 0; s < os; ++s) {
       const double t_end = (s + 1) * dt_sub;
-      while (e < events.size() && events[e].t <= t_end) {
-        v = target + (v - target) * std::exp(-(events[e].t - t_cur) / tau);
-        t_cur = events[e].t;
-        target += events[e].dlevel * v_lsb_;
-        ++e;
+      if (e < events.size() && events[e].t <= t_end) {
+        while (e < events.size() && events[e].t <= t_end) {
+          v = target + (v - target) * std::exp(-(events[e].t - t_cur) / tau);
+          t_cur = events[e].t;
+          target += events[e].dlevel * v_lsb_;
+          ++e;
+        }
+        v = target + (v - target) * std::exp(-(t_end - t_cur) / tau);
+      } else {
+        // No event since the last grid point: t_cur == s * dt_sub.
+        v = target + (v - target) * decay_[static_cast<std::size_t>(s)];
       }
-      v = target + (v - target) * std::exp(-(t_end - t_cur) / tau);
       t_cur = t_end;
       out.push_back(v);
     }
@@ -138,10 +256,10 @@ std::vector<double> ArchSimulator::waveform(const std::vector<int>& codes,
 
 double ArchSimulator::glitch_energy(const CellTiming& timing, int code_from,
                                     int code_to) const {
-  const std::vector<int> codes = {code_from, code_to};
-  const std::vector<double> actual = waveform(codes, timing);
+  const CodeRecord record(array_, {code_from, code_to});
+  const std::vector<double> actual = waveform(record, timing);
   const std::vector<double> ref =
-      waveform(codes, ideal_cell_timing(array_.cells()));
+      waveform(record, ideal_cell_timing(array_.cells()));
   const int os = params_.oversample;
   const double dt_sub = 1.0 / (params_.fs * os);
   double energy = 0.0;
@@ -151,16 +269,18 @@ double ArchSimulator::glitch_energy(const CellTiming& timing, int code_from,
   return energy;
 }
 
-dac::SpectrumResult ArchSimulator::spectrum(const std::vector<int>& codes,
-                                            const CellTiming& timing,
-                                            int fund_cycles) const {
-  const std::vector<double> wave = waveform(codes, timing);
+dac::SpectrumMetrics ArchSimulator::spectrum(const CodeRecord& record,
+                                             const CellTiming& timing,
+                                             int fund_cycles) const {
+  const std::vector<double> wave = waveform(record, timing);
   dac::SpectrumOptions opts;
   // The record is oversampled by `oversample`; only the converter's own
   // band matters (the zero-order-hold images above fs/2 are not spurs).
   opts.max_freq = params_.fs / 2.0;
-  return dac::analyze_spectrum(wave, params_.fs * params_.oversample, opts,
-                               static_cast<std::size_t>(fund_cycles));
+  std::vector<double> bin_power;
+  return dac::spectrum_metrics(wave, params_.fs * params_.oversample, opts,
+                               static_cast<std::size_t>(fund_cycles),
+                               bin_power);
 }
 
 }  // namespace csdac::arch

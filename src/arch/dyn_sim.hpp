@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arch/weighting.hpp"
@@ -59,9 +60,83 @@ inline constexpr double kNominalEdgeFrac = 0.125;
 double edge_time(const CellTiming& t, std::size_t c, bool turning_on,
                  double ts);
 
+/// One code record, walked once per job: the codes plus, for every sample
+/// period, the cells that switch in it.  Period k is the transition from
+/// code k-1 to code k; period 0 carries the periodic wrap-around from
+/// codes.back() to codes.front(), so the record describes the steady
+/// state of a repeating capture.
+///
+/// Greedy largest-first encoding (CellArray::encode) over descending
+/// weights turns on a prefix of every run of equal-weight cells, so a
+/// period's switches are at most one contiguous, same-direction range of
+/// cells per distinct weight.  The record stores exactly those ranges:
+/// memory is O(n_samples x distinct weights), never O(total switches) (a
+/// 14-bit unary array under a near-Nyquist sine switches ~2.7e8 cells
+/// over 16384 samples but stores at most 16384 ranges).  Everything here
+/// depends only on the array and the codes, so a Monte-Carlo job builds
+/// it once and every chip walks it.
+class CodeRecord {
+ public:
+  /// Cells [first, first + count) all turn on (`on`) or all turn off.
+  struct Switch {
+    std::int32_t first = 0;
+    std::int32_t count = 0;
+    bool on = false;
+  };
+
+  /// Throws std::out_of_range for a code outside [0, arr.full_scale()].
+  CodeRecord(const CellArray& arr, std::vector<int> codes);
+
+  const std::vector<int>& codes() const { return codes_; }
+  std::size_t size() const { return codes_.size(); }
+  /// Most cells switching in any one period.
+  std::size_t max_switching_cells() const { return max_switching_; }
+
+  /// Switch ranges of period k in ascending cell order; empty when the
+  /// code repeats.
+  std::span<const Switch> switches(std::size_t k) const {
+    return {switches_.data() + begin_[k], begin_[k + 1] - begin_[k]};
+  }
+
+  /// True when `arr` has the cell weights this record was built for.
+  bool built_for(const CellArray& arr) const;
+
+ private:
+  struct WeightRun {
+    std::int32_t first;
+    std::int32_t count;
+    int weight;
+  };
+  std::vector<int> codes_;
+  std::vector<WeightRun> runs_;
+  std::vector<Switch> switches_;
+  std::vector<std::size_t> begin_;  ///< size() + 1 offsets into switches_
+  std::size_t max_switching_ = 0;
+  int cells_ = 0;
+};
+
+/// Throws std::invalid_argument, prefixed with `who`, unless `timing` and
+/// `record` both belong to `arr`.
+void check_walk_inputs(const CellArray& arr, const CodeRecord& record,
+                       const CellTiming& timing, const char* who);
+
 /// Event-driven waveform synthesis: per period, the switching cells are
 /// sorted by edge instant and the shared single-pole settling state is
 /// advanced between events, sampling on the oversample grid.
+///
+/// Walk contract (waveform, spectrum and ete_predict all take a
+/// CodeRecord built for this array): per period the events are gathered
+/// from the record's switch ranges in ascending cell order, then stably
+/// sorted by edge instant into buffers reused across periods (insertion
+/// sort on short runs, merged when a period switches many cells), so
+/// equal instants keep cell order.  That is the order a per-period
+/// encode, cell-by-cell diff and std::stable_sort produce, so every
+/// event is applied with the same operands in the same order.  A
+/// sub-interval that holds no event decays by a factor read from a
+/// per-simulator table, exp(-((s+1)*dt_sub - s*dt_sub)/tau): the same
+/// expression on the same operands the walk evaluated inline.  The
+/// waveform is therefore bit-identical to the per-period-encode walk;
+/// tests/arch/record_walk_test.cpp keeps that walk as its oracle.
 class ArchSimulator {
  public:
   ArchSimulator(CellArray array, TimingParams params, double v_lsb);
@@ -70,12 +145,14 @@ class ArchSimulator {
   const TimingParams& params() const { return params_; }
   double v_lsb() const { return v_lsb_; }
 
-  /// Oversampled waveform (codes.size() * oversample points at rate
+  /// Oversampled waveform (record.size() * oversample points at rate
   /// fs * oversample) in periodic steady state: the walk starts settled
   /// at codes.back() and period 0 carries the wrap-around transition to
   /// codes.front(), so a coherent record matches the DFT's periodic
   /// extension (no start-up transient polluting the noise floor).
-  std::vector<double> waveform(const std::vector<int>& codes,
+  /// Throws std::invalid_argument when `timing` or `record` does not
+  /// belong to this array.
+  std::vector<double> waveform(const CodeRecord& record,
                                const CellTiming& timing) const;
 
   /// Glitch energy of one code transition [V*s]: integral of |v - v_ref|
@@ -84,17 +161,19 @@ class ArchSimulator {
   double glitch_energy(const CellTiming& timing, int code_from,
                        int code_to) const;
 
-  /// Spectrum of the full oversampled waveform, restricted to the
+  /// Spectral metrics of the full oversampled waveform, restricted to the
   /// converter's own band (max_freq = fs/2) and told where the fundamental
   /// is (`fund_cycles` coherent cycles per record).
-  dac::SpectrumResult spectrum(const std::vector<int>& codes,
-                               const CellTiming& timing,
-                               int fund_cycles) const;
+  dac::SpectrumMetrics spectrum(const CodeRecord& record,
+                                const CellTiming& timing,
+                                int fund_cycles) const;
 
  private:
   CellArray array_;
   TimingParams params_;
   double v_lsb_ = 0.0;
+  /// decay_[s] = exp(-((s+1)*dt_sub - s*dt_sub)/tau), s < oversample.
+  std::vector<double> decay_;
 };
 
 }  // namespace csdac::arch

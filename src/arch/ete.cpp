@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "arch/instruments.hpp"
@@ -9,42 +10,37 @@
 namespace csdac::arch {
 
 EtePrediction ete_predict(const CellArray& arr, const CellTiming& timing,
-                          double v_lsb, double fs,
-                          const std::vector<int>& codes, int fund_cycles) {
-  const std::size_t n_cells = static_cast<std::size_t>(arr.cells());
-  if (timing.dt.size() != n_cells || timing.asym.size() != n_cells) {
-    throw std::invalid_argument("ete_predict: timing size != cell count");
-  }
-  if (codes.empty()) return {};
+                          double v_lsb, double fs, const CodeRecord& record,
+                          int fund_cycles) {
+  check_walk_inputs(arr, record, timing, "ete_predict");
+  if (record.size() == 0) return {};
   arch_instruments().ete_evals.add(1);
 
   const double ts = 1.0 / fs;
   const auto& w = arr.weights();
-  std::vector<double> record(codes.size());
-  std::vector<std::uint8_t> prev;
-  std::vector<std::uint8_t> cur;
+  const auto& codes = record.codes();
+  std::vector<double> out(codes.size());
   // Like ArchSimulator::waveform, the record is the periodic steady
   // state: sample 0 carries the error of the wrap-around transition from
   // codes.back(), so coherent records have no start-up transient.
-  arr.encode(codes.back(), prev);
   for (std::size_t k = 0; k < codes.size(); ++k) {
-    arr.encode(codes[k], cur);
     double err = 0.0;
-    for (std::size_t c = 0; c < n_cells; ++c) {
-      if (cur[c] == prev[c]) continue;
-      const bool on = cur[c] != 0;
-      const double te = edge_time(timing, c, on, ts);
-      const double delta = on ? 1.0 : -1.0;
-      err -= fs * delta * w[c] * v_lsb * te;
+    for (const CodeRecord::Switch& sw : record.switches(k)) {
+      const double delta = sw.on ? 1.0 : -1.0;
+      for (std::int32_t i = 0; i < sw.count; ++i) {
+        const auto c = static_cast<std::size_t>(sw.first + i);
+        const double te = edge_time(timing, c, sw.on, ts);
+        err -= fs * delta * w[c] * v_lsb * te;
+      }
     }
-    record[k] = static_cast<double>(codes[k]) * v_lsb + err;
-    std::swap(prev, cur);
+    out[k] = static_cast<double>(codes[k]) * v_lsb + err;
   }
 
-  const dac::SpectrumResult r = dac::analyze_spectrum(
-      record, fs, {}, static_cast<std::size_t>(fund_cycles));
+  std::vector<double> bin_power;
+  const dac::SpectrumMetrics r = dac::spectrum_metrics(
+      out, fs, {}, static_cast<std::size_t>(fund_cycles), bin_power);
   EtePrediction p;
-  p.record = std::move(record);
+  p.record = std::move(out);
   p.sfdr_db = r.sfdr_db;
   p.sndr_db = r.sndr_db;
   return p;

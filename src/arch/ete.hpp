@@ -13,6 +13,13 @@
 // fs-rate record (ideal sample + e_k) whose spectrum predicts the
 // timing-limited SFDR/SNDR.  The same edge_time() as the waveform
 // simulator is used, so the two views share effective delays exactly.
+//
+// ete_predict walks the same CodeRecord as ArchSimulator::waveform (see
+// dyn_sim.hpp), built once per job.  Each period's error sums its
+// switching cells in ascending cell order, range by range, with the
+// product fs * delta * w * v_lsb * t_e evaluated left to right: the cells
+// and the order a per-period encode and cell-by-cell diff visit, so the
+// record is bit-identical to that walk (tests/arch/record_walk_test.cpp).
 
 #include <vector>
 
@@ -28,10 +35,12 @@ struct EtePrediction {
   double sndr_db = 0.0;
 };
 
-/// Semi-analytic spectral prediction for one timing realization.
+/// Semi-analytic spectral prediction for one timing realization over a
+/// record built for `arr`.  Throws std::invalid_argument when `timing` or
+/// `record` belongs to another array.
 EtePrediction ete_predict(const CellArray& arr, const CellTiming& timing,
-                          double v_lsb, double fs,
-                          const std::vector<int>& codes, int fund_cycles);
+                          double v_lsb, double fs, const CodeRecord& record,
+                          int fund_cycles);
 
 /// Closed-form expected timing-limited SNDR over the timing ensemble:
 ///

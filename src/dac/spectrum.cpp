@@ -5,6 +5,11 @@
 #include <stdexcept>
 
 namespace csdac::dac {
+namespace {
+
+constexpr double kFloor = 1e-30;
+
+}  // namespace
 
 void SpectrumOptions::validate() const {
   if (guard_bins < 0 || guard_bins > (1 << 20)) {
@@ -22,9 +27,10 @@ void SpectrumOptions::validate() const {
   }
 }
 
-SpectrumResult analyze_spectrum(const std::vector<double>& samples, double fs,
-                                const SpectrumOptions& opts,
-                                std::size_t fund_bin_hint) {
+SpectrumMetrics spectrum_metrics(const std::vector<double>& samples,
+                                 double fs, const SpectrumOptions& opts,
+                                 std::size_t fund_bin_hint,
+                                 std::vector<double>& bin_power) {
   opts.validate();
   if (samples.size() < 16) {
     throw std::invalid_argument("analyze_spectrum: record too short");
@@ -47,13 +53,18 @@ SpectrumResult analyze_spectrum(const std::vector<double>& samples, double fs,
   for (std::size_t i = 0; i < n; ++i) {
     x[i] = mathx::Cplx((samples[i] - mean) * win[i], 0.0);
   }
-  const auto spec = mathx::dft(x);
+  if (mathx::is_pow2(n)) {
+    mathx::fft_pow2(x);
+  } else {
+    x = mathx::dft(x);
+  }
 
   const std::size_t half = n / 2 + 1;
-  std::vector<double> power(half);
+  std::vector<double>& power = bin_power;
+  power.resize(half);
   for (std::size_t k = 0; k < half; ++k) {
     const double scale = (k == 0 || 2 * k == n) ? 1.0 : 2.0;
-    const double mag = std::abs(spec[k]) / static_cast<double>(n);
+    const double mag = std::abs(x[k]) / static_cast<double>(n);
     power[k] = scale * mag * mag;
   }
 
@@ -108,15 +119,9 @@ SpectrumResult analyze_spectrum(const std::vector<double>& samples, double fs,
     throw std::invalid_argument("analyze_spectrum: zero fundamental power");
   }
 
-  SpectrumResult r;
+  SpectrumMetrics r;
   r.fund_bin = fund;
-  r.freq_hz.resize(half);
-  r.mag_db.resize(half);
-  constexpr double kFloor = 1e-30;
-  for (std::size_t k = 0; k < half; ++k) {
-    r.freq_hz[k] = fs * static_cast<double>(k) / static_cast<double>(n);
-    r.mag_db[k] = 10.0 * std::log10(std::max(power[k] / p_fund, kFloor));
-  }
+  r.fund_power = p_fund;
 
   // Spur search and total noise+distortion, excluding DC and the
   // fundamental's guard band, up to the in-band limit.
@@ -170,11 +175,30 @@ SpectrumResult analyze_spectrum(const std::vector<double>& samples, double fs,
     vmin = std::min(vmin, v);
   }
   const double full_amp = 0.5 * (vmax - vmin);
-  const double fund_amp = std::sqrt(2.0 * p_fund) /
-                          mathx::window_coherent_gain(opts.window, n);
+  // Coherent gain of the window: the mean of its coefficients.
+  const double fund_amp =
+      std::sqrt(2.0 * p_fund) / (wsum / static_cast<double>(n));
   r.fund_db_fs =
       20.0 * std::log10(std::max(fund_amp, kFloor) /
                         std::max(full_amp, kFloor));
+  return r;
+}
+
+SpectrumResult analyze_spectrum(const std::vector<double>& samples, double fs,
+                                const SpectrumOptions& opts,
+                                std::size_t fund_bin_hint) {
+  std::vector<double> power;
+  SpectrumResult r;
+  static_cast<SpectrumMetrics&>(r) =
+      spectrum_metrics(samples, fs, opts, fund_bin_hint, power);
+  const std::size_t n = samples.size();
+  r.freq_hz.resize(power.size());
+  r.mag_db.resize(power.size());
+  for (std::size_t k = 0; k < power.size(); ++k) {
+    r.freq_hz[k] = fs * static_cast<double>(k) / static_cast<double>(n);
+    r.mag_db[k] =
+        10.0 * std::log10(std::max(power[k] / r.fund_power, kFloor));
+  }
   return r;
 }
 

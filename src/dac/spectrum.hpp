@@ -10,15 +10,21 @@
 
 namespace csdac::dac {
 
-struct SpectrumResult {
-  std::vector<double> freq_hz;   ///< bin center frequencies (single-sided)
-  std::vector<double> mag_db;    ///< dB relative to the fundamental (dBc)
+/// The scalar metrics of a spectrum.
+struct SpectrumMetrics {
   std::size_t fund_bin = 0;
+  double fund_power = 0.0;       ///< fundamental power incl. guard bins
   double fund_db_fs = 0.0;       ///< fundamental relative to record max [dB]
   double sfdr_db = 0.0;          ///< fundamental to worst spur [dBc]
   double sndr_db = 0.0;          ///< signal to total noise+distortion
   double thd_db = 0.0;           ///< total harmonic distortion (first 10)
   double enob = 0.0;             ///< (SNDR - 1.76) / 6.02
+};
+
+/// The metrics plus the per-bin spectrum.
+struct SpectrumResult : SpectrumMetrics {
+  std::vector<double> freq_hz;   ///< bin center frequencies (single-sided)
+  std::vector<double> mag_db;    ///< dB relative to the fundamental (dBc)
 };
 
 struct SpectrumOptions {
@@ -42,6 +48,15 @@ struct SpectrumOptions {
 
 /// Analyzes a real record sampled at `fs`. The fundamental is located
 /// automatically (largest non-DC bin) unless `fund_bin_hint` is nonzero.
+/// `bin_power` receives the single-sided bin powers (n/2 + 1 entries);
+/// callers that want only the metrics pass a scratch vector.  This is the
+/// one implementation; analyze_spectrum adds the per-bin arrays to it.
+SpectrumMetrics spectrum_metrics(const std::vector<double>& samples,
+                                 double fs, const SpectrumOptions& opts,
+                                 std::size_t fund_bin_hint,
+                                 std::vector<double>& bin_power);
+
+/// spectrum_metrics plus freq_hz and mag_db for every bin.
 SpectrumResult analyze_spectrum(const std::vector<double>& samples, double fs,
                                 const SpectrumOptions& opts = {},
                                 std::size_t fund_bin_hint = 0);

@@ -306,8 +306,9 @@ DynSpectrumResult run(const DynSpectrumJob& j, int threads,
       resolve_weighting(j.spec, j.scheme, j.scheme_param));
   const double v_lsb = j.spec.i_lsb() * j.spec.r_load;
   const arch::ArchSimulator sim(arr, j.timing, v_lsb);
-  const std::vector<int> codes =
-      dac::sine_codes(j.spec, j.n_samples, j.cycles);
+  // Built once: every chip walks the same codes and switch ranges.
+  const arch::CodeRecord record(
+      arr, dac::sine_codes(j.spec, j.n_samples, j.cycles));
 
   // Per-chip metrics land in index-addressed slots, so the means below are
   // reduced sequentially in chip order — bit-identical for any thread
@@ -321,9 +322,9 @@ DynSpectrumResult run(const DynSpectrumJob& j, int threads,
         mathx::stream_rng(j.seed, static_cast<std::uint64_t>(i));
     const arch::CellTiming t =
         arch::draw_cell_timing(arr.cells(), j.timing, rng);
-    const dac::SpectrumResult s = sim.spectrum(codes, t, j.cycles);
+    const dac::SpectrumMetrics s = sim.spectrum(record, t, j.cycles);
     const arch::EtePrediction p =
-        arch::ete_predict(arr, t, v_lsb, j.timing.fs, codes, j.cycles);
+        arch::ete_predict(arr, t, v_lsb, j.timing.fs, record, j.cycles);
     const auto slot = static_cast<std::size_t>(i);
     sfdr[slot] = s.sfdr_db;
     sndr[slot] = s.sndr_db;
@@ -468,6 +469,7 @@ ArchCompareResult run(const ArchCompareJob& j, int threads,
     // Timing MC on a distinct stream lane (per-architecture cell counts
     // differ, so timing draws cannot be shared across schemes).
     const arch::ArchSimulator sim(arr, j.timing, v_lsb);
+    const arch::CodeRecord record(arr, codes);
     double sfdr_sum = 0.0, ete_sum = 0.0;
     for (int d = 0; d < j.dyn_chips; ++d) {
       mathx::Xoshiro256 rng = mathx::stream_rng(
@@ -476,9 +478,9 @@ ArchCompareResult run(const ArchCompareJob& j, int threads,
               static_cast<std::uint64_t>(d));
       const arch::CellTiming t =
           arch::draw_cell_timing(arr.cells(), j.timing, rng);
-      sfdr_sum += sim.spectrum(codes, t, j.cycles).sfdr_db;
+      sfdr_sum += sim.spectrum(record, t, j.cycles).sfdr_db;
       ete_sum +=
-          arch::ete_predict(arr, t, v_lsb, j.timing.fs, codes, j.cycles)
+          arch::ete_predict(arr, t, v_lsb, j.timing.fs, record, j.cycles)
               .sfdr_db;
     }
     p.sfdr_db = sfdr_sum / j.dyn_chips;

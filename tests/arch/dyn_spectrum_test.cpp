@@ -86,7 +86,8 @@ TEST(ArchSimulator, ConstantCodeStaysSettled) {
   const CellArray arr(make_weighting(WeightingKind::kBinary, 8));
   const ArchSimulator sim(arr, base_params(), 1e-3);
   const std::vector<int> codes(32, 100);
-  const auto wave = sim.waveform(codes, ideal_cell_timing(arr.cells()));
+  const auto wave =
+      sim.waveform(CodeRecord(arr, codes), ideal_cell_timing(arr.cells()));
   ASSERT_EQ(wave.size(), codes.size() * 16u);
   for (double v : wave) EXPECT_DOUBLE_EQ(v, 100 * 1e-3);
 }
@@ -96,7 +97,8 @@ TEST(ArchSimulator, StepSettlesWithinPeriod) {
   TimingParams p = base_params();
   const ArchSimulator sim(arr, p, 1e-3);
   const std::vector<int> codes = {0, 255, 255, 255};
-  const auto wave = sim.waveform(codes, ideal_cell_timing(arr.cells()));
+  const auto wave =
+      sim.waveform(CodeRecord(arr, codes), ideal_cell_timing(arr.cells()));
   // tau = 0.25 ns against a 3.33 ns period: by the end of the step period
   // the output is settled to well under an LSB.  (Period 0 carries the
   // periodic wrap transition 255 -> 0, so the rising step is period 1.)
@@ -136,7 +138,8 @@ TEST(ArchSimulator, SpectrumOfIdealTimingHitsQuantizationFloor) {
   const CellArray arr(make_weighting(WeightingKind::kSegmented, nbits));
   const ArchSimulator sim(arr, base_params(), 1e-3);
   const auto codes = sine_codes(nbits, 256, 21);
-  const auto r = sim.spectrum(codes, ideal_cell_timing(arr.cells()), 21);
+  const auto r = sim.spectrum(CodeRecord(arr, codes),
+                              ideal_cell_timing(arr.cells()), 21);
   // No timing mismatch: in-band SNDR sits near the 10-bit quantization
   // floor (~62 dB), and SFDR is well clear of any mismatch spur level.
   EXPECT_GT(r.sndr_db, 55.0);
@@ -164,12 +167,13 @@ TEST(ArchGolden, OptimizedBeatsBinaryAtEqualUnitCount) {
 
   const auto mean_sfdr = [&](const CellArray& arr) {
     const ArchSimulator sim(arr, p, v_lsb);
+    const CodeRecord record(arr, codes);
     double acc = 0.0;
     const int chips = 4;
     for (int chip = 0; chip < chips; ++chip) {
       auto rng = mathx::stream_rng(909, static_cast<std::uint64_t>(chip));
       const auto timing = draw_cell_timing(arr.cells(), p, rng);
-      acc += sim.spectrum(codes, timing, cycles).sfdr_db;
+      acc += sim.spectrum(record, timing, cycles).sfdr_db;
     }
     return acc / chips;
   };

@@ -49,7 +49,7 @@ TEST(Ete, IdealTimingHasNoTimingNoise) {
   // nominal delay, a pure LTI term: its SNDR must sit at the quantization
   // floor (~6.02 n + 1.76 = 62 dB at 10 bits), not below it.
   const auto pred = ete_predict(arr, ideal_cell_timing(arr.cells()), 1e-3,
-                                300e6, codes, 21);
+                                300e6, CodeRecord(arr, codes), 21);
   EXPECT_EQ(pred.record.size(), codes.size());
   EXPECT_GT(pred.sndr_db, 55.0);
 }
@@ -61,8 +61,9 @@ TEST(Ete, RecordScalesLinearlyWithVlsb) {
   p.sigma_t = 40e-12;
   auto rng = mathx::stream_rng(11, 0);
   const auto timing = draw_cell_timing(arr.cells(), p, rng);
-  const auto a = ete_predict(arr, timing, 1e-3, p.fs, codes, 7);
-  const auto b = ete_predict(arr, timing, 2e-3, p.fs, codes, 7);
+  const CodeRecord record(arr, codes);
+  const auto a = ete_predict(arr, timing, 1e-3, p.fs, record, 7);
+  const auto b = ete_predict(arr, timing, 2e-3, p.fs, record, 7);
   for (std::size_t k = 0; k < a.record.size(); ++k) {
     EXPECT_NEAR(b.record[k], 2.0 * a.record[k], 1e-12) << k;
   }
@@ -80,6 +81,7 @@ TEST(EteGolden, PredictionTracksWaveformMcAtTwoOperatingPoints) {
   const int cycles = 21;
   const CellArray arr(make_weighting(WeightingKind::kSegmented, nbits));
   const auto codes = sine_codes(nbits, n, cycles);
+  const CodeRecord record(arr, codes);
   const double v_lsb = 1e-3;
 
   for (const double sigma_t : {60e-12, 150e-12}) {
@@ -92,8 +94,8 @@ TEST(EteGolden, PredictionTracksWaveformMcAtTwoOperatingPoints) {
     for (int chip = 0; chip < chips; ++chip) {
       auto rng = mathx::stream_rng(404, static_cast<std::uint64_t>(chip));
       const auto timing = draw_cell_timing(arr.cells(), p, rng);
-      const auto mc = sim.spectrum(codes, timing, cycles);
-      const auto pred = ete_predict(arr, timing, v_lsb, p.fs, codes, cycles);
+      const auto mc = sim.spectrum(record, timing, cycles);
+      const auto pred = ete_predict(arr, timing, v_lsb, p.fs, record, cycles);
       EXPECT_NEAR(pred.sfdr_db, mc.sfdr_db, 4.0)
           << "sigma_t " << sigma_t << " chip " << chip;
       EXPECT_NEAR(pred.sndr_db, mc.sndr_db, 3.0)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -280,6 +281,66 @@ TEST(Spectrum, HarmonicAliasingFoldsPastNyquist) {
   const auto r = analyze_spectrum(v, 1e6, o, 100);
   EXPECT_NEAR(r.thd_db, -40.0, 0.5);
   EXPECT_NEAR(r.sfdr_db, 40.0, 0.5);
+}
+
+TEST(Spectrum, MetricsEntryMatchesTheCopyingFftAndWindowGain) {
+  // spectrum_metrics runs the FFT in place on power-of-two records and
+  // takes the coherent gain from its own window sum. Both must give the
+  // bins and the dBFS of dft()'s copy and window_coherent_gain().
+  for (const std::size_t n : {std::size_t{1024}, std::size_t{768}}) {
+    auto v = tone(n, 37, 0.8, 0.3);
+    const auto h3 = tone(n, 111, 2e-3);
+    for (std::size_t i = 0; i < n; ++i) v[i] += h3[i];
+    for (const auto win : {mathx::Window::kRect, mathx::Window::kHann,
+                           mathx::Window::kBlackmanHarris4}) {
+      SCOPED_TRACE(::testing::Message() << "n " << n << " window "
+                                        << static_cast<int>(win));
+      SpectrumOptions o;
+      o.window = win;
+      o.guard_bins = win == mathx::Window::kRect ? 0 : 4;
+      std::vector<double> power;
+      const SpectrumMetrics m = spectrum_metrics(v, 300e6, o, 0, power);
+
+      const auto w = mathx::make_window(win, n);
+      double wsum = 0.0, vwsum = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        wsum += w[i];
+        vwsum += v[i] * w[i];
+      }
+      std::vector<mathx::Cplx> x(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] = mathx::Cplx((v[i] - vwsum / wsum) * w[i], 0.0);
+      }
+      const auto spec = mathx::dft(x);
+      ASSERT_EQ(power.size(), n / 2 + 1);
+      for (std::size_t k = 0; k < power.size(); ++k) {
+        const double scale = (k == 0 || 2 * k == n) ? 1.0 : 2.0;
+        const double mag = std::abs(spec[k]) / static_cast<double>(n);
+        ASSERT_EQ(power[k], scale * mag * mag) << "bin " << k;
+      }
+      const double fund_amp = std::sqrt(2.0 * m.fund_power) /
+                              mathx::window_coherent_gain(win, n);
+      double vmax = v[0], vmin = v[0];
+      for (double x_i : v) {
+        vmax = std::max(vmax, x_i);
+        vmin = std::min(vmin, x_i);
+      }
+      EXPECT_EQ(m.fund_db_fs,
+                20.0 * std::log10(fund_amp / (0.5 * (vmax - vmin))));
+
+      const SpectrumResult r = analyze_spectrum(v, 300e6, o);
+      EXPECT_EQ(r.fund_bin, m.fund_bin);
+      EXPECT_EQ(r.fund_power, m.fund_power);
+      EXPECT_EQ(r.sfdr_db, m.sfdr_db);
+      EXPECT_EQ(r.sndr_db, m.sndr_db);
+      EXPECT_EQ(r.thd_db, m.thd_db);
+      EXPECT_EQ(r.enob, m.enob);
+      EXPECT_EQ(r.fund_db_fs, m.fund_db_fs);
+      ASSERT_EQ(r.mag_db.size(), power.size());
+      EXPECT_EQ(r.mag_db[m.fund_bin],
+                10.0 * std::log10(power[m.fund_bin] / m.fund_power));
+    }
+  }
 }
 
 }  // namespace
