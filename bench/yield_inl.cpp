@@ -13,7 +13,6 @@
 
 #include "bench_util.hpp"
 #include "core/accuracy.hpp"
-#include "dac/static_analysis.hpp"
 #include "runtime/scheduler.hpp"
 
 using namespace csdac;
@@ -87,26 +86,6 @@ int main() {
                fmt(y.ci95, "%.4f"),
                fmt(static_cast<double>(y.chips), "%.0f"),
                r.cache_hit() ? "cache" : "computed"});
-  }
-
-  std::printf("\nWorkspace kernel vs legacy allocating chain (same chips,\n"
-              "bit-identical yields — see tools/run_benches for the JSON\n"
-              "version of this measurement):\n\n");
-  print_row({"path", "yield", "chips/s", "wall [ms]"});
-  {
-    const int cmp_chips = 1000;
-    const auto ws = dac::inl_yield_mc(spec, sigma0, cmp_chips, 1000, 0.5,
-                                      dac::InlReference::kBestFit, 0);
-    const auto legacy = dac::inl_yield_mc_legacy(
-        spec, sigma0, cmp_chips, 1000, 0.5, dac::InlReference::kBestFit, 0);
-    print_row({"workspace", fmt(ws.yield, "%.3f"),
-               fmt(ws.stats.items_per_second, "%.0f"),
-               fmt(ws.stats.wall_seconds * 1e3, "%.1f")});
-    print_row({"legacy", fmt(legacy.yield, "%.3f"),
-               fmt(legacy.stats.items_per_second, "%.0f"),
-               fmt(legacy.stats.wall_seconds * 1e3, "%.1f")});
-    std::printf("speedup: %.2fx\n",
-                ws.stats.items_per_second / legacy.stats.items_per_second);
   }
 
   const runtime::CacheCounters cc = sched.executor().disk_counters();

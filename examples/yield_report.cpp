@@ -6,9 +6,10 @@
 // The yield estimates run through the runtime scheduler with the
 // persistent content-addressed cache (.csdac-cache), so a re-run with the
 // same lot parameters reports instantly from the store. The histogram
-// walks the same (seed, chip) streams with the allocation-free
-// ChipWorkspace kernel, so its population is exactly the lot the yield
-// estimate judged.
+// draws the same (seed, chip) streams through the public allocating chain
+// (draw_source_errors -> SegmentedDac::transfer -> analyze_transfer),
+// which the yield kernels match bit for bit, so its population is exactly
+// the lot the yield estimate judged.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "core/accuracy.hpp"
 #include "dac/calibration.hpp"
 #include "dac/static_analysis.hpp"
+#include "mathx/rng.hpp"
 #include "mathx/stats.hpp"
 #include "runtime/scheduler.hpp"
 
@@ -57,18 +59,19 @@ int main(int argc, char** argv) {
               "(sigma_u = %.4f%%) ===\n",
               chips, sigma * 100);
 
-  // Histogram pass: the allocation-free workspace kernel over the same
-  // (seed, chip) streams the yield estimate below evaluates.
+  // Histogram pass: the allocating chain over the same (seed, chip)
+  // streams the yield estimate below evaluates.
   std::vector<double> inls, dnls;
   mathx::RunningStats inl_stats;
-  {
-    dac::ChipWorkspace ws(spec);
-    for (int c = 0; c < chips; ++c) {
-      const auto m = dac::mc_chip_metrics(ws, sigma, seed, c);
-      inls.push_back(m.inl_max);
-      dnls.push_back(m.dnl_max);
-      inl_stats.add(m.inl_max);
-    }
+  for (int c = 0; c < chips; ++c) {
+    mathx::Xoshiro256 rng =
+        mathx::stream_rng(seed, static_cast<std::uint64_t>(c));
+    const dac::SegmentedDac chip(spec,
+                                 dac::draw_source_errors(spec, sigma, rng));
+    const dac::StaticMetrics m = dac::analyze_transfer(chip.transfer());
+    inls.push_back(m.inl_max);
+    dnls.push_back(m.dnl_max);
+    inl_stats.add(m.inl_max);
   }
   print_histogram("max |INL| [LSB]", inls, 0.0, 0.5);
   print_histogram("max |DNL| [LSB]", dnls, 0.0, 0.25);

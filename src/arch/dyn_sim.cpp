@@ -61,28 +61,17 @@ double edge_time(const CellTiming& t, std::size_t c, bool turning_on,
 }
 
 CodeRecord::CodeRecord(const CellArray& arr, std::vector<int> codes)
-    : codes_(std::move(codes)), cells_(arr.cells()) {
-  const auto& w = arr.weights();
-  for (std::size_t c = 0; c < w.size(); ++c) {
-    if (c > 0 && w[c] == w[c - 1]) {
-      ++runs_.back().count;
-    } else {
-      runs_.push_back({static_cast<std::int32_t>(c), 1, w[c]});
-    }
-  }
+    : codes_(std::move(codes)), runs_(arr.runs()), cells_(arr.cells()) {
   for (int code : codes_) {
     if (code < 0 || code > arr.full_scale()) {
       throw std::out_of_range("CodeRecord: code out of range");
     }
   }
-  // Cells on in each equal-weight run: greedy encoding turns on
-  // min(count, rem / weight) cells of a run, the first ones by index.
+  // Cells on in each equal-weight run under greedy encoding.
   const auto on_counts = [&](int code, std::vector<std::int32_t>& on) {
     int rem = code;
     for (std::size_t r = 0; r < runs_.size(); ++r) {
-      const int n = std::min(runs_[r].count, rem / runs_[r].weight);
-      on[r] = n;
-      rem -= n * runs_[r].weight;
+      on[r] = CellArray::take_run(runs_[r], rem);
     }
   };
   begin_.reserve(codes_.size() + 1);
@@ -112,7 +101,7 @@ bool CodeRecord::built_for(const CellArray& arr) const {
   if (arr.cells() != cells_) return false;
   // Weights are descending, so matching both ends of every run pins it.
   const auto& w = arr.weights();
-  for (const WeightRun& r : runs_) {
+  for (const CellArray::WeightRun& r : runs_) {
     if (w[static_cast<std::size_t>(r.first)] != r.weight ||
         w[static_cast<std::size_t>(r.first + r.count - 1)] != r.weight) {
       return false;

@@ -102,13 +102,8 @@ class CodeRecord {
   bool built_for(const CellArray& arr) const;
 
  private:
-  struct WeightRun {
-    std::int32_t first;
-    std::int32_t count;
-    int weight;
-  };
   std::vector<int> codes_;
-  std::vector<WeightRun> runs_;
+  std::vector<CellArray::WeightRun> runs_;
   std::vector<Switch> switches_;
   std::vector<std::size_t> begin_;  ///< size() + 1 offsets into switches_
   std::size_t max_switching_ = 0;

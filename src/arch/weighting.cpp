@@ -211,6 +211,14 @@ CellArray::CellArray(WeightingScheme scheme) : scheme_(std::move(scheme)) {
         "CellArray: weights are not a complete sequence");
   }
   full_scale_ = fs;
+  const auto& w = scheme_.weights;
+  for (std::size_t c = 0; c < w.size(); ++c) {
+    if (c > 0 && w[c] == w[c - 1]) {
+      ++runs_.back().count;
+    } else {
+      runs_.push_back({static_cast<std::int32_t>(c), 1, w[c]});
+    }
+  }
 }
 
 void CellArray::encode(int code, std::vector<std::uint8_t>& on) const {
@@ -237,6 +245,33 @@ std::vector<std::uint8_t> CellArray::encode(int code) const {
   std::vector<std::uint8_t> on;
   encode(code, on);
   return on;
+}
+
+void CellArray::transfer(std::span<const double> term,
+                         std::vector<double>& head,
+                         std::span<double> levels) const {
+  if (term.size() != scheme_.weights.size() ||
+      levels.size() != static_cast<std::size_t>(full_scale_) + 1) {
+    throw std::invalid_argument("CellArray::transfer: size mismatch");
+  }
+  const WeightRun& first = runs_.front();
+  head.resize(static_cast<std::size_t>(first.count) + 1);
+  head[0] = 0.0;
+  for (std::int32_t i = 0; i < first.count; ++i) {
+    head[static_cast<std::size_t>(i) + 1] =
+        head[static_cast<std::size_t>(i)] + term[static_cast<std::size_t>(i)];
+  }
+  for (int code = 0; code <= full_scale_; ++code) {
+    int rem = code;
+    double level = head[static_cast<std::size_t>(take_run(first, rem))];
+    for (std::size_t r = 1; r < runs_.size(); ++r) {
+      const int n = take_run(runs_[r], rem);
+      for (int i = 0; i < n; ++i) {
+        level += term[static_cast<std::size_t>(runs_[r].first + i)];
+      }
+    }
+    levels[static_cast<std::size_t>(code)] = level;
+  }
 }
 
 std::vector<std::int64_t> switching_counts(const CellArray& arr,

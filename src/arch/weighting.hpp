@@ -22,7 +22,9 @@
 // sequence, so "optimized" weightings only exist at cell budgets larger
 // than n (equal total unit count = equal area, more cells).
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -78,6 +80,14 @@ WeightingScheme optimize_weighting(int nbits, const OptimizeOptions& opts);
 /// Immutable cell array: validates the scheme and encodes codes onto cells.
 class CellArray {
  public:
+  /// Cells [first, first + count), all of weight `weight`.  Weights are
+  /// descending, so each distinct weight forms exactly one run.
+  struct WeightRun {
+    std::int32_t first;
+    std::int32_t count;
+    int weight;
+  };
+
   explicit CellArray(WeightingScheme scheme);
 
   const WeightingScheme& scheme() const { return scheme_; }
@@ -93,9 +103,33 @@ class CellArray {
   void encode(int code, std::vector<std::uint8_t>& on) const;
   std::vector<std::uint8_t> encode(int code) const;
 
+  /// The equal-weight runs in cell order.
+  const std::vector<WeightRun>& runs() const { return runs_; }
+
+  /// The greedy rule per run: encode() turns on the first
+  /// min(count, rem / weight) cells of run r, where rem is what the code
+  /// leaves after the runs before r.  Returns that count and takes its
+  /// weight off rem.
+  static int take_run(const WeightRun& r, int& rem) {
+    const int n = std::min<int>(r.count, rem / r.weight);
+    rem -= n * r.weight;
+    return n;
+  }
+
+  /// The static transfer of one chip whose cell c carries `term[c]`:
+  /// levels[code] for every code in [0, full_scale()] is the sum of the
+  /// terms of the cells encode(code) turns on, added in cell order from
+  /// 0.0.  No code is encoded: the first run's sum is read from its prefix
+  /// sums (kept in `head`, reusable scratch), which are those same adds,
+  /// and every later run adds its on cells one by one.  Bit-identical to
+  /// the encode-and-add loop.
+  void transfer(std::span<const double> term, std::vector<double>& head,
+                std::span<double> levels) const;
+
  private:
   WeightingScheme scheme_;
   int full_scale_ = 0;
+  std::vector<WeightRun> runs_;
 };
 
 /// Per-cell toggle counts over a code sequence (state changes between

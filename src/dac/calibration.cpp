@@ -49,24 +49,6 @@ void calibrate_into(const core::DacSpec& spec, const SourceErrors& chip,
   }
 }
 
-CalChipResult cal_chip_passes(ChipWorkspace& ws, double sigma_unit,
-                              const CalibrationOptions& opts,
-                              std::uint64_t seed, std::int64_t chip,
-                              double inl_limit) {
-  detail::count_chip_eval();
-  const auto idx = static_cast<std::uint64_t>(chip);
-  mathx::stream_rng_into(ws.rng, seed, 2 * idx);
-  draw_source_errors_into(ws.spec, sigma_unit, ws.rng, ws.errors);
-  transfer_into(ws.spec, ws.errors, ws);
-  CalChipResult r;
-  r.pass_before = analyze_levels_summary(ws.levels).inl_max < inl_limit;
-  mathx::stream_rng_into(ws.rng, seed, 2 * idx + 1);
-  calibrate_into(ws.spec, ws.errors, opts, ws.rng, ws.trimmed);
-  transfer_into(ws.spec, ws.trimmed, ws);
-  r.pass_after = analyze_levels_summary(ws.levels).inl_max < inl_limit;
-  return r;
-}
-
 namespace {
 
 void check_calibration_mc(int chips, int threads) {
@@ -106,48 +88,6 @@ CalibratedYield calibration_yield_mc(const core::DacSpec& spec,
   y.yield_after = static_cast<double>(r.passed) / chips;
   y.stats = r.stats;
   return y;
-}
-
-CalibratedYield calibration_yield_mc_legacy(const core::DacSpec& spec,
-                                            double sigma_unit,
-                                            const CalibrationOptions& opts,
-                                            int chips, std::uint64_t seed,
-                                            double inl_limit, int threads) {
-  check_calibration_mc(chips, threads);
-  std::atomic<int> pass_before{0}, pass_after{0};
-  CalibratedYield y;
-  y.chips = chips;
-  y.stats = mathx::parallel_for_indexed(chips, threads, [&](int,
-                                                            std::int64_t c) {
-    detail::count_chip_eval();
-    const auto idx = static_cast<std::uint64_t>(c);
-    mathx::Xoshiro256 draw_rng = mathx::stream_rng(seed, 2 * idx);
-    mathx::Xoshiro256 cal_rng = mathx::stream_rng(seed, 2 * idx + 1);
-    const SourceErrors raw = draw_source_errors(spec, sigma_unit, draw_rng);
-    const StaticMetrics before =
-        analyze_transfer(SegmentedDac(spec, raw).transfer());
-    if (before.inl_max < inl_limit) {
-      pass_before.fetch_add(1, std::memory_order_relaxed);
-    }
-    const SourceErrors fixed = calibrate(spec, raw, opts, cal_rng);
-    const StaticMetrics after =
-        analyze_transfer(SegmentedDac(spec, fixed).transfer());
-    if (after.inl_max < inl_limit) {
-      pass_after.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  y.yield_before = static_cast<double>(pass_before.load()) / chips;
-  y.yield_after = static_cast<double>(pass_after.load()) / chips;
-  return y;
-}
-
-CalibratedYield calibrated_inl_yield(const core::DacSpec& spec,
-                                     double sigma_unit,
-                                     const CalibrationOptions& opts,
-                                     int chips, std::uint64_t seed,
-                                     double inl_limit, int threads) {
-  return calibration_yield_mc(spec, sigma_unit, opts, chips, seed, inl_limit,
-                              threads);
 }
 
 }  // namespace csdac::dac

@@ -54,45 +54,15 @@ struct CalibratedYield {
   mathx::RunStats stats;  ///< engine observability (wall time, chips/s, ...)
 };
 
-/// Pass/fail of one calibration Monte-Carlo chip before and after trim.
-struct CalChipResult {
-  bool pass_before = false;
-  bool pass_after = false;
-};
-
-/// One calibration chip, allocation-free: mismatch draw from stream 2*chip,
-/// pre-cal INL pass/fail, trim with measurement noise from stream
-/// 2*chip + 1, post-cal pass/fail. The scalar reference the chip-per-lane
-/// kernels behind calibration_yield_mc are pinned against, chip by chip,
-/// in the equivalence tests.
-CalChipResult cal_chip_passes(ChipWorkspace& ws, double sigma_unit,
-                              const CalibrationOptions& opts,
-                              std::uint64_t seed, std::int64_t chip,
-                              double inl_limit);
-
 /// Runs on the shared mathx::parallel engine. Chip c derives two
 /// independent streams from the seed — stream_rng(seed, 2c) for the
 /// mismatch draw and stream_rng(seed, 2c+1) for the calibration
 /// measurement noise — so the result is bit-identical for any thread
-/// count. threads = 0 uses the hardware concurrency.
+/// count. threads = 0 uses the hardware concurrency. Runs the chip-per-lane
+/// cal_block kernels; each chip's pre- and post-trim verdicts equal those
+/// of the allocating draw_source_errors → calibrate → SegmentedDac::
+/// transfer → analyze_transfer chain on the same two streams.
 CalibratedYield calibration_yield_mc(const core::DacSpec& spec,
-                                     double sigma_unit,
-                                     const CalibrationOptions& opts,
-                                     int chips, std::uint64_t seed,
-                                     double inl_limit = 0.5, int threads = 1);
-
-/// Reference implementation with the historical per-chip allocations;
-/// identical results to calibration_yield_mc. Kept for the equivalence
-/// tests and as the bench-harness baseline.
-CalibratedYield calibration_yield_mc_legacy(const core::DacSpec& spec,
-                                            double sigma_unit,
-                                            const CalibrationOptions& opts,
-                                            int chips, std::uint64_t seed,
-                                            double inl_limit = 0.5,
-                                            int threads = 1);
-
-/// Historical name; forwards to calibration_yield_mc.
-CalibratedYield calibrated_inl_yield(const core::DacSpec& spec,
                                      double sigma_unit,
                                      const CalibrationOptions& opts,
                                      int chips, std::uint64_t seed,

@@ -7,18 +7,10 @@ namespace csdac::dac {
 
 SourceErrors draw_source_errors(const core::DacSpec& spec, double sigma_unit,
                                 mathx::Xoshiro256& rng) {
-  SourceErrors e;
-  draw_source_errors_into(spec, sigma_unit, rng, e);
-  return e;
-}
-
-void draw_source_errors_into(const core::DacSpec& spec, double sigma_unit,
-                             mathx::Xoshiro256& rng, SourceErrors& e) {
   if (!(sigma_unit >= 0.0)) {
     throw std::invalid_argument("draw_source_errors: sigma < 0");
   }
-  e.unary.clear();
-  e.binary.clear();
+  SourceErrors e;
   const double uw = spec.unary_weight();
   e.unary.reserve(static_cast<std::size_t>(spec.num_unary()));
   for (int i = 0; i < spec.num_unary(); ++i) {
@@ -30,6 +22,7 @@ void draw_source_errors_into(const core::DacSpec& spec, double sigma_unit,
     const double w = std::ldexp(1.0, k);
     e.binary.push_back(w + sigma_unit * std::sqrt(w) * mathx::normal(rng));
   }
+  return e;
 }
 
 SourceErrors ideal_sources(const core::DacSpec& spec) {
@@ -43,32 +36,14 @@ SourceErrors ideal_sources(const core::DacSpec& spec) {
   return e;
 }
 
-ChipWorkspace::ChipWorkspace(const core::DacSpec& s)
-    : spec(s), rng(0) {
-  spec.validate();
-  const auto n_codes = static_cast<std::size_t>(1) << spec.nbits;
-  errors.unary.reserve(static_cast<std::size_t>(spec.num_unary()));
-  errors.binary.reserve(static_cast<std::size_t>(spec.binary_bits));
-  trimmed.unary.reserve(static_cast<std::size_t>(spec.num_unary()));
-  trimmed.binary.reserve(static_cast<std::size_t>(spec.binary_bits));
-  unary_prefix.resize(static_cast<std::size_t>(spec.num_unary()) + 1, 0.0);
-  binsum.resize(static_cast<std::size_t>(1) << spec.binary_bits, 0.0);
-  levels.resize(n_codes, 0.0);
-  codes.resize(n_codes);
-  for (std::size_t i = 0; i < n_codes; ++i) {
-    codes[i] = static_cast<double>(i);
-  }
-  inl.resize(n_codes, 0.0);
-  dnl.resize(n_codes - 1, 0.0);
-}
-
 namespace {
 
 // Sum of the selected binary sources in increasing bit order, accumulated
 // separately from the unary prefix. Keeping this sub-sum self-contained is
-// what lets the workspace transfer tabulate all 2^b of them per chip and
-// stay bit-identical: binsum[bits] is built with this exact accumulation
-// order.
+// what lets the lane kernels tabulate all 2^b of them per chip and stay
+// bit-identical: their binsum[j] adds the top set bit's source to
+// binsum[j without that bit], which is the prefix of this same
+// ascending-bit accumulation, so every rounding is the same.
 inline double binary_partial_sum(const std::vector<double>& binary,
                                  int bits) {
   double s = 0.0;
@@ -79,8 +54,8 @@ inline double binary_partial_sum(const std::vector<double>& binary,
 }
 
 // The one level computation: prefix sum of the switched-on unary sources
-// plus the binary partial sum. Every transfer path (member and workspace)
-// funnels through this structure so they are bit-identical by construction.
+// plus the binary partial sum, one rounded add (the lane kernels form
+// their levels with the same add).
 inline double code_level(const std::vector<double>& unary_prefix,
                          const std::vector<double>& binary, int code,
                          int binary_bits) {
@@ -89,39 +64,6 @@ inline double code_level(const std::vector<double>& unary_prefix,
 }
 
 }  // namespace
-
-void transfer_into(const core::DacSpec& spec, const SourceErrors& errors,
-                   ChipWorkspace& ws) {
-  if (errors.unary.size() != static_cast<std::size_t>(spec.num_unary()) ||
-      errors.binary.size() != static_cast<std::size_t>(spec.binary_bits) ||
-      ws.unary_prefix.size() != errors.unary.size() + 1 ||
-      ws.levels.size() != (static_cast<std::size_t>(1) << spec.nbits)) {
-    throw std::invalid_argument("transfer_into: size mismatch");
-  }
-  ws.unary_prefix[0] = 0.0;
-  for (std::size_t i = 0; i < errors.unary.size(); ++i) {
-    ws.unary_prefix[i + 1] = ws.unary_prefix[i] + errors.unary[i];
-  }
-  // Tabulate every binary partial sum once per chip. binsum[j] reproduces
-  // binary_partial_sum(binary, j) exactly: stripping the top set bit leaves
-  // the prefix of the same ascending-bit accumulation, so the association
-  // — and therefore every rounding — is identical to code_level's.
-  ws.binsum[0] = 0.0;
-  for (int j = 1; j < (1 << spec.binary_bits); ++j) {
-    int k = 0;
-    while ((j >> (k + 1)) != 0) ++k;  // index of the top set bit
-    ws.binsum[static_cast<std::size_t>(j)] =
-        ws.binsum[static_cast<std::size_t>(j ^ (1 << k))] +
-        errors.binary[static_cast<std::size_t>(k)];
-  }
-  const int n_codes = 1 << spec.nbits;
-  const int mask = (1 << spec.binary_bits) - 1;
-  for (int c = 0; c < n_codes; ++c) {
-    ws.levels[static_cast<std::size_t>(c)] =
-        ws.unary_prefix[static_cast<std::size_t>(c >> spec.binary_bits)] +
-        ws.binsum[static_cast<std::size_t>(c & mask)];
-  }
-}
 
 SegmentedDac::SegmentedDac(const core::DacSpec& spec, SourceErrors errors)
     : spec_(spec), errors_(std::move(errors)) {
@@ -153,18 +95,13 @@ double SegmentedDac::level(int code) const {
 }
 
 std::vector<double> SegmentedDac::transfer() const {
-  std::vector<double> out;
-  transfer_into(out);
-  return out;
-}
-
-void SegmentedDac::transfer_into(std::vector<double>& out) const {
   const int n_codes = 1 << spec_.nbits;
-  out.resize(static_cast<std::size_t>(n_codes));
+  std::vector<double> out(static_cast<std::size_t>(n_codes));
   for (int c = 0; c < n_codes; ++c) {
     out[static_cast<std::size_t>(c)] =
         code_level(unary_prefix_, errors_.binary, c, spec_.binary_bits);
   }
+  return out;
 }
 
 double SegmentedDac::unary_partial_sum(int k) const {

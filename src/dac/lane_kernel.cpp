@@ -96,7 +96,7 @@ namespace {
 const LaneKernel& scalar_kernel() {
   // The shared template at width 1: the scalar dispatch entry, the kernel
   // of every short block a wider run leaves, and the everywhere-runnable
-  // instantiation the template tests pin against mc_chip_metrics.
+  // instantiation the template tests pin against the allocating chain.
   static const LaneKernel k =
       LaneKernelImpl<mathx::ScalarOps>::kernel(mathx::SimdBackend::kScalar);
   return k;

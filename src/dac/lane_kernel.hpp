@@ -1,9 +1,10 @@
-// Chip-per-lane Monte-Carlo kernels: the SIMD counterpart of
-// mc_chip_metrics. A LaneKernel evaluates `lanes` consecutive chips at
-// once, one chip per vector lane, with every lane performing the scalar
-// kernel's arithmetic in the scalar order — so the per-chip metrics are
-// bit-identical to mc_chip_metrics / the calibration chip pass, which the
-// equivalence tests enforce with EXPECT_EQ. The blocks:
+// Chip-per-lane Monte-Carlo kernels, the one chip implementation of the
+// static yield estimators. A LaneKernel evaluates `lanes` consecutive chips
+// at once, one chip per vector lane, with every lane performing the scalar
+// chip arithmetic in the scalar order — so the per-chip metrics are
+// bit-identical to the allocating draw_source_errors → (calibrate →)
+// SegmentedDac::transfer → analyze_transfer chain on the same streams,
+// which the equivalence tests enforce with EXPECT_EQ. The blocks:
 //
 //   mc_block     brute-force INL/DNL chips (inl_yield_mc, dnl_yield_mc)
 //   cal_block    pre/post-calibration chips (calibration_yield_mc)
@@ -123,14 +124,17 @@ struct LaneKernel {
 
   /// Evaluates chips [chip0, chip0 + lanes): per-lane mismatch draw
   /// (stream chip0 + l), transfer, INL/DNL maxima into out[0..lanes).
-  /// Bit-identical to mc_chip_metrics(ws, sigma_unit, seed, chip0 + l).
+  /// Bit-identical to analyze_transfer(SegmentedDac(spec,
+  /// draw_source_errors(spec, sigma_unit, stream_rng(seed, chip0 + l)))
+  /// .transfer(), ref)'s maxima.
   void (*mc_block)(ChipWorkspaceXN& ws, double sigma_unit,
                    std::uint64_t seed, std::int64_t chip0, InlReference ref,
                    StaticSummary* out) = nullptr;
 
   /// Calibration chip block: per-lane draw (stream 2*(chip0+l)), pre-cal
   /// pass/fail, scalar per-lane trim (stream 2*(chip0+l)+1), post-cal
-  /// pass/fail. Bit-identical to the calibration_yield_mc chip body.
+  /// pass/fail. Bit-identical to the allocating chain with calibrate
+  /// between the two analyses (see calibration_yield_mc).
   void (*cal_block)(ChipWorkspaceXN& ws, double sigma_unit,
                     const CalibrationOptions& opts, std::uint64_t seed,
                     std::int64_t chip0, double inl_limit, bool* pass_before,

@@ -7,12 +7,14 @@
 //
 // Bit-identity contract: every lane performs, in order, exactly the
 // floating-point operations of the scalar chip pipeline —
-// draw_source_errors_into (the sigma_unit*sqrt(w) coefficient is one
-// rounded product, computed once in scalar and broadcast, exactly as the
-// scalar expression associates), transfer_into (same prefix-sum and
-// top-set-bit binsum association), analyze_levels_summary (same closed-form
-// or iterative x statistics, same accumulation order for sy/sxy, same
-// final divisions). IEEE basic operations are correctly rounded in both
+// draw_source_errors (the sigma_unit*sqrt(w) coefficient is one rounded
+// product, computed once in scalar and broadcast, exactly as the scalar
+// expression associates), SegmentedDac's levels (same unary prefix sums;
+// the binary partial sums tabulated by top set bit, which reproduces the
+// ascending-bit accumulation of SegmentedDac::level), and
+// analyze_levels_summary (same closed-form or iterative x statistics, same
+// accumulation order for sy/sxy, same final divisions, whose maxima equal
+// analyze_transfer's). IEEE basic operations are correctly rounded in both
 // scalar and vector form, so equal inputs in equal order give equal bits.
 // min/max lanes can differ from std::min/std::max only in the sign of a
 // zero, which none of the downstream arithmetic can observe (abs() feeds
@@ -21,7 +23,7 @@
 // Two steps differ in schedule, not in arithmetic. No 2^n levels array is
 // stored: analyze_block walks the codes in order and forms each level as
 // unary_prefix[c >> b] + binsum[c & mask], the same single rounded add
-// transfer_into stores. And the polar draw takes its logs in a loop of
+// SegmentedDac::level returns. And the polar draw takes its logs in a loop of
 // their own after the rejection loop (mathx::normal_batch_xN), on the same
 // accepted s values the scalar draw would pass to log.
 //
@@ -47,7 +49,7 @@ struct LaneKernelImpl {
   using Mask = typename Ops::Mask;
   static constexpr int L = Ops::kLanes;
 
-  /// The standard-normal draws of draw_source_errors_into, one chip per
+  /// The standard-normal draws of draw_source_errors, one chip per
   /// lane, in its stream order, into v.z: the unary draws (raw), then the
   /// binary ones, which also become the binary source errors in v.binary.
   /// rng must already be seeded to the per-lane streams.
@@ -79,7 +81,7 @@ struct LaneKernelImpl {
     }
   }
 
-  /// draw_source_errors_into, one chip per lane.
+  /// draw_source_errors, one chip per lane.
   static void draw_block(const LaneView& v, mathx::Xoshiro256xN<Ops>& rng,
                          double sigma_unit) {
     draw_standard(v, rng, sigma_unit);
@@ -105,7 +107,7 @@ struct LaneKernelImpl {
     }
   }
 
-  /// transfer_into's tables, one chip per lane, from the given unary
+  /// The transfer tables, one chip per lane, from the given unary
   /// weights (v.unary pre-calibration, v.trimmed_unary post): the unary
   /// prefix sums and the binary partial sums. The levels themselves are
   /// formed by analyze_block.
@@ -126,7 +128,8 @@ struct LaneKernelImpl {
     }
   }
 
-  /// Transfer level of code (u << b) | j: transfer_into's one rounded add.
+  /// Transfer level of code (u << b) | j: SegmentedDac::level's one
+  /// rounded add.
   static F64 level(const LaneView& v, int u, int j) {
     return Ops::fadd(Ops::floadu(v.unary_prefix + u * L),
                      Ops::floadu(v.binsum + j * L));

@@ -1,13 +1,10 @@
 #include "dac/static_analysis.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <span>
 #include <stdexcept>
 
 #include "dac/lane_kernel.hpp"
-#include "mathx/fit.hpp"
-#include "mathx/rng.hpp"
 #include "obs/metrics.hpp"
 
 namespace csdac::dac {
@@ -22,7 +19,7 @@ namespace {
 obs::Counter& chip_counter() {
   static obs::Counter& c = obs::Registry::global().counter(
       "mc.chips_evaluated",
-      "Monte-Carlo chips drawn and analyzed (workspace or legacy path)");
+      "Monte-Carlo chips drawn and analyzed");
   return c;
 }
 
@@ -38,32 +35,29 @@ void count_chip_evals(std::int64_t n) { chip_counter().add(n); }
 
 }  // namespace detail
 
-namespace {
-
-// The one INL/DNL computation. Both the allocating analyze_transfer and the
-// workspace analyze_transfer_into funnel through this, so the two paths are
-// bit-identical by construction. `codes` must be the ramp 0..n-1 (only read
-// for the best-fit reference); `inl` must have n slots and `dnl` n-1.
-StaticSummary analyze_core(std::span<const double> levels,
-                           std::span<const double> codes, InlReference ref,
-                           double* inl, double* dnl) {
+StaticMetrics analyze_transfer(const std::vector<double>& levels,
+                               InlReference ref) {
   const std::size_t n = levels.size();
+  if (n < 2) {
+    throw std::invalid_argument("analyze_transfer: need >= 2 levels");
+  }
   // Reference line: level ~ gain*code + offset.
   double gain = 1.0, offset = 0.0;
   if (ref == InlReference::kEndpoint) {
     gain = (levels.back() - levels.front()) / static_cast<double>(n - 1);
     offset = levels.front();
   } else {
-    // Ordinary least squares through (codes[i], levels[i]); the same
+    // Ordinary least squares through (i, levels[i]); the same
     // accumulation order as mathx::fit_line, minus the R^2 pass the INL
     // reference line never needed.
     const auto nn = static_cast<double>(n);
     double sx = 0, sy = 0, sxx = 0, sxy = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      sx += codes[i];
+      const auto x = static_cast<double>(i);
+      sx += x;
       sy += levels[i];
-      sxx += codes[i] * codes[i];
-      sxy += codes[i] * levels[i];
+      sxx += x * x;
+      sxy += x * levels[i];
     }
     const double denom = nn * sxx - sx * sx;
     if (denom == 0.0) throw std::invalid_argument("analyze: degenerate x");
@@ -72,38 +66,17 @@ StaticSummary analyze_core(std::span<const double> levels,
   }
   if (gain == 0.0) throw std::invalid_argument("analyze_transfer: flat");
 
-  StaticSummary s;
-  for (std::size_t i = 0; i < n; ++i) {
-    inl[i] = (levels[i] - (offset + gain * static_cast<double>(i))) / gain;
-    s.inl_max = std::max(s.inl_max, std::abs(inl[i]));
-  }
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    dnl[i] = (levels[i + 1] - levels[i]) / gain - 1.0;
-    s.dnl_max = std::max(s.dnl_max, std::abs(dnl[i]));
-  }
-  return s;
-}
-
-}  // namespace
-
-StaticMetrics analyze_transfer(const std::vector<double>& levels,
-                               InlReference ref) {
-  if (levels.size() < 2) {
-    throw std::invalid_argument("analyze_transfer: need >= 2 levels");
-  }
-  const std::size_t n = levels.size();
   StaticMetrics m;
   m.inl.resize(n);
   m.dnl.resize(n - 1);
-  std::vector<double> codes;
-  if (ref == InlReference::kBestFit) {
-    codes.resize(n);
-    for (std::size_t i = 0; i < n; ++i) codes[i] = static_cast<double>(i);
+  for (std::size_t i = 0; i < n; ++i) {
+    m.inl[i] = (levels[i] - (offset + gain * static_cast<double>(i))) / gain;
+    m.inl_max = std::max(m.inl_max, std::abs(m.inl[i]));
   }
-  const StaticSummary s =
-      analyze_core(levels, codes, ref, m.inl.data(), m.dnl.data());
-  m.inl_max = s.inl_max;
-  m.dnl_max = s.dnl_max;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    m.dnl[i] = (levels[i + 1] - levels[i]) / gain - 1.0;
+    m.dnl_max = std::max(m.dnl_max, std::abs(m.dnl[i]));
+  }
   return m;
 }
 
@@ -118,10 +91,11 @@ StaticSummary analyze_levels_summary(std::span<const double> levels,
     gain = (levels.back() - levels.front()) / static_cast<double>(n - 1);
     offset = levels.front();
   } else {
-    // Same least-squares line as analyze_core, but with the x statistics
-    // in closed form: for a 0..n-1 ramp every partial sum of x and x^2 is
-    // an exact integer below 2^53 (n <= 2^17), so the iterative sums in
-    // analyze_core land on the exact value the closed forms give.
+    // Same least-squares line as analyze_transfer, but with the x
+    // statistics in closed form: for a 0..n-1 ramp every partial sum of x
+    // and x^2 is an exact integer below 2^53 (n <= 2^17), so the iterative
+    // sums in analyze_transfer land on the exact value the closed forms
+    // give.
     const auto nn = static_cast<double>(n);
     double sx, sxx;
     if (n <= (std::size_t{1} << 17)) {
@@ -151,7 +125,7 @@ StaticSummary analyze_levels_summary(std::span<const double> levels,
 
   // One fused pass: track the extreme residual and the extreme level
   // steps; divide once at the end. Monotonicity of correctly-rounded
-  // division makes the maxima bit-identical to analyze_core's per-code
+  // division makes the maxima bit-identical to analyze_transfer's per-code
   // divided values.
   double rmax = 0.0;
   double dmin = levels[1] - levels[0];
@@ -176,92 +150,7 @@ StaticSummary analyze_levels_summary(std::span<const double> levels,
   return s;
 }
 
-StaticSummary analyze_transfer_into(ChipWorkspace& ws, InlReference ref) {
-  if (ws.levels.size() < 2 || ws.inl.size() != ws.levels.size() ||
-      ws.dnl.size() + 1 != ws.levels.size() ||
-      ws.codes.size() != ws.levels.size()) {
-    throw std::invalid_argument("analyze_transfer_into: bad workspace");
-  }
-  return analyze_core(ws.levels, ws.codes, ref, ws.inl.data(),
-                      ws.dnl.data());
-}
-
-StaticSummary mc_chip_metrics(ChipWorkspace& ws, double sigma_unit,
-                              std::uint64_t seed, std::int64_t chip,
-                              InlReference ref) {
-  detail::count_chip_eval();
-  mathx::stream_rng_into(ws.rng, seed, static_cast<std::uint64_t>(chip));
-  draw_source_errors_into(ws.spec, sigma_unit, ws.rng, ws.errors);
-  transfer_into(ws.spec, ws.errors, ws);
-  return analyze_levels_summary(ws.levels, ref);
-}
-
 namespace {
-
-// The historical per-chip analysis, preserved verbatim as the baseline the
-// bench harness measures against: allocates the codes ramp and INL/DNL
-// vectors every chip and pays mathx::fit_line's extra syy/R^2 passes. Its
-// slope/intercept accumulate in the same order as analyze_core, so the
-// pass/fail decisions are bit-identical to the workspace path (the
-// equivalence tests pin this).
-StaticMetrics analyze_transfer_seed(const std::vector<double>& levels,
-                                    InlReference ref) {
-  const std::size_t n = levels.size();
-  StaticMetrics m;
-  m.inl.resize(n);
-  m.dnl.resize(n - 1);
-  double gain = 1.0, offset = 0.0;
-  if (ref == InlReference::kEndpoint) {
-    gain = (levels.back() - levels.front()) / static_cast<double>(n - 1);
-    offset = levels.front();
-  } else {
-    std::vector<double> codes(n);
-    for (std::size_t i = 0; i < n; ++i) codes[i] = static_cast<double>(i);
-    const auto fit = mathx::fit_line(codes, levels);
-    gain = fit.slope;
-    offset = fit.intercept;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    m.inl[i] = (levels[i] - (offset + gain * static_cast<double>(i))) / gain;
-    m.inl_max = std::max(m.inl_max, std::abs(m.inl[i]));
-  }
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    m.dnl[i] = (levels[i + 1] - levels[i]) / gain - 1.0;
-    m.dnl_max = std::max(m.dnl_max, std::abs(m.dnl[i]));
-  }
-  return m;
-}
-
-bool chip_passes_legacy(const core::DacSpec& spec, double sigma_unit,
-                        std::uint64_t seed, std::int64_t chip, double limit,
-                        bool use_inl, InlReference ref) {
-  detail::count_chip_eval();
-  mathx::Xoshiro256 rng =
-      mathx::stream_rng(seed, static_cast<std::uint64_t>(chip));
-  const SegmentedDac dac(spec, draw_source_errors(spec, sigma_unit, rng));
-  const StaticMetrics m = analyze_transfer_seed(dac.transfer(), ref);
-  return (use_inl ? m.inl_max : m.dnl_max) < limit;
-}
-
-YieldEstimate run_mc_legacy(const core::DacSpec& spec, double sigma_unit,
-                            int chips, std::uint64_t seed, double limit,
-                            bool use_inl, InlReference ref, int threads) {
-  if (chips <= 0) throw std::invalid_argument("yield_mc: chips <= 0");
-  if (threads < 0) throw std::invalid_argument("yield_mc: threads < 0");
-  std::atomic<int> passed{0};
-  YieldEstimate y;
-  y.chips = chips;
-  y.stats = mathx::parallel_for_indexed(chips, threads, [&](int,
-                                                            std::int64_t c) {
-    if (chip_passes_legacy(spec, sigma_unit, seed, c, limit, use_inl, ref)) {
-      passed.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  y.pass = passed.load();
-  y.yield = static_cast<double>(y.pass) / chips;
-  y.ci95 = mathx::wilson_half_width(y.pass, chips);
-  return y;
-}
 
 // Fixed-count and adaptive INL/DNL yield: chip-per-lane blocks on the
 // lane-block driver. A fixed-count run is the run with one wave of
@@ -326,22 +215,6 @@ YieldEstimate dnl_yield_mc(const core::DacSpec& spec, double sigma_unit,
                            int threads) {
   return run_mc_fixed(spec, sigma_unit, chips, seed, dnl_limit, false,
                       InlReference::kBestFit, threads);
-}
-
-YieldEstimate inl_yield_mc_legacy(const core::DacSpec& spec,
-                                  double sigma_unit, int chips,
-                                  std::uint64_t seed, double inl_limit,
-                                  InlReference ref, int threads) {
-  return run_mc_legacy(spec, sigma_unit, chips, seed, inl_limit, true, ref,
-                       threads);
-}
-
-YieldEstimate dnl_yield_mc_legacy(const core::DacSpec& spec,
-                                  double sigma_unit, int chips,
-                                  std::uint64_t seed, double dnl_limit,
-                                  int threads) {
-  return run_mc_legacy(spec, sigma_unit, chips, seed, dnl_limit, false,
-                       InlReference::kBestFit, threads);
 }
 
 YieldEstimate inl_yield_mc_adaptive(const core::DacSpec& spec,

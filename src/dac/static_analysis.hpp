@@ -32,33 +32,26 @@ struct StaticMetrics {
 StaticMetrics analyze_transfer(const std::vector<double>& levels,
                                InlReference ref = InlReference::kBestFit);
 
-/// Maxima of an allocation-free analysis; the per-code vectors live in the
-/// workspace (ws.inl / ws.dnl).
+/// Maxima of an INL/DNL analysis, without the per-code vectors.
 struct StaticSummary {
   double inl_max = 0.0;  ///< max |INL| [LSB]
   double dnl_max = 0.0;  ///< max |DNL| [LSB]
 };
-
-/// Allocation-free analyze_transfer: reads ws.levels, writes per-code INL
-/// into ws.inl and per-transition DNL into ws.dnl. Shares its arithmetic
-/// with analyze_transfer, so the results are bit-identical.
-StaticSummary analyze_transfer_into(ChipWorkspace& ws,
-                                    InlReference ref = InlReference::kBestFit);
 
 /// Maxima-only analysis of a raw levels span — the MC hot-path kernel. No
 /// per-code vectors are written and no per-code division is paid, yet the
 /// returned maxima are bit-identical to analyze_transfer's: IEEE division
 /// is correctly rounded and therefore monotone, so max|x_i / g| equals
 /// max|x_i| / |g|, and the extreme DNL is attained at the extreme level
-/// step. The equivalence tests pin this against the vector-writing paths.
+/// step. The equivalence tests pin this against analyze_transfer.
 StaticSummary analyze_levels_summary(std::span<const double> levels,
                                      InlReference ref = InlReference::kBestFit);
 
 /// Process-wide count of Monte-Carlo chip evaluations (every mismatch-drawn
-/// chip analyzed by any yield/calibration path, workspace or legacy). A
-/// relaxed atomic increment per chip — negligible against the ~10 us chip
-/// cost — that gives the runtime cache a hard "no work was redone" signal:
-/// a warm-cache service run must leave this counter unchanged.
+/// chip analyzed by any yield/calibration path). A relaxed atomic
+/// increment per chip — negligible against the ~10 us chip cost — that
+/// gives the runtime cache a hard "no work was redone" signal: a warm-cache
+/// service run must leave this counter unchanged.
 std::int64_t mc_chips_evaluated();
 
 /// Difference-friendly reset is deliberately absent (other threads may be
@@ -70,17 +63,6 @@ void count_chip_eval();
 /// Batched bump for the chip-per-lane kernels (one call per block).
 void count_chip_evals(std::int64_t n);
 }  // namespace detail
-
-/// One Monte-Carlo chip, allocation-free: re-seeds ws.rng to the
-/// (seed, chip) stream, draws the mismatch into ws.errors, computes the
-/// transfer into ws.levels and the INL/DNL maxima via
-/// analyze_levels_summary (ws.inl / ws.dnl are NOT written; call
-/// analyze_transfer_into for the per-code vectors). Bit-identical maxima
-/// to the allocating draw_source_errors → SegmentedDac → transfer →
-/// analyze_transfer chain for the same (seed, chip).
-StaticSummary mc_chip_metrics(ChipWorkspace& ws, double sigma_unit,
-                              std::uint64_t seed, std::int64_t chip,
-                              InlReference ref = InlReference::kBestFit);
 
 /// Monte-Carlo INL yield: fraction of chips with max|INL| < inl_limit.
 struct YieldEstimate {
@@ -95,8 +77,8 @@ struct YieldEstimate {
 /// (seed, chip index), so results are bit-identical for any thread count.
 /// threads = 0 uses the hardware concurrency. Runs the allocation-free
 /// chip-per-lane kernels (see dac/lane_kernel.hpp); results are
-/// bit-identical to mc_chip_metrics and to the *_legacy allocating
-/// reference implementations.
+/// bit-identical, chip by chip, to the allocating draw_source_errors →
+/// SegmentedDac::transfer → analyze_transfer chain on the same streams.
 YieldEstimate inl_yield_mc(const core::DacSpec& spec, double sigma_unit,
                            int chips, std::uint64_t seed,
                            double inl_limit = 0.5,
@@ -108,21 +90,6 @@ YieldEstimate inl_yield_mc(const core::DacSpec& spec, double sigma_unit,
 YieldEstimate dnl_yield_mc(const core::DacSpec& spec, double sigma_unit,
                            int chips, std::uint64_t seed,
                            double dnl_limit = 0.5, int threads = 1);
-
-/// Reference implementations that pay the historical per-chip heap
-/// allocations (draw, DAC construction, transfer, INL/DNL vectors). Kept
-/// for the equivalence test suite and as the baseline the bench harness
-/// measures the workspace speedup against. Identical results.
-YieldEstimate inl_yield_mc_legacy(const core::DacSpec& spec,
-                                  double sigma_unit, int chips,
-                                  std::uint64_t seed, double inl_limit = 0.5,
-                                  InlReference ref = InlReference::kBestFit,
-                                  int threads = 1);
-
-YieldEstimate dnl_yield_mc_legacy(const core::DacSpec& spec,
-                                  double sigma_unit, int chips,
-                                  std::uint64_t seed, double dnl_limit = 0.5,
-                                  int threads = 1);
 
 /// Knobs for the adaptive yield estimators: evaluate chips in
 /// thread-count-independent batches and stop once the Wilson 95 % CI

@@ -425,14 +425,16 @@ ArchCompareResult run(const ArchCompareJob& j, int threads,
 
     struct Ws {
       std::vector<double> prefix;
+      std::vector<double> term;
+      std::vector<double> head;
       std::vector<double> levels;
-      std::vector<std::uint8_t> on;
     };
     const mathx::YieldRun run = mathx::run_blocks(
         {.max_items = j.chips, .batch = j.chips}, threads, /*block=*/1,
         [&] {
           Ws ws;
           ws.prefix.resize(static_cast<std::size_t>(total_units) + 1);
+          ws.term.resize(w.size());
           ws.levels.resize(static_cast<std::size_t>(n_codes));
           return ws;
         },
@@ -445,17 +447,13 @@ ArchCompareResult run(const ArchCompareJob& j, int threads,
                 ws.prefix[static_cast<std::size_t>(u)] +
                 j.sigma_unit * mathx::normal(rng);
           }
-          for (int code = 0; code < n_codes; ++code) {
-            arr.encode(code, ws.on);
-            double level = 0.0;
-            for (std::size_t c = 0; c < w.size(); ++c) {
-              if (!ws.on[c]) continue;
-              level += w[c] +
-                       (ws.prefix[static_cast<std::size_t>(offset[c + 1])] -
+          // Cell c's current: its weight plus its units' summed error.
+          for (std::size_t c = 0; c < w.size(); ++c) {
+            ws.term[c] =
+                w[c] + (ws.prefix[static_cast<std::size_t>(offset[c + 1])] -
                         ws.prefix[static_cast<std::size_t>(offset[c])]);
-            }
-            ws.levels[static_cast<std::size_t>(code)] = level;
           }
+          arr.transfer(ws.term, ws.head, ws.levels);
           const dac::StaticSummary s = dac::analyze_levels_summary(
               ws.levels, dac::InlReference::kBestFit);
           dac::detail::count_chip_eval();

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "arch/weighting.hpp"
+#include "mathx/rng.hpp"
 
 namespace csdac::arch {
 namespace {
@@ -106,6 +109,54 @@ TEST(Weighting, EncodeExactForAllCodesAllSchemes) {
     EXPECT_THROW(arr.encode(-1, on), std::out_of_range);
     EXPECT_THROW(arr.encode(arr.full_scale() + 1, on), std::out_of_range);
   }
+}
+
+TEST(Weighting, TransferMatchesEncodeLoopBitwise) {
+  // CellArray::transfer must reproduce, bit for bit, the per-code loop it
+  // replaces: encode the code, then add the on cells' terms in cell order
+  // from 0.0. Terms mix magnitudes (and signed zeros) so that any other
+  // association or order of the adds shows in the low bits.
+  mathx::Xoshiro256 rng(2512);
+  std::vector<double> head;  // shared across arrays: scratch reuse
+  for (const int nbits : {6, 8}) {
+    for (const auto& scheme :
+         {make_weighting(WeightingKind::kBinary, nbits),
+          make_weighting(WeightingKind::kUnary, nbits),
+          make_weighting(WeightingKind::kSegmented, nbits),
+          make_weighting(WeightingKind::kSegmented, nbits, nbits - 1),
+          make_weighting(WeightingKind::kOptimized, nbits)}) {
+      const CellArray arr(scheme);
+      const auto& w = arr.weights();
+      std::vector<double> term(w.size());
+      for (std::size_t c = 0; c < w.size(); ++c) {
+        const double scale = c % 3 == 0 ? 1e7 : (c % 3 == 1 ? 1.0 : 1e-7);
+        term[c] = w[c] + scale * mathx::normal(rng);
+      }
+      term[w.size() / 2] = -0.0;
+      std::vector<double> levels(static_cast<std::size_t>(arr.full_scale()) +
+                                 1);
+      arr.transfer(term, head, levels);
+      std::vector<std::uint8_t> on;
+      for (int code = 0; code <= arr.full_scale(); ++code) {
+        arr.encode(code, on);
+        double want = 0.0;
+        for (std::size_t c = 0; c < w.size(); ++c) {
+          if (on[c]) want += term[c];
+        }
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                      levels[static_cast<std::size_t>(code)]),
+                  std::bit_cast<std::uint64_t>(want))
+            << weighting_name(arr.scheme().kind) << " nbits " << nbits
+            << " param " << arr.scheme().param << " code " << code;
+      }
+    }
+  }
+  const CellArray arr(make_weighting(WeightingKind::kBinary, 4));
+  std::vector<double> term(4, 1.0), levels(16);
+  std::vector<double> short_levels(15);
+  EXPECT_THROW(arr.transfer(term, head, short_levels), std::invalid_argument);
+  term.pop_back();
+  EXPECT_THROW(arr.transfer(term, head, levels), std::invalid_argument);
 }
 
 TEST(Weighting, UnaryBankIsThermometer) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "chip_oracle.hpp"
 #include "core/accuracy.hpp"
 #include "dac/static_analysis.hpp"
 #include "mathx/stats.hpp"
@@ -63,7 +64,7 @@ TEST(Calibration, YieldRecoveredFromUndersizedSources) {
   CalibrationOptions opts;
   opts.range_lsb = 2.0;
   opts.bits = 7;
-  const auto y = calibrated_inl_yield(spec, sigma, opts, 150, 77);
+  const auto y = calibration_yield_mc(spec, sigma, opts, 150, 77);
   EXPECT_LT(y.yield_before, 0.8);
   EXPECT_GT(y.yield_after, 0.97);
 }
@@ -76,7 +77,7 @@ TEST(Calibration, MoreBitsNeverHurt) {
     CalibrationOptions opts;
     opts.range_lsb = 2.0;
     opts.bits = bits;
-    const auto y = calibrated_inl_yield(spec, sigma, opts, 100, 5);
+    const auto y = calibration_yield_mc(spec, sigma, opts, 100, 5);
     EXPECT_GE(y.yield_after + 0.03, prev) << "bits " << bits;
     prev = y.yield_after;
   }
@@ -109,9 +110,9 @@ TEST(Calibration, YieldMcBitIdenticalForThreads127AndReruns) {
 }
 
 TEST(Calibration, WorkspaceKernelBitIdenticalToLegacyAcrossThreads) {
-  // The workspace MC kernel reuses ONE generator for both per-chip streams
-  // (mismatch draw, then calibration noise); re-seeding via stream_rng_into
-  // must make that indistinguishable from the legacy two-generator chain.
+  // The lane kernel reuses ONE generator per lane for the trim noise
+  // (re-seeded via stream_rng_into); that must be indistinguishable from
+  // the serial two-generator reference chain (chip_oracle.hpp).
   const auto spec = spec12();
   const double sigma = 4.0 * core::unit_sigma_spec(spec.nbits, 0.997);
   CalibrationOptions opts;
@@ -120,7 +121,7 @@ TEST(Calibration, WorkspaceKernelBitIdenticalToLegacyAcrossThreads) {
     const auto ws =
         calibration_yield_mc(spec, sigma, opts, 120, 77, 0.5, threads);
     const auto legacy =
-        calibration_yield_mc_legacy(spec, sigma, opts, 120, 77, 0.5, threads);
+        oracle::calibration_yield_mc_legacy(spec, sigma, opts, 120, 77, 0.5);
     EXPECT_DOUBLE_EQ(ws.yield_before, legacy.yield_before)
         << "threads " << threads;
     EXPECT_DOUBLE_EQ(ws.yield_after, legacy.yield_after)
@@ -142,17 +143,6 @@ TEST(Calibration, CalibrateIntoMatchesCalibrate) {
   EXPECT_EQ(out.binary, expected.binary);
 }
 
-TEST(Calibration, LegacyNameForwardsToEngine) {
-  const auto spec = spec12();
-  const double sigma = 3.0 * core::unit_sigma_spec(spec.nbits, 0.997);
-  const auto a = calibrated_inl_yield(spec, sigma, CalibrationOptions{}, 80,
-                                      5);
-  const auto b = calibration_yield_mc(spec, sigma, CalibrationOptions{}, 80,
-                                      5);
-  EXPECT_DOUBLE_EQ(a.yield_before, b.yield_before);
-  EXPECT_DOUBLE_EQ(a.yield_after, b.yield_after);
-}
-
 TEST(Calibration, BinarySourcesUntouched) {
   const auto spec = spec12();
   mathx::Xoshiro256 rng(9);
@@ -172,7 +162,7 @@ TEST(Calibration, RejectsBadOptions) {
   bad.bits = 0;
   EXPECT_THROW(calibrate(spec, raw, bad, rng), std::invalid_argument);
   EXPECT_THROW(
-      calibrated_inl_yield(spec, 0.01, CalibrationOptions{}, 0, 1),
+      calibration_yield_mc(spec, 0.01, CalibrationOptions{}, 0, 1),
       std::invalid_argument);
 }
 

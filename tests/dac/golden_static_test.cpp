@@ -8,8 +8,11 @@
 
 #include <vector>
 
+#include "chip_oracle.hpp"
+#include "dac/lane_kernel.hpp"
 #include "dac/static_analysis.hpp"
 #include "mathx/rng.hpp"
+#include "mathx/simd.hpp"
 
 namespace csdac::dac {
 namespace {
@@ -101,65 +104,47 @@ TEST(GoldenStatic12Bit, EndpointInlMatchesGolden) {
   EXPECT_NEAR(m.dnl_max, kGolden12DnlMaxEndpoint, kTol);
 }
 
-// ---- Workspace path: EXACT equality with the allocating chain ----------
-// The golden files absorb ulp drift with a tolerance; the workspace path
-// has no such allowance — it must be bit-identical to the legacy chain by
-// construction (shared code_level / analyze_core, monotone-division
-// summary). These tests pin that with EXPECT_EQ on doubles.
-
-TEST(GoldenStatic12Bit, WorkspaceTransferBitIdentical) {
-  const core::DacSpec spec;
-  ChipWorkspace ws(spec);
-  mathx::stream_rng_into(ws.rng, 1212, 0);
-  draw_source_errors_into(spec, 0.0026, ws.rng, ws.errors);
-  transfer_into(spec, ws.errors, ws);
-
-  const auto legacy = golden12_transfer();
-  ASSERT_EQ(ws.levels.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(ws.levels[i], legacy[i]) << "code " << i;
-  }
-}
+// ---- Chip kernels: EXACT equality with the allocating chain -----------
+// The golden files absorb ulp drift with a tolerance; the maxima-only
+// summary and the lane kernels have no such allowance — they must be
+// bit-identical to analyze_transfer over SegmentedDac::transfer by
+// construction (same level adds, monotone-division summary). These tests
+// pin that with EXPECT_EQ on doubles.
 
 TEST(GoldenStatic12Bit, WorkspaceAnalysisBitIdentical) {
   const core::DacSpec spec;
-  ChipWorkspace ws(spec);
   for (std::int64_t chip = 0; chip < 4; ++chip) {
-    mathx::stream_rng_into(ws.rng, 1212, static_cast<std::uint64_t>(chip));
-    draw_source_errors_into(spec, 0.0026, ws.rng, ws.errors);
-    transfer_into(spec, ws.errors, ws);
-
+    const std::vector<double> levels = oracle::chip_transfer(
+        spec, 0.0026, 1212, static_cast<std::uint64_t>(chip));
     for (const auto ref : {InlReference::kBestFit, InlReference::kEndpoint}) {
-      const StaticSummary into = analyze_transfer_into(ws, ref);
-      const StaticSummary summary = analyze_levels_summary(ws.levels, ref);
-      const StaticMetrics legacy = analyze_transfer(ws.levels, ref);
-      EXPECT_EQ(into.inl_max, legacy.inl_max) << "chip " << chip;
-      EXPECT_EQ(into.dnl_max, legacy.dnl_max) << "chip " << chip;
+      const StaticSummary summary = analyze_levels_summary(levels, ref);
+      const StaticMetrics legacy = analyze_transfer(levels, ref);
       EXPECT_EQ(summary.inl_max, legacy.inl_max) << "chip " << chip;
       EXPECT_EQ(summary.dnl_max, legacy.dnl_max) << "chip " << chip;
-      for (std::size_t i = 0; i < legacy.inl.size(); ++i) {
-        ASSERT_EQ(ws.inl[i], legacy.inl[i]) << "chip " << chip << " code "
-                                            << i;
-      }
-      for (std::size_t i = 0; i < legacy.dnl.size(); ++i) {
-        ASSERT_EQ(ws.dnl[i], legacy.dnl[i]) << "chip " << chip
-                                            << " transition " << i;
-      }
     }
   }
 }
 
-TEST(GoldenStatic12Bit, McChipMetricsMatchesLegacyChain) {
+TEST(GoldenStatic12Bit, LaneKernelMatchesAllocatingChain) {
   const core::DacSpec spec;
-  ChipWorkspace ws(spec);
-  for (std::int64_t chip = 0; chip < 8; ++chip) {
-    const StaticSummary s = mc_chip_metrics(ws, 0.0026, 1212, chip);
-    mathx::Xoshiro256 rng =
-        mathx::stream_rng(1212, static_cast<std::uint64_t>(chip));
-    const SegmentedDac legacy(spec, draw_source_errors(spec, 0.0026, rng));
-    const StaticMetrics m = analyze_transfer(legacy.transfer());
-    EXPECT_EQ(s.inl_max, m.inl_max) << "chip " << chip;
-    EXPECT_EQ(s.dnl_max, m.dnl_max) << "chip " << chip;
+  for (const mathx::SimdBackend b :
+       {mathx::SimdBackend::kScalar, mathx::SimdBackend::kSse2,
+        mathx::SimdBackend::kAvx2}) {
+    const LaneKernel* k = lane_kernel(b);
+    if (k == nullptr) continue;
+    ChipWorkspaceXN ws(spec, k->lanes);
+    for (std::int64_t chip0 = 0; chip0 < 8; chip0 += k->lanes) {
+      StaticSummary s[kMaxSimdLanes];
+      k->mc_block(ws, 0.0026, 1212, chip0, InlReference::kBestFit, s);
+      for (int l = 0; l < k->lanes; ++l) {
+        const StaticMetrics m = analyze_transfer(oracle::chip_transfer(
+            spec, 0.0026, 1212, static_cast<std::uint64_t>(chip0 + l)));
+        EXPECT_EQ(s[l].inl_max, m.inl_max)
+            << mathx::simd_backend_name(b) << " chip " << chip0 + l;
+        EXPECT_EQ(s[l].dnl_max, m.dnl_max)
+            << mathx::simd_backend_name(b) << " chip " << chip0 + l;
+      }
+    }
   }
 }
 

@@ -1,7 +1,8 @@
 // Bit-identity of the chip-per-lane SIMD Monte-Carlo kernels against the
-// scalar chip bodies, enforced with EXPECT_EQ (no tolerances): every
-// backend the build provides must reproduce mc_chip_metrics and the
-// calibration chip pass exactly, and the full yield estimators must return
+// allocating reference chain (chip_oracle.hpp), enforced with EXPECT_EQ (no
+// tolerances): every backend the build provides must reproduce the chain's
+// INL/DNL maxima and calibration verdicts exactly, and the full yield
+// estimators must return
 // identical results under CSDAC_SIMD=scalar and the widest backend, for
 // any thread count and any chips-to-lanes remainder.
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "chip_oracle.hpp"
+#include "core/accuracy.hpp"
 #include "core/spec.hpp"
 #include "dac/calibration.hpp"
 #include "dac/lane_kernel.hpp"
@@ -115,14 +118,16 @@ TEST(SimdEquivalence, McBlockMatchesScalarChips) {
     SCOPED_TRACE(testing::Message() << "workspace lanes " << in.ws_lanes);
     for (const auto& spec : kernel_specs()) {
       ChipWorkspaceXN ws(spec, in.ws_lanes);
-      ChipWorkspace ref_ws(spec);
       for (auto ref : {InlReference::kEndpoint, InlReference::kBestFit}) {
         for (std::int64_t chip0 : {0, 7}) {
           StaticSummary out[kMaxSimdLanes];
           k->mc_block(ws, kSigma, kSeed, chip0, ref, out);
           for (int l = 0; l < k->lanes; ++l) {
-            const StaticSummary want =
-                mc_chip_metrics(ref_ws, kSigma, kSeed, chip0 + l, ref);
+            const StaticMetrics want = analyze_transfer(
+                oracle::chip_transfer(
+                    spec, kSigma, kSeed,
+                    static_cast<std::uint64_t>(chip0 + l)),
+                ref);
             EXPECT_EQ(out[l].inl_max, want.inl_max)
                 << simd_backend_name(b) << " nbits=" << spec.nbits
                 << " b=" << spec.binary_bits << " chip " << chip0 + l;
@@ -151,13 +156,12 @@ TEST(SimdEquivalence, CalBlockMatchesScalarChips) {
       SCOPED_TRACE(testing::Message() << "workspace lanes " << in.ws_lanes);
       for (const auto& spec : {make_spec(10, 3), make_spec(8, 0)}) {
         ChipWorkspaceXN ws(spec, in.ws_lanes);
-        ChipWorkspace ref_ws(spec);
         for (std::int64_t chip0 : {0, 13}) {
           bool before[kMaxSimdLanes], after[kMaxSimdLanes];
           k->cal_block(ws, kSigma, opts, kSeed, chip0, kLimit, before, after);
           for (int l = 0; l < k->lanes; ++l) {
-            const CalChipResult want = cal_chip_passes(
-                ref_ws, kSigma, opts, kSeed, chip0 + l, kLimit);
+            const oracle::CalChip want = oracle::cal_chip(
+                spec, kSigma, opts, kSeed, chip0 + l, kLimit);
             EXPECT_EQ(before[l], want.pass_before)
                 << simd_backend_name(b) << " noise=" << noise << " chip "
                 << chip0 + l;
@@ -165,11 +169,11 @@ TEST(SimdEquivalence, CalBlockMatchesScalarChips) {
                 << simd_backend_name(b) << " noise=" << noise << " chip "
                 << chip0 + l;
             // Pass flags alone barely see a mis-strided trim; the trimmed
-            // weights themselves must match the scalar chip body.
+            // weights themselves must match the reference chain.
             for (int i = 0; i < spec.num_unary(); ++i) {
               ASSERT_EQ(ws.trimmed_unary[static_cast<std::size_t>(i) *
                                              k->lanes + l],
-                        ref_ws.trimmed.unary[static_cast<std::size_t>(i)])
+                        want.trimmed.unary[static_cast<std::size_t>(i)])
                   << simd_backend_name(b) << " noise=" << noise << " chip "
                   << chip0 + l << " source " << i;
             }
@@ -408,19 +412,46 @@ TEST_F(SimdYieldEquivalence, CalibrationYield) {
 }
 
 TEST_F(SimdYieldEquivalence, SimdPathAgreesWithLegacyReference) {
-  // The vector path must also match the historical allocating reference
-  // implementation, not just the forced-scalar dispatch.
+  // The vector path must also match the allocating reference chain, not
+  // just the forced-scalar dispatch.
   mathx::simd_force_backend(widest_);
   const auto fast = inl_yield_mc(spec_, kSigma, 101, kSeed, 0.5,
                                  InlReference::kBestFit, 2);
-  const auto legacy = inl_yield_mc_legacy(spec_, kSigma, 101, kSeed, 0.5,
-                                          InlReference::kBestFit, 2);
+  const auto legacy = oracle::inl_yield_mc_legacy(spec_, kSigma, 101, kSeed,
+                                                  0.5, InlReference::kBestFit);
   EXPECT_EQ(fast.yield, legacy.yield);
   EXPECT_EQ(fast.pass, legacy.pass);
   // Sanity: the chosen sigma produces a mixed population, so the
   // equivalence above is not a trivial all-pass/all-fail comparison.
   EXPECT_GT(fast.pass, 0);
   EXPECT_LT(fast.pass, fast.chips);
+}
+
+// The bench harness's smoke configuration (tools/run_benches --smoke): the
+// paper's 12-bit design point at the eq. (1) unit sigma, 300 INL chips,
+// and 150 calibration chips at 4x that sigma, seed 1000, one thread. The
+// product estimators must equal the serial reference chain pass for pass.
+TEST(ChipOracle, BenchSmokeConfigurationMatchesPassForPass) {
+  const core::DacSpec spec;
+  const double sigma = core::unit_sigma_spec(spec.nbits, spec.inl_yield);
+  constexpr std::uint64_t kSeed = 1000;
+
+  const auto inl = inl_yield_mc(spec, sigma, 300, kSeed, 0.5,
+                                InlReference::kBestFit, 1);
+  const auto inl_ref = oracle::inl_yield_mc_legacy(spec, sigma, 300, kSeed);
+  EXPECT_EQ(inl.chips, inl_ref.chips);
+  EXPECT_EQ(inl.pass, inl_ref.pass);
+  EXPECT_EQ(inl.yield, inl_ref.yield);
+  EXPECT_EQ(inl.ci95, inl_ref.ci95);
+
+  const CalibrationOptions opts;
+  const auto cal =
+      calibration_yield_mc(spec, 4.0 * sigma, opts, 150, kSeed, 0.5, 1);
+  const auto cal_ref =
+      oracle::calibration_yield_mc_legacy(spec, 4.0 * sigma, opts, 150, kSeed);
+  EXPECT_EQ(cal.chips, cal_ref.chips);
+  EXPECT_EQ(cal.yield_before, cal_ref.yield_before);
+  EXPECT_EQ(cal.yield_after, cal_ref.yield_after);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "chip_oracle.hpp"
 #include "core/accuracy.hpp"
 #include "mathx/rng.hpp"
 
@@ -355,12 +356,12 @@ TEST(StaticAnalysis, Ci95IsWilsonAtYieldZero) {
                    mathx::wilson_half_width(60, 60));
 }
 
-// ---- Workspace vs legacy engine equivalence ----------------------------
+// ---- Lane-kernel estimators vs the serial reference chain --------------
 
 TEST(StaticAnalysis, WorkspaceYieldBitIdenticalToLegacyAcrossThreads) {
-  // The tentpole contract: the allocation-free workspace kernel and the
-  // historical allocating chain must produce the same pass count, yield,
-  // and CI for every thread count.
+  // The allocation-free lane-kernel estimators and the serial allocating
+  // reference chain (chip_oracle.hpp) must produce the same pass count,
+  // yield, and CI for every thread count.
   core::DacSpec spec;
   spec.nbits = 8;
   spec.binary_bits = 3;
@@ -368,15 +369,15 @@ TEST(StaticAnalysis, WorkspaceYieldBitIdenticalToLegacyAcrossThreads) {
   for (int threads : {1, 2, 7}) {
     const auto ws = inl_yield_mc(spec, sigma, 250, 23, 0.5,
                                  InlReference::kBestFit, threads);
-    const auto legacy = inl_yield_mc_legacy(spec, sigma, 250, 23, 0.5,
-                                            InlReference::kBestFit, threads);
+    const auto legacy = oracle::inl_yield_mc_legacy(
+        spec, sigma, 250, 23, 0.5, InlReference::kBestFit);
     EXPECT_EQ(ws.pass, legacy.pass) << "threads " << threads;
     EXPECT_DOUBLE_EQ(ws.yield, legacy.yield) << "threads " << threads;
     EXPECT_DOUBLE_EQ(ws.ci95, legacy.ci95) << "threads " << threads;
 
     const auto ws_dnl = dnl_yield_mc(spec, sigma, 250, 23, 0.5, threads);
     const auto legacy_dnl =
-        dnl_yield_mc_legacy(spec, sigma, 250, 23, 0.5, threads);
+        oracle::dnl_yield_mc_legacy(spec, sigma, 250, 23, 0.5);
     EXPECT_EQ(ws_dnl.pass, legacy_dnl.pass) << "threads " << threads;
   }
 }
@@ -388,8 +389,8 @@ TEST(StaticAnalysis, WorkspaceYieldMatchesEndpointReferenceToo) {
   const double sigma = 2.0 * core::unit_sigma_spec(spec.nbits, 0.9);
   const auto ws = inl_yield_mc(spec, sigma, 200, 29, 0.5,
                                InlReference::kEndpoint, 2);
-  const auto legacy = inl_yield_mc_legacy(spec, sigma, 200, 29, 0.5,
-                                          InlReference::kEndpoint, 2);
+  const auto legacy = oracle::inl_yield_mc_legacy(spec, sigma, 200, 29, 0.5,
+                                                  InlReference::kEndpoint);
   EXPECT_EQ(ws.pass, legacy.pass);
 }
 

@@ -190,9 +190,10 @@ def check_rare_bench(bench, name):
 def check_arch_bench(bench, name):
     """Schema /7 architecture-comparison bench."""
     where = f"bench '{name}'"
+    # Every job kind fills RunStats::wall_seconds, so a zero is a fault.
     wall = check_type(bench, "wall_s", (int, float), where)
-    if wall < 0:
-        fail(f"{where}: wall_s must be >= 0")
+    if wall <= 0:
+        fail(f"{where}: wall_s must be positive")
     archs = check_type(bench, "architectures", list, where)
     if len(archs) < 3:
         fail(f"{where}: expected at least 3 architectures (binary plus "
