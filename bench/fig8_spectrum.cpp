@@ -1,17 +1,18 @@
 // F8 — Fig. 8: output spectrum of the designed 12-bit DAC for a ~53 MHz
 // sinusoid sampled at 300 MS/s, matching effects included. The paper takes
 // the DFT of 50 periods of the differential output; we synthesize a
-// coherent record with the behavioral model parameterized from the sized
-// cell (settling tau from eq. 13, unit output impedance from the cascode
-// ladder model) and a Monte-Carlo mismatch draw at the eq. (1) spec.
+// coherent record on the record walk parameterized from the sized cell
+// (settling tau from eq. 13, unit output impedance from the cascode
+// ladder model) and a Monte-Carlo mismatch draw at the eq. (1) spec: the
+// same converter the `spectrum` job builds (runtime::spectrum_converter).
 #include <cstdio>
 
 #include "ascii_plot.hpp"
 #include "bench_util.hpp"
 #include "core/explorer.hpp"
 #include "core/impedance.hpp"
-#include "dac/dynamic.hpp"
 #include "dac/spectrum.hpp"
+#include "runtime/job.hpp"
 #include "tech/tech.hpp"
 
 using namespace csdac;
@@ -53,19 +54,14 @@ int main() {
   // the paper's "50 periods" record is also analyzed below.
   mathx::Xoshiro256 rng(2003);
   const auto errors = dac::draw_source_errors(spec, sizer.sigma_unit(), rng);
-  const dac::SegmentedDac model(spec, errors);
-  dac::DynamicSimulator sim(model, dp);
 
   auto analyze = [&](int n_samples, int cycles, bool differential) {
-    const auto codes = dac::sine_codes(spec, n_samples, cycles);
-    const auto wave = differential ? sim.waveform_differential(codes)
-                                   : sim.waveform(codes);
-    std::vector<double> sampled;
-    for (std::size_t i = dp.oversample - 1; i < wave.size();
-         i += static_cast<std::size_t>(dp.oversample)) {
-      sampled.push_back(wave[i]);
-    }
-    return dac::analyze_spectrum(sampled, dp.fs);
+    const runtime::SpectrumConverter conv =
+        runtime::spectrum_converter(spec, errors, dp, differential);
+    const arch::CodeRecord record(conv.sim.array(),
+                                  dac::sine_codes(spec, n_samples, cycles));
+    return dac::analyze_spectrum(
+        conv.sim.period_end_samples(record, conv.timing), dp.fs);
   };
 
   // The paper analyzes the DIFFERENTIAL output (even-order distortion of

@@ -7,8 +7,8 @@
 
 #include "bench_util.hpp"
 #include "core/accuracy.hpp"
-#include "dac/dynamic.hpp"
 #include "dac/spectrum.hpp"
+#include "runtime/job.hpp"
 
 using namespace csdac;
 using namespace csdac::bench;
@@ -27,15 +27,12 @@ Point measure(const core::DacSpec& spec, double rout_unit) {
   p.oversample = 2;
   p.tau = 1e-12;
   p.rout_unit = rout_unit;
-  dac::DynamicSimulator sim(
-      dac::SegmentedDac(spec, dac::ideal_sources(spec)), p);
-  const auto codes = dac::two_tone_codes(spec, 2048, 201, 223);
   auto sampled = [&](bool diff) {
-    const auto wave =
-        diff ? sim.waveform_differential(codes) : sim.waveform(codes);
-    std::vector<double> out;
-    for (std::size_t i = 1; i < wave.size(); i += 2) out.push_back(wave[i]);
-    return out;
+    const runtime::SpectrumConverter conv =
+        runtime::spectrum_converter(spec, dac::ideal_sources(spec), p, diff);
+    const arch::CodeRecord record(
+        conv.sim.array(), dac::two_tone_codes(spec, 2048, 201, 223));
+    return conv.sim.period_end_samples(record, conv.timing);
   };
   Point pt;
   const auto r_se = dac::analyze_imd(sampled(false), 300e6, 201, 223);

@@ -52,12 +52,19 @@ CellTiming draw_cell_timing(int cells, const TimingParams& params,
   return t;
 }
 
+std::vector<double> draw_period_jitter(std::size_t periods, double sigma,
+                                       mathx::Xoshiro256& rng) {
+  std::vector<double> shift(periods);
+  for (double& s : shift) s = sigma * mathx::normal(rng);
+  return shift;
+}
+
 double edge_time(const CellTiming& t, std::size_t c, bool turning_on,
-                 double ts) {
+                 double ts, double shift) {
   const double half_asym = 0.5 * t.asym[c];
-  const double raw =
-      kNominalEdgeFrac * ts + t.dt[c] + (turning_on ? half_asym : -half_asym);
-  return std::clamp(raw, 0.0, 0.45 * ts);
+  const double raw = kNominalEdgeFrac * ts + t.dt[c] +
+                     (turning_on ? half_asym : -half_asym) + shift;
+  return std::clamp(raw, 0.0, kLatestEdgeFrac * ts);
 }
 
 CodeRecord::CodeRecord(const CellArray& arr, std::vector<int> codes)
@@ -114,7 +121,8 @@ namespace {
 
 struct Edge {
   double t;
-  int dlevel;  // signed weight of the switching cell [LSB]
+  double dlevel;  // signed amplitude of the switching cells [LSB]
+  double kick;    // their feedthrough kick [V]
 };
 
 /// Stable sort by edge instant in reused storage: insertion sort on runs
@@ -163,11 +171,34 @@ void check_walk_inputs(const CellArray& arr, const CodeRecord& record,
 }
 
 ArchSimulator::ArchSimulator(CellArray array, TimingParams params,
-                             double v_lsb)
-    : array_(std::move(array)), params_(params), v_lsb_(v_lsb) {
+                             double v_lsb, OutputModel model)
+    : array_(std::move(array)),
+      params_(params),
+      v_lsb_(v_lsb),
+      model_(std::move(model)) {
   params_.validate();
   if (!std::isfinite(v_lsb_) || !(v_lsb_ > 0.0)) {
     throw std::invalid_argument("ArchSimulator: v_lsb must be > 0");
+  }
+  const auto& w = array_.weights();
+  const auto& m = model_;
+  const auto per_cell = [&](const auto& v) {
+    return v.empty() || v.size() == w.size();
+  };
+  if (!per_cell(m.amplitude) || !per_cell(m.feedthrough) ||
+      !std::isfinite(m.droop) || m.droop < 0.0) {
+    throw std::invalid_argument(
+        "ArchSimulator: output model needs one amplitude and kick per cell "
+        "(or none) and a finite droop >= 0");
+  }
+  amp_prefix_.assign(w.size() + 1, 0.0);
+  kick_v_.assign(w.size(), 0.0);
+  for (std::size_t c = 0; c < w.size(); ++c) {
+    amp_prefix_[c + 1] =
+        amp_prefix_[c] + (m.amplitude.empty() ? w[c] : m.amplitude[c]);
+    if (!m.feedthrough.empty() && !m.differential) {
+      kick_v_[c] = m.feedthrough[c] * v_lsb_;
+    }
   }
   const int os = params_.oversample;
   const double dt_sub = (1.0 / params_.fs) / os;
@@ -180,9 +211,17 @@ ArchSimulator::ArchSimulator(CellArray array, TimingParams params,
   }
 }
 
-std::vector<double> ArchSimulator::waveform(const CodeRecord& record,
-                                            const CellTiming& timing) const {
+double ArchSimulator::v_of_level(double level) const {
+  return level * v_lsb_ / (1.0 + level * model_.droop);
+}
+
+std::vector<double> ArchSimulator::waveform(
+    const CodeRecord& record, const CellTiming& timing,
+    std::span<const double> jitter) const {
   check_walk_inputs(array_, record, timing, "ArchSimulator");
+  if (!jitter.empty() && jitter.size() != record.size()) {
+    throw std::invalid_argument("ArchSimulator: jitter size != record size");
+  }
   if (record.size() == 0) return {};
   arch_instruments().waveforms.add(1);
 
@@ -190,8 +229,30 @@ std::vector<double> ArchSimulator::waveform(const CodeRecord& record,
   const double ts = 1.0 / params_.fs;
   const double dt_sub = ts / os;
   const double tau = params_.tau;
-  const auto& w = array_.weights();
   const auto& codes = record.codes();
+  const auto& runs = array_.runs();
+  const std::vector<double>& amp = amp_prefix_;
+  const std::vector<double>& kick = kick_v_;
+  const auto target_of = [&](double level) {
+    const double v = v_of_level(level);
+    return model_.differential ? v - v_of_level(amp.back() - level) : v;
+  };
+  // A linear output (no droop, one rail) moves the target by each edge's
+  // amplitude times v_lsb, cell by cell: with the integer weights that is
+  // the ideal walk, bit for bit.  Otherwise the target is v(L), and the
+  // cells of a switch range are one edge when their weight run shares one
+  // timing and kick.
+  const bool linear = model_.droop == 0.0 && !model_.differential;
+  std::vector<std::uint8_t> lumped;  // per weight run
+  for (const CellArray::WeightRun& r : runs) {
+    const auto c0 = static_cast<std::size_t>(r.first);
+    bool same = !linear;
+    for (std::size_t c = c0 + 1; same && c < c0 + r.count; ++c) {
+      same = timing.dt[c] == timing.dt[c0] &&
+             timing.asym[c] == timing.asym[c0] && kick[c] == kick[c0];
+    }
+    lumped.push_back(same);
+  }
 
   std::vector<double> out;
   out.reserve(codes.size() * static_cast<std::size_t>(os));
@@ -204,17 +265,28 @@ std::vector<double> ArchSimulator::waveform(const CodeRecord& record,
   // error across the whole band and buries the quantization floor.
   std::vector<Edge> events;
   std::vector<Edge> scratch;
-  events.reserve(record.max_switching_cells());
+  if (linear) events.reserve(record.max_switching_cells());
 
-  double target = static_cast<double>(codes.back()) * v_lsb_;
+  double level = 0.0;  // [LSB]
+  int rem = codes.back();
+  for (const CellArray::WeightRun& r : runs) {
+    const auto c0 = static_cast<std::size_t>(r.first);
+    level += amp[c0 + CellArray::take_run(r, rem)] - amp[c0];
+  }
+  double target = target_of(level);
   double v = target;  // start settled
   for (std::size_t k = 0; k < codes.size(); ++k) {
     events.clear();
+    const double shift = jitter.empty() ? 0.0 : jitter[k];
+    std::size_t r = 0;  // the weight run holding the range
     for (const CodeRecord::Switch& sw : record.switches(k)) {
-      for (std::int32_t i = 0; i < sw.count; ++i) {
+      while (r + 1 < runs.size() && runs[r + 1].first <= sw.first) ++r;
+      const std::int32_t len = lumped[r] ? sw.count : 1;
+      const double sign = sw.on ? 1.0 : -1.0;
+      for (std::int32_t i = 0; i < sw.count; i += len) {
         const auto c = static_cast<std::size_t>(sw.first + i);
-        events.push_back(
-            Edge{edge_time(timing, c, sw.on, ts), sw.on ? w[c] : -w[c]});
+        events.push_back({edge_time(timing, c, sw.on, ts, shift),
+                          sign * (amp[c + len] - amp[c]), len * kick[c]});
       }
     }
     // stable: equal instants keep cell-index order, so the walk is
@@ -228,7 +300,10 @@ std::vector<double> ArchSimulator::waveform(const CodeRecord& record,
         while (e < events.size() && events[e].t <= t_end) {
           v = target + (v - target) * std::exp(-(events[e].t - t_cur) / tau);
           t_cur = events[e].t;
-          target += events[e].dlevel * v_lsb_;
+          v += events[e].kick;
+          level += events[e].dlevel;
+          target = linear ? target + events[e].dlevel * v_lsb_
+                          : target_of(level);
           ++e;
         }
         v = target + (v - target) * std::exp(-(t_end - t_cur) / tau);
@@ -243,12 +318,26 @@ std::vector<double> ArchSimulator::waveform(const CodeRecord& record,
   return out;
 }
 
+std::vector<double> ArchSimulator::period_end_samples(
+    const CodeRecord& record, const CellTiming& timing,
+    std::span<const double> jitter) const {
+  const std::vector<double> wave = waveform(record, timing, jitter);
+  const auto os = static_cast<std::size_t>(params_.oversample);
+  std::vector<double> out;
+  out.reserve(record.size());
+  for (std::size_t i = os - 1; i < wave.size(); i += os) out.push_back(wave[i]);
+  return out;
+}
+
 double ArchSimulator::glitch_energy(const CellTiming& timing, int code_from,
                                     int code_to) const {
   const CodeRecord record(array_, {code_from, code_to});
   const std::vector<double> actual = waveform(record, timing);
+  OutputModel unkicked = model_;
+  unkicked.feedthrough.clear();
   const std::vector<double> ref =
-      waveform(record, ideal_cell_timing(array_.cells()));
+      ArchSimulator(array_, params_, v_lsb_, std::move(unkicked))
+          .waveform(record, ideal_cell_timing(array_.cells()));
   const int os = params_.oversample;
   const double dt_sub = 1.0 / (params_.fs * os);
   double energy = 0.0;

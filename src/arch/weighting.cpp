@@ -7,6 +7,7 @@
 #include <string>
 
 #include "arch/instruments.hpp"
+#include "dac/spectrum.hpp"
 
 namespace csdac::arch {
 namespace {
@@ -17,23 +18,6 @@ void check_nbits(int nbits) {
   if (nbits < 2 || nbits > 16) {
     throw std::invalid_argument("WeightingScheme: nbits must be in [2, 16]");
   }
-}
-
-/// Full-swing coherent sine rounded to codes — the reference record the
-/// activity metric and the optimizer score against.  Local (not
-/// dac::sine_codes) so the weighting layer stays free of dac:: types.
-std::vector<int> reference_sine_codes(int nbits, int n_samples, int cycles) {
-  const int fs = full_scale_for(nbits);
-  const double mid = 0.5 * fs;
-  const double amp = mid - 1.0;
-  std::vector<int> codes(static_cast<std::size_t>(n_samples));
-  for (int i = 0; i < n_samples; ++i) {
-    const double phase = 2.0 * M_PI * cycles * i / n_samples;
-    double v = mid + amp * std::sin(phase);
-    int c = static_cast<int>(std::lround(v));
-    codes[static_cast<std::size_t>(i)] = std::clamp(c, 0, fs);
-  }
-  return codes;
 }
 
 /// sum_c w_c^2 N_c over `codes` for a descending-sorted weight vector.
@@ -152,8 +136,11 @@ WeightingScheme optimize_weighting(int nbits, const OptimizeOptions& opts) {
   }
   std::sort(w.begin(), w.end(), std::greater<int>());
 
+  // The reference record the activity metric scores against.
+  core::DacSpec ref;
+  ref.nbits = nbits;
   const std::vector<int> codes =
-      reference_sine_codes(nbits, opts.n_samples, opts.cycles);
+      dac::sine_codes(ref, opts.n_samples, opts.cycles);
   double best = activity_of(nbits, w, codes);
 
   // First-improvement descent: move delta units of weight from cell i to

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <stdexcept>
 
 namespace csdac::dac {
@@ -253,6 +254,47 @@ ImdResult analyze_imd(const std::vector<double>& samples, double fs,
                                      static_cast<long long>(bin2));
   r.imd2_db = std::max(power_db(imd2_lo), power_db(imd2_hi)) - ref_db;
   return r;
+}
+
+std::vector<int> sine_codes(const core::DacSpec& spec, int n_samples,
+                            int cycles, int margin) {
+  if (n_samples < 2 || cycles < 1 || cycles >= n_samples || margin < 0) {
+    throw std::invalid_argument("sine_codes: bad arguments");
+  }
+  const int full = (1 << spec.nbits) - 1;
+  const double mid = 0.5 * full;
+  const double amp = mid - margin;
+  std::vector<int> codes(static_cast<std::size_t>(n_samples));
+  for (int i = 0; i < n_samples; ++i) {
+    const double ph = 2.0 * std::numbers::pi * cycles * i /
+                      static_cast<double>(n_samples);
+    const double v = mid + amp * std::sin(ph);
+    codes[static_cast<std::size_t>(i)] =
+        std::clamp(static_cast<int>(std::lround(v)), 0, full);
+  }
+  return codes;
+}
+
+std::vector<int> two_tone_codes(const core::DacSpec& spec, int n_samples,
+                                int cycles1, int cycles2, int margin) {
+  if (n_samples < 2 || cycles1 < 1 || cycles2 < 1 || cycles1 == cycles2 ||
+      cycles1 >= n_samples || cycles2 >= n_samples || margin < 0) {
+    throw std::invalid_argument("two_tone_codes: bad arguments");
+  }
+  const int full = (1 << spec.nbits) - 1;
+  const double mid = 0.5 * full;
+  const double amp = 0.5 * (mid - margin);  // each tone just under half scale
+  std::vector<int> codes(static_cast<std::size_t>(n_samples));
+  for (int i = 0; i < n_samples; ++i) {
+    const double ph1 = 2.0 * std::numbers::pi * cycles1 * i /
+                       static_cast<double>(n_samples);
+    const double ph2 = 2.0 * std::numbers::pi * cycles2 * i /
+                       static_cast<double>(n_samples);
+    const double v = mid + amp * (std::sin(ph1) + std::sin(ph2));
+    codes[static_cast<std::size_t>(i)] =
+        std::clamp(static_cast<int>(std::lround(v)), 0, full);
+  }
+  return codes;
 }
 
 }  // namespace csdac::dac

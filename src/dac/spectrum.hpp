@@ -1,14 +1,28 @@
 // Spectral metrics of a DAC output record: single-sided spectrum, SFDR,
 // SNDR, THD and ENOB, computed with the library's own DFT (Fig. 8's
-// "spectrum obtained by applying the DFT to 50 periods of the output").
+// "spectrum obtained by applying the DFT to 50 periods of the output"),
+// and the coherent sine and two-tone code records that drive it.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "core/spec.hpp"
 #include "mathx/fft.hpp"
 
 namespace csdac::dac {
+
+/// Generates a coherently-sampled sine code sequence: `cycles` full periods
+/// in `n_samples` samples (choose them coprime for coherent capture).
+/// Amplitude spans [margin, 2^n - 1 - margin].
+std::vector<int> sine_codes(const core::DacSpec& spec, int n_samples,
+                            int cycles, int margin = 1);
+
+/// Two-tone test signal (for intermodulation measurements): equal-amplitude
+/// tones of `cycles1` and `cycles2` periods per record, each at just under
+/// half scale so the sum stays in range.
+std::vector<int> two_tone_codes(const core::DacSpec& spec, int n_samples,
+                                int cycles1, int cycles2, int margin = 1);
 
 /// The scalar metrics of a spectrum.
 struct SpectrumMetrics {

@@ -13,6 +13,28 @@
 #include "dac/spectrum.hpp"
 #include "mathx/rng.hpp"
 
+namespace csdac::dac {
+
+void DynamicParams::validate() const {
+  // isfinite matters: +inf passes every one-sided `> 0` test but produces
+  // NaN waveforms downstream, and JSON requests can smuggle it in (1e999
+  // parses to +inf).
+  if (!std::isfinite(fs) || !(fs > 0.0) || oversample < 2 ||
+      !std::isfinite(tau) || !(tau > 0.0) || !std::isfinite(rout_unit) ||
+      !(rout_unit > 0.0) || !std::isfinite(binary_skew) ||
+      !(binary_skew >= 0.0) || !std::isfinite(jitter_sigma) ||
+      !(jitter_sigma >= 0.0) || !std::isfinite(feedthrough_lsb)) {
+    throw std::invalid_argument("DynamicParams: bad values");
+  }
+  if (binary_skew > (arch::kLatestEdgeFrac - arch::kNominalEdgeFrac) / fs) {
+    throw std::invalid_argument(
+        "DynamicParams: binary_skew must be <= 0.325/fs (later binary "
+        "edges are clamped)");
+  }
+}
+
+}  // namespace csdac::dac
+
 namespace csdac::runtime {
 
 namespace {
@@ -188,34 +210,25 @@ SpectrumSummary run(const SpectrumJob& j, int threads,
                     mathx::RunStats* stats) {
   (void)threads;  // waveform synthesis is inherently sequential
   j.spec.validate();
-  j.dyn.validate();
-  if (j.n_samples < 8 || j.cycles < 1) {
-    throw std::invalid_argument("spectrum job: bad record shape");
+  // sigma_unit 0 draws the ideal sources exactly.
+  mathx::Xoshiro256 rng = mathx::stream_rng(j.seed, 0);
+  const SpectrumConverter conv = spectrum_converter(
+      j.spec, dac::draw_source_errors(j.spec, j.sigma_unit, rng), j.dyn,
+      j.differential);
+  const arch::CodeRecord record(
+      conv.sim.array(), dac::sine_codes(j.spec, j.n_samples, j.cycles));
+  std::vector<double> jitter;
+  if (j.dyn.jitter_sigma > 0.0) {
+    rng = mathx::stream_rng(j.seed, 1);
+    jitter = arch::draw_period_jitter(record.size(), j.dyn.jitter_sigma, rng);
   }
-  dac::SourceErrors errors;
-  if (j.sigma_unit > 0.0) {
-    mathx::Xoshiro256 rng = mathx::stream_rng(j.seed, 0);
-    errors = dac::draw_source_errors(j.spec, j.sigma_unit, rng);
-  } else {
-    errors = dac::ideal_sources(j.spec);
-  }
-  const dac::SegmentedDac model(j.spec, std::move(errors));
-  const dac::DynamicSimulator sim(model, j.dyn);
-  const auto codes = dac::sine_codes(j.spec, j.n_samples, j.cycles);
-  mathx::Xoshiro256 jitter_rng = mathx::stream_rng(j.seed, 1);
-  mathx::Xoshiro256* rng_ptr =
-      j.dyn.jitter_sigma > 0.0 ? &jitter_rng : nullptr;
-  const auto wave = j.differential ? sim.waveform_differential(codes, rng_ptr)
-                                   : sim.waveform(codes, rng_ptr);
-  // Resample at the end of each sample period (settled value), as the
-  // Fig. 8 bench does.
-  std::vector<double> sampled;
-  sampled.reserve(static_cast<std::size_t>(j.n_samples));
-  const auto step = static_cast<std::size_t>(j.dyn.oversample);
-  for (std::size_t i = step - 1; i < wave.size(); i += step) {
-    sampled.push_back(wave[i]);
-  }
-  const dac::SpectrumResult s = dac::analyze_spectrum(sampled, j.dyn.fs);
+  // The settled value at the end of each sample period, as the Fig. 8
+  // bench analyzes it.
+  const std::vector<double> sampled =
+      conv.sim.period_end_samples(record, conv.timing, jitter);
+  std::vector<double> bin_power;
+  const dac::SpectrumMetrics s =
+      dac::spectrum_metrics(sampled, j.dyn.fs, {}, 0, bin_power);
   if (stats) {
     stats->evaluated = static_cast<std::int64_t>(sampled.size());
     stats->threads = 1;
@@ -524,6 +537,40 @@ SpiceMcResult run(const SpiceMcJob& j, int threads, mathx::RunStats* stats) {
 }
 
 }  // namespace
+
+SpectrumConverter spectrum_converter(const core::DacSpec& spec,
+                                     const dac::SourceErrors& chip,
+                                     const dac::DynamicParams& dyn,
+                                     bool differential) {
+  spec.validate();
+  dyn.validate();
+  const auto therm = static_cast<std::size_t>(spec.num_unary());
+  if (chip.unary.size() != therm ||
+      chip.binary.size() != static_cast<std::size_t>(spec.binary_bits)) {
+    throw std::invalid_argument(
+        "spectrum_converter: source draw does not fit the spec");
+  }
+  // With no binary bits every cell is a thermometer cell.
+  arch::CellArray arr(
+      spec.binary_bits == 0
+          ? arch::make_weighting(arch::WeightingKind::kUnary, spec.nbits)
+          : arch::make_weighting(arch::WeightingKind::kSegmented, spec.nbits,
+                                 spec.binary_bits));
+  arch::OutputModel model;
+  model.amplitude = chip.unary;
+  model.amplitude.insert(model.amplitude.end(), chip.binary.rbegin(),
+                         chip.binary.rend());
+  model.droop = spec.r_load / dyn.rout_unit;
+  model.feedthrough.assign(model.amplitude.size(), 0.0);
+  std::fill_n(model.feedthrough.begin(), therm, dyn.feedthrough_lsb);
+  model.differential = differential;
+  arch::CellTiming timing = arch::ideal_cell_timing(arr.cells());
+  std::fill(timing.dt.begin() + static_cast<std::ptrdiff_t>(therm),
+            timing.dt.end(), dyn.binary_skew);
+  return {arch::ArchSimulator(std::move(arr), {dyn.fs, dyn.oversample, dyn.tau},
+                              spec.i_lsb() * spec.r_load, std::move(model)),
+          std::move(timing)};
+}
 
 JobValue execute_job(const Job& job, int threads, mathx::RunStats* stats) {
   const auto t0 = std::chrono::steady_clock::now();

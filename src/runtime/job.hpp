@@ -23,13 +23,38 @@
 #include "core/explorer.hpp"
 #include "core/spec.hpp"
 #include "dac/calibration.hpp"
-#include "dac/dynamic.hpp"
+#include "dac/dac_model.hpp"
 #include "dac/rare_event.hpp"
 #include "dac/static_analysis.hpp"
 #include "dacgen/spice_mc.hpp"
 #include "mathx/hash.hpp"
 #include "mathx/parallel.hpp"
 #include "tech/tech.hpp"
+
+namespace csdac::dac {
+
+/// The dynamics of a `spectrum` job's converter
+/// (runtime::spectrum_converter).
+struct DynamicParams {
+  double fs = 300e6;        ///< sample rate [S/s]
+  int oversample = 16;      ///< waveform points per sample period
+  double tau = 0.25e-9;     ///< dominant settling time constant [s]
+  /// Output resistance of one LSB unit [Ohm]; code-dependent droop comes
+  /// from `level` units being on. Infinity-like values disable the effect.
+  double rout_unit = 1e15;
+  double binary_skew = 0.0;    ///< binary cells' extra latch delay [s]
+  double jitter_sigma = 0.0;   ///< per-period clock edge jitter sigma [s]
+  /// Clock-feedthrough kick per toggling thermometer cell, in LSB of
+  /// voltage (signed).
+  double feedthrough_lsb = 0.0;
+
+  /// Throws std::invalid_argument on non-finite or out-of-range values,
+  /// including a binary_skew past (kLatestEdgeFrac - kNominalEdgeFrac)/fs
+  /// = 0.325/fs, where the walk would clamp the binary edges.
+  void validate() const;
+};
+
+}  // namespace csdac::dac
 
 namespace csdac::runtime {
 
@@ -623,6 +648,22 @@ struct Params<SpectrumJob> {
     f("differential", j.differential);
   }
 };
+
+/// A spectrum job's converter on the record walk: the segmented cell array
+/// of `spec` (thermometer cells, then binary cells) carrying one chip's
+/// source draw, droop r_load / rout_unit, the feedthrough kick on the
+/// thermometer cells, the rails of `differential`, and a cell timing in
+/// which the binary cells fire binary_skew late.  Jitter is per record
+/// (arch::draw_period_jitter).  Throws std::invalid_argument on a bad
+/// spec or dyn, or a source draw that does not fit the spec.
+struct SpectrumConverter {
+  arch::ArchSimulator sim;
+  arch::CellTiming timing;
+};
+SpectrumConverter spectrum_converter(const core::DacSpec& spec,
+                                     const dac::SourceErrors& chip,
+                                     const dac::DynamicParams& dyn,
+                                     bool differential);
 
 /// Importance-sampled INL yield (rare-event tail): the mismatch draw is
 /// tilted along the first `modes` bridge modes by `sigma_scale` and each

@@ -6,8 +6,9 @@
 #include <cmath>
 #include <numbers>
 
-#include "dac/dynamic.hpp"
+#include "arch/dyn_sim.hpp"
 #include "dac/spectrum.hpp"
+#include "runtime/job.hpp"
 
 namespace csdac::dac {
 namespace {
@@ -91,16 +92,13 @@ TEST(Imd, DacDroopCreatesOddOrderProducts) {
   p.oversample = 2;
   p.tau = 1e-12;
   p.rout_unit = 5e6;  // strong droop so the cubic residue is visible
-  DynamicSimulator sim(SegmentedDac(spec, ideal_sources(spec)), p);
-  const auto codes = two_tone_codes(spec, 2048, 201, 223);
   auto measure = [&](bool differential) {
-    const auto wave = differential ? sim.waveform_differential(codes)
-                                   : sim.waveform(codes);
-    std::vector<double> sampled;
-    for (std::size_t i = 1; i < wave.size(); i += 2) {
-      sampled.push_back(wave[i]);
-    }
-    return analyze_imd(sampled, 300e6, 201, 223);
+    const auto conv = runtime::spectrum_converter(spec, ideal_sources(spec),
+                                                  p, differential);
+    const arch::CodeRecord record(conv.sim.array(),
+                                  two_tone_codes(spec, 2048, 201, 223));
+    return analyze_imd(conv.sim.period_end_samples(record, conv.timing),
+                       300e6, 201, 223);
   };
   const auto se = measure(false);
   const auto diff = measure(true);

@@ -7,8 +7,9 @@
 #include <limits>
 #include <numbers>
 
-#include "dac/dynamic.hpp"
+#include "arch/dyn_sim.hpp"
 #include "dac/static_analysis.hpp"
+#include "runtime/job.hpp"
 
 namespace csdac::dac {
 namespace {
@@ -84,23 +85,18 @@ TEST(Spectrum, MismatchLimitedDacSpectrum) {
   const auto codes = sine_codes(spec, 2048, 53);
 
   auto run = [&](double sigma) {
-    const SegmentedDac dac(spec,
-                           sigma > 0.0
-                               ? draw_source_errors(spec, sigma, rng)
-                               : ideal_sources(spec));
+    const SourceErrors chip = sigma > 0.0
+                                  ? draw_source_errors(spec, sigma, rng)
+                                  : ideal_sources(spec);
     DynamicParams p;
     p.oversample = 2;  // static-limited test: dynamics negligible
     p.tau = 1e-12;
-    DynamicSimulator sim(dac, p);
-    const auto wave = sim.waveform(codes);
-    // Decimate to one settled sample per period: the in-band spectrum of
-    // the 300 MS/s converter, free of zero-order-hold images.
-    std::vector<double> sampled;
-    for (std::size_t i = p.oversample - 1; i < wave.size();
-         i += p.oversample) {
-      sampled.push_back(wave[i]);
-    }
-    return analyze_spectrum(sampled, p.fs);
+    const auto conv = runtime::spectrum_converter(spec, chip, p, false);
+    // One settled sample per period: the in-band spectrum of the
+    // 300 MS/s converter, free of zero-order-hold images.
+    const arch::CodeRecord record(conv.sim.array(), codes);
+    return analyze_spectrum(conv.sim.period_end_samples(record, conv.timing),
+                            p.fs);
   };
   const auto ideal = run(0.0);
   const auto real = run(0.00263);
@@ -119,15 +115,16 @@ TEST(Spectrum, DifferentialCancelsEvenOrderDroopDistortion) {
   p.oversample = 2;
   p.tau = 1e-12;
   p.rout_unit = 50e6;  // strong droop
-  DynamicSimulator sim(SegmentedDac(spec, ideal_sources(spec)), p);
-  const auto codes = sine_codes(spec, 2048, 53);
-  auto sample = [&](const std::vector<double>& wave) {
-    std::vector<double> s_out;
-    for (std::size_t i = 1; i < wave.size(); i += 2) s_out.push_back(wave[i]);
-    return analyze_spectrum(s_out, p.fs);
+  auto sample = [&](bool differential) {
+    const auto conv = runtime::spectrum_converter(spec, ideal_sources(spec),
+                                                  p, differential);
+    const arch::CodeRecord record(conv.sim.array(),
+                                  sine_codes(spec, 2048, 53));
+    return analyze_spectrum(conv.sim.period_end_samples(record, conv.timing),
+                            p.fs);
   };
-  const auto se = sample(sim.waveform(codes));
-  const auto diff = sample(sim.waveform_differential(codes));
+  const auto se = sample(false);
+  const auto diff = sample(true);
   EXPECT_GT(diff.sfdr_db, se.sfdr_db + 15.0);
   // Single-ended: the worst spur is HD2.
   EXPECT_NEAR(static_cast<double>(se.fund_bin) * 2.0,
@@ -176,10 +173,14 @@ TEST(Spectrum, JitterSndrTracksApertureTheory) {
     p.oversample = 16;
     p.tau = 0.3e-9;
     p.jitter_sigma = sigma_j;
-    DynamicSimulator sim(SegmentedDac(spec, ideal_sources(spec)), p);
+    const auto conv =
+        runtime::spectrum_converter(spec, ideal_sources(spec), p, false);
     mathx::Xoshiro256 rng(7);
-    const auto codes = sine_codes(spec, 2048, 363);
-    const auto wave = sim.waveform(codes, &rng);
+    const arch::CodeRecord record(conv.sim.array(),
+                                  sine_codes(spec, 2048, 363));
+    const auto wave = conv.sim.waveform(
+        record, conv.timing,
+        arch::draw_period_jitter(record.size(), p.jitter_sigma, rng));
     SpectrumOptions o;
     o.max_freq = 150e6;
     return analyze_spectrum(wave, p.fs * p.oversample, o).sndr_db;
