@@ -34,10 +34,12 @@ struct NamedJob {
 
 /// The eleven kinds in JobKind order, then a request-parsed dnl_yield job
 /// (the one wire alias, which maps onto InlYieldJob with dnl = true), then
-/// timing-skew variants of dyn_spectrum and arch_compare. The plain rows
-/// run with sigma_t = asym_sigma = 0, where every edge ties; the skew rows
-/// pin the sorted-edge walk, including edges held at the [0, 0.45 ts]
-/// clamp.
+/// timing-skew variants of dyn_spectrum and arch_compare, then spectrum
+/// variants with every converter effect on. The plain rows run with
+/// sigma_t = asym_sigma = 0, where every edge ties; the skew rows pin the
+/// sorted-edge walk, including edges held at the [0, 0.45 ts] clamp. The
+/// spectrum rows pin the level walk: mismatch, droop, binary skew and a
+/// (negative) feedthrough kick single-ended, and jitter differentially.
 inline std::vector<NamedJob> golden_kind_jobs() {
   using namespace runtime;
   core::DacSpec spec8;
@@ -128,6 +130,18 @@ inline std::vector<NamedJob> golden_kind_jobs() {
   compare_skew.include_unary = true;
   compare_skew.seed = 3;
   jobs.push_back({"arch_compare_skew", compare_skew});
+  SpectrumJob effects = spectrum;
+  effects.sigma_unit = sigma;
+  effects.seed = 11;
+  effects.dyn.rout_unit = 20e6;
+  effects.dyn.binary_skew = 60e-12;
+  effects.dyn.feedthrough_lsb = -0.2;
+  effects.differential = false;
+  jobs.push_back({"spectrum_effects", effects});
+  SpectrumJob jitter = spectrum;
+  jitter.dyn.jitter_sigma = 5e-12;
+  jitter.seed = 13;
+  jobs.push_back({"spectrum_jitter", jitter});
   return jobs;
 }
 
