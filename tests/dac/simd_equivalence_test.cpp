@@ -431,6 +431,10 @@ TEST_F(SimdYieldEquivalence, SimdPathAgreesWithLegacyReference) {
 // paper's 12-bit design point at the eq. (1) unit sigma, 300 INL chips,
 // and 150 calibration chips at 4x that sigma, seed 1000, one thread. The
 // product estimators must equal the serial reference chain pass for pass.
+// At the eq. (1) sigma every INL chip passes (and still all 300 at 2x),
+// so the same 300 chips also run at 3x it, where 13 fail: the INL half
+// then sees a kernel that misjudges a failing chip as well as a passing
+// one.
 TEST(ChipOracle, BenchSmokeConfigurationMatchesPassForPass) {
   const core::DacSpec spec;
   const double sigma = core::unit_sigma_spec(spec.nbits, spec.inl_yield);
@@ -443,6 +447,17 @@ TEST(ChipOracle, BenchSmokeConfigurationMatchesPassForPass) {
   EXPECT_EQ(inl.pass, inl_ref.pass);
   EXPECT_EQ(inl.yield, inl_ref.yield);
   EXPECT_EQ(inl.ci95, inl_ref.ci95);
+
+  const auto wide = inl_yield_mc(spec, 3.0 * sigma, 300, kSeed, 0.5,
+                                 InlReference::kBestFit, 1);
+  const auto wide_ref =
+      oracle::inl_yield_mc_legacy(spec, 3.0 * sigma, 300, kSeed);
+  EXPECT_EQ(wide.chips, wide_ref.chips);
+  EXPECT_EQ(wide.pass, wide_ref.pass);
+  EXPECT_EQ(wide.yield, wide_ref.yield);
+  EXPECT_EQ(wide.ci95, wide_ref.ci95);
+  EXPECT_LT(wide.pass, wide.chips);
+  EXPECT_GT(wide.pass, 0);
 
   const CalibrationOptions opts;
   const auto cal =
