@@ -171,17 +171,17 @@ void check_walk_inputs(const CellArray& arr, const CodeRecord& record,
 }
 
 ArchSimulator::ArchSimulator(CellArray array, TimingParams params,
-                             double v_lsb, OutputModel model)
+                             double v_lsb, const OutputModel& m)
     : array_(std::move(array)),
       params_(params),
       v_lsb_(v_lsb),
-      model_(std::move(model)) {
+      droop_(m.droop),
+      differential_(m.differential) {
   params_.validate();
   if (!std::isfinite(v_lsb_) || !(v_lsb_ > 0.0)) {
     throw std::invalid_argument("ArchSimulator: v_lsb must be > 0");
   }
   const auto& w = array_.weights();
-  const auto& m = model_;
   const auto per_cell = [&](const auto& v) {
     return v.empty() || v.size() == w.size();
   };
@@ -212,7 +212,7 @@ ArchSimulator::ArchSimulator(CellArray array, TimingParams params,
 }
 
 double ArchSimulator::v_of_level(double level) const {
-  return level * v_lsb_ / (1.0 + level * model_.droop);
+  return level * v_lsb_ / (1.0 + level * droop_);
 }
 
 std::vector<double> ArchSimulator::waveform(
@@ -235,14 +235,14 @@ std::vector<double> ArchSimulator::waveform(
   const std::vector<double>& kick = kick_v_;
   const auto target_of = [&](double level) {
     const double v = v_of_level(level);
-    return model_.differential ? v - v_of_level(amp.back() - level) : v;
+    return differential_ ? v - v_of_level(amp.back() - level) : v;
   };
   // A linear output (no droop, one rail) moves the target by each edge's
   // amplitude times v_lsb, cell by cell: with the integer weights that is
   // the ideal walk, bit for bit.  Otherwise the target is v(L), and the
   // cells of a switch range are one edge when their weight run shares one
   // timing and kick.
-  const bool linear = model_.droop == 0.0 && !model_.differential;
+  const bool linear = droop_ == 0.0 && !differential_;
   std::vector<std::uint8_t> lumped;  // per weight run
   for (const CellArray::WeightRun& r : runs) {
     const auto c0 = static_cast<std::size_t>(r.first);
@@ -333,11 +333,10 @@ double ArchSimulator::glitch_energy(const CellTiming& timing, int code_from,
                                     int code_to) const {
   const CodeRecord record(array_, {code_from, code_to});
   const std::vector<double> actual = waveform(record, timing);
-  OutputModel unkicked = model_;
-  unkicked.feedthrough.clear();
+  ArchSimulator unkicked = *this;
+  std::fill(unkicked.kick_v_.begin(), unkicked.kick_v_.end(), 0.0);
   const std::vector<double> ref =
-      ArchSimulator(array_, params_, v_lsb_, std::move(unkicked))
-          .waveform(record, ideal_cell_timing(array_.cells()));
+      unkicked.waveform(record, ideal_cell_timing(array_.cells()));
   const int os = params_.oversample;
   const double dt_sub = 1.0 / (params_.fs * os);
   double energy = 0.0;

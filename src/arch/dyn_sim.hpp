@@ -167,7 +167,7 @@ class ArchSimulator {
  public:
   /// Throws std::invalid_argument on bad params, v_lsb or model.
   ArchSimulator(CellArray array, TimingParams params, double v_lsb,
-                OutputModel model = {});
+                const OutputModel& model = {});
 
   const CellArray& array() const { return array_; }
   const TimingParams& params() const { return params_; }
@@ -211,7 +211,8 @@ class ArchSimulator {
   CellArray array_;
   TimingParams params_;
   double v_lsb_ = 0.0;
-  OutputModel model_;
+  double droop_ = 0.0;
+  bool differential_ = false;
   /// decay_[s] = exp(-((s+1)*dt_sub - s*dt_sub)/tau), s < oversample.
   std::vector<double> decay_;
   /// Amplitude prefix sums (cells + 1) and per-cell kicks [V] (zero when

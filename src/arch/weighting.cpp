@@ -182,7 +182,11 @@ WeightingScheme optimize_weighting(int nbits, const OptimizeOptions& opts) {
 }
 
 CellArray::CellArray(WeightingScheme scheme) : scheme_(std::move(scheme)) {
-  check_nbits(scheme_.nbits);
+  // Any resolution a core::DacSpec allows: the schemes above stop at 16
+  // bits, but the spectrum job's converter builds its own up to 20.
+  if (scheme_.nbits < 2 || scheme_.nbits > 20) {
+    throw std::invalid_argument("CellArray: nbits must be in [2, 20]");
+  }
   const int fs = full_scale_for(scheme_.nbits);
   long long sum = 0;
   for (int w : scheme_.weights) sum += w;

@@ -550,12 +550,16 @@ SpectrumConverter spectrum_converter(const core::DacSpec& spec,
     throw std::invalid_argument(
         "spectrum_converter: source draw does not fit the spec");
   }
-  // With no binary bits every cell is a thermometer cell.
-  arch::CellArray arr(
-      spec.binary_bits == 0
-          ? arch::make_weighting(arch::WeightingKind::kUnary, spec.nbits)
-          : arch::make_weighting(arch::WeightingKind::kSegmented, spec.nbits,
-                                 spec.binary_bits));
+  // The thermometer cells, then the binary cells by descending weight,
+  // built here for every resolution the spec allows (make_weighting stops
+  // at 16 bits, and reads a zero split as its default).
+  arch::WeightingScheme scheme{arch::WeightingKind::kSegmented, spec.nbits,
+                               spec.binary_bits,
+                               std::vector<int>(therm, spec.unary_weight())};
+  for (int k = spec.binary_bits - 1; k >= 0; --k) {
+    scheme.weights.push_back(1 << k);
+  }
+  arch::CellArray arr(std::move(scheme));
   arch::OutputModel model;
   model.amplitude = chip.unary;
   model.amplitude.insert(model.amplitude.end(), chip.binary.rbegin(),
@@ -568,7 +572,7 @@ SpectrumConverter spectrum_converter(const core::DacSpec& spec,
   std::fill(timing.dt.begin() + static_cast<std::ptrdiff_t>(therm),
             timing.dt.end(), dyn.binary_skew);
   return {arch::ArchSimulator(std::move(arr), {dyn.fs, dyn.oversample, dyn.tau},
-                              spec.i_lsb() * spec.r_load, std::move(model)),
+                              spec.i_lsb() * spec.r_load, model),
           std::move(timing)};
 }
 

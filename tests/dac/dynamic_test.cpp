@@ -166,6 +166,20 @@ TEST(Dynamic, JitterIsSymmetricAboutTheNominalEdge) {
   }
 }
 
+TEST(Dynamic, TwentyBitThermometerSpectrumRuns) {
+  // The spec allows 20 bits. The walk switches a thermometer range as one
+  // edge, so 2^20 - 1 cells under a near-Nyquist sine stay cheap.
+  runtime::SpectrumJob job;
+  job.spec.nbits = 20;
+  job.spec.binary_bits = 0;
+  job.n_samples = 256;
+  job.cycles = 127;
+  job.dyn.oversample = 4;
+  const auto r = std::get<runtime::SpectrumSummary>(
+      runtime::execute_job(job, 1, nullptr));
+  EXPECT_GT(r.enob, 16.0);
+}
+
 TEST(Dynamic, SineCodesCoherentAndBounded) {
   const auto spec = paper_spec();
   const auto codes = sine_codes(spec, 1024, 53);
