@@ -6,6 +6,7 @@
 #include <string>
 
 #include "arch/instruments.hpp"
+#include "mathx/transcendental.hpp"
 
 namespace csdac::arch {
 
@@ -207,7 +208,7 @@ ArchSimulator::ArchSimulator(CellArray array, TimingParams params,
     const double t_end = (s + 1) * dt_sub;
     const double t_cur = s * dt_sub;
     decay_[static_cast<std::size_t>(s)] =
-        std::exp(-(t_end - t_cur) / params_.tau);
+        mathx::exp(-(t_end - t_cur) / params_.tau);
   }
 }
 
@@ -298,7 +299,7 @@ std::vector<double> ArchSimulator::waveform(
       const double t_end = (s + 1) * dt_sub;
       if (e < events.size() && events[e].t <= t_end) {
         while (e < events.size() && events[e].t <= t_end) {
-          v = target + (v - target) * std::exp(-(events[e].t - t_cur) / tau);
+          v = target + (v - target) * mathx::exp(-(events[e].t - t_cur) / tau);
           t_cur = events[e].t;
           v += events[e].kick;
           level += events[e].dlevel;
@@ -306,7 +307,7 @@ std::vector<double> ArchSimulator::waveform(
                           : target_of(level);
           ++e;
         }
-        v = target + (v - target) * std::exp(-(t_end - t_cur) / tau);
+        v = target + (v - target) * mathx::exp(-(t_end - t_cur) / tau);
       } else {
         // No event since the last grid point: t_cur == s * dt_sub.
         v = target + (v - target) * decay_[static_cast<std::size_t>(s)];

@@ -23,17 +23,19 @@
 // Two steps differ in schedule, not in arithmetic. No 2^n levels array is
 // stored: analyze_block walks the codes in order and forms each level as
 // unary_prefix[c >> b] + binsum[c & mask], the same single rounded add
-// SegmentedDac::level returns. And the polar draw takes its logs in a loop of
-// their own after the rejection loop (mathx::normal_batch_xN), on the same
-// accepted s values the scalar draw would pass to log.
+// SegmentedDac::level returns. And the polar draw takes its logs in a vector
+// pass of their own after the rejection loop (mathx::normal_batch_xN), on
+// the same accepted s values the scalar draw would pass to mathx::log; that
+// log is mathx's Ops-templated log_xN, so the lanes match it bit for bit.
 //
 // The rare-event blocks (is_block, strat_block) have no separate scalar
 // body: the width-1 ScalarOps instance is the reference, and every wider
 // lane repeats its operations in the same order — mode projections summed
 // in index order, log_w += log g_k - (c_k * t) * t, the tilt z += (g_k - 1)
-// * t * v_k mode by mode. The libm pieces stay scalar: log g_k is
-// precomputed once per run by the caller, half_normal_inv is an
-// out-of-line mathx call per lane.
+// * t * v_k mode by mode. log g_k is precomputed once per run by the caller
+// with mathx::log; half_normal_inv is an out-of-line mathx call per lane,
+// whose logs and exp are mathx's too (its Halley step still takes libm's
+// erfc, through normal_cdf).
 #pragma once
 
 #include <cmath>

@@ -7,6 +7,7 @@
 
 #include "dac/lane_kernel.hpp"
 #include "mathx/rare_event.hpp"
+#include "mathx/transcendental.hpp"
 #include "obs/metrics.hpp"
 
 namespace csdac::dac {
@@ -60,7 +61,7 @@ std::vector<double> cosine_modes(int u, int k_modes) {
   for (int k = 0; k < k_modes; ++k) {
     for (int i = 0; i < u; ++i) {
       v[static_cast<std::size_t>(k) * u + i] =
-          norm * std::cos((k + 1) * M_PI * (i + 0.5) / u);
+          norm * mathx::cos((k + 1) * M_PI * (i + 0.5) / u);
     }
   }
   return v;
@@ -102,7 +103,7 @@ IsYieldEstimate inl_yield_is(const core::DacSpec& spec, double sigma_unit,
   std::vector<double> log_g, half_g2m1, g_minus_1;
   for (int k = 0; k < k_modes; ++k) {
     const double gk = mode_scale(sigma_scale, k);
-    log_g.push_back(std::log(gk));
+    log_g.push_back(mathx::log(gk));
     half_g2m1.push_back(0.5 * (gk * gk - 1.0));
     g_minus_1.push_back(gk - 1.0);
   }

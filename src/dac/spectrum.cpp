@@ -5,6 +5,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "mathx/transcendental.hpp"
+
 namespace csdac::dac {
 namespace {
 
@@ -268,7 +270,7 @@ std::vector<int> sine_codes(const core::DacSpec& spec, int n_samples,
   for (int i = 0; i < n_samples; ++i) {
     const double ph = 2.0 * std::numbers::pi * cycles * i /
                       static_cast<double>(n_samples);
-    const double v = mid + amp * std::sin(ph);
+    const double v = mid + amp * mathx::sin(ph);
     codes[static_cast<std::size_t>(i)] =
         std::clamp(static_cast<int>(std::lround(v)), 0, full);
   }
@@ -290,7 +292,7 @@ std::vector<int> two_tone_codes(const core::DacSpec& spec, int n_samples,
                        static_cast<double>(n_samples);
     const double ph2 = 2.0 * std::numbers::pi * cycles2 * i /
                        static_cast<double>(n_samples);
-    const double v = mid + amp * (std::sin(ph1) + std::sin(ph2));
+    const double v = mid + amp * (mathx::sin(ph1) + mathx::sin(ph2));
     codes[static_cast<std::size_t>(i)] =
         std::clamp(static_cast<int>(std::lround(v)), 0, full);
   }

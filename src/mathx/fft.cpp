@@ -4,6 +4,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "mathx/transcendental.hpp"
+
 namespace csdac::mathx {
 namespace {
 
@@ -35,7 +37,7 @@ void fft_pow2(std::vector<Cplx>& x, bool inverse) {
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const double ang = 2.0 * kPi / static_cast<double>(len) *
                        (inverse ? 1.0 : -1.0);
-    const Cplx wlen(std::cos(ang), std::sin(ang));
+    const Cplx wlen(mathx::cos(ang), mathx::sin(ang));
     for (std::size_t i = 0; i < n; i += len) {
       Cplx w(1.0, 0.0);
       for (std::size_t k = 0; k < len / 2; ++k) {
@@ -72,7 +74,7 @@ std::vector<Cplx> dft(const std::vector<Cplx>& x, bool inverse) {
         (static_cast<unsigned long long>(i) * i) % (2ull * n);
     const double ang = sign * kPi * static_cast<double>(i2) /
                        static_cast<double>(n);
-    chirp[i] = Cplx(std::cos(ang), std::sin(ang));
+    chirp[i] = Cplx(mathx::cos(ang), mathx::sin(ang));
     a[i] = x[i] * chirp[i];
   }
   b[0] = Cplx(1.0, 0.0);
@@ -123,15 +125,15 @@ std::vector<double> make_window(Window w, std::size_t n) {
       break;
     case Window::kHann:
       for (std::size_t i = 0; i < n; ++i) {
-        win[i] = 0.5 - 0.5 * std::cos(2.0 * kPi * static_cast<double>(i) / denom);
+        win[i] = 0.5 - 0.5 * mathx::cos(2.0 * kPi * static_cast<double>(i) / denom);
       }
       break;
     case Window::kBlackmanHarris4: {
       constexpr double a0 = 0.35875, a1 = 0.48829, a2 = 0.14128, a3 = 0.01168;
       for (std::size_t i = 0; i < n; ++i) {
         const double t = 2.0 * kPi * static_cast<double>(i) / denom;
-        win[i] = a0 - a1 * std::cos(t) + a2 * std::cos(2 * t) -
-                 a3 * std::cos(3 * t);
+        win[i] = a0 - a1 * mathx::cos(t) + a2 * mathx::cos(2 * t) -
+                 a3 * mathx::cos(3 * t);
       }
       break;
     }

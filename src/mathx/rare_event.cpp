@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "mathx/stats.hpp"
+#include "mathx/transcendental.hpp"
 
 namespace csdac::mathx {
 
@@ -74,7 +75,7 @@ IsReduction reduce_is_weights(std::span<const double> log_w,
   // One sequential pass in index order: the scaled weights are pure
   // functions of their slot, so the reduction is thread-count invariant.
   for (std::size_t i = 0; i < log_w.size(); ++i) {
-    const double w = std::exp(log_w[i] - r.log_w_max);
+    const double w = mathx::exp(log_w[i] - r.log_w_max);
     const double w2 = w * w;
     r.sum_w += w;
     r.sum_w2 += w2;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "mathx/transcendental.hpp"
+
 namespace csdac::mathx {
 
 namespace detail {
@@ -85,7 +87,7 @@ double normal(Xoshiro256& rng) {
     const double v = 2.0 * uniform01(rng) - 1.0;
     const double s = u * u + v * v;
     if (s > 0.0 && s < 1.0) {
-      return u * std::sqrt(-2.0 * std::log(s) / s);
+      return u * std::sqrt(-2.0 * mathx::log(s) / s);
     }
   }
 }

@@ -8,14 +8,15 @@
 // bit-identical-for-any-thread-count guarantee (and all golden tests)
 // survives vectorization. That is why the abstraction batches ACROSS chips
 // (each lane is an independent chip whose operations happen in the scalar
-// order) instead of vectorizing within one chip, and why the transcendental
-// tail of the Gaussian draw (std::log) stays scalar per lane — IEEE basic
-// operations (+,-,*,/,sqrt, abs) are correctly rounded and therefore
-// lane-wise identical to their scalar counterparts, libm's log is not
-// guaranteed to be, so it is never vectorized. normal_batch_xN keeps that
-// log out of the rejection loop instead: the loop only collects each
-// lane's accepted (u, s) in stream order, one branch-free scalar loop then
-// takes every log, and a vector pass forms u * sqrt(-2 log(s) / s).
+// order) instead of vectorizing within one chip. IEEE basic operations
+// (+,-,*,/,sqrt, abs) are correctly rounded and therefore lane-wise
+// identical to their scalar counterparts. The Gaussian draw's log is no
+// exception: it is mathx's own log_xN (transcendental.hpp), written once
+// over the Ops policy from those basic operations, so its vector lanes and
+// the scalar mathx::log are the same algorithm with the same bits and no
+// libm is involved. normal_batch_xN still keeps the log out of the
+// rejection loop: the loop only collects each lane's accepted (u, s) in
+// stream order, and one vector pass then forms u * sqrt(-2 log(s) / s).
 //
 // This header is intrinsics-free: the templates are generic over an Ops
 // policy (lane count, vector types, arithmetic). ScalarOps (width 1, plain
@@ -24,10 +25,12 @@
 // units (the AVX2 one is compiled with -mavx2; see src/dac/CMakeLists.txt).
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
 #include "mathx/rng.hpp"
+#include "mathx/transcendental.hpp"
 
 namespace csdac::mathx {
 
@@ -86,6 +89,8 @@ struct ScalarOps {
   static F64 fmax(F64 a, F64 b) { return a > b ? a : b; }
   static F64 fabs(F64 v) { return std::abs(v); }
   static F64 fsqrt(F64 v) { return std::sqrt(v); }
+  /// m ? a : b, per lane.
+  static F64 fselect(Mask m, F64 a, F64 b) { return m ? a : b; }
 
   static Mask cmp_gt(F64 a, F64 b) { return a > b; }
   static Mask cmp_lt(F64 a, F64 b) { return a < b; }
@@ -98,6 +103,7 @@ struct ScalarOps {
   static U64 uloadu(const std::uint64_t* p) { return *p; }
   static void ustoreu(std::uint64_t* p, U64 v) { *p = v; }
   static U64 uadd(U64 a, U64 b) { return a + b; }
+  static U64 uand(U64 a, U64 b) { return a & b; }
   static U64 uxor(U64 a, U64 b) { return a ^ b; }
   static U64 uor(U64 a, U64 b) { return a | b; }
   static U64 usll(U64 x, int k) { return x << k; }
@@ -109,6 +115,10 @@ struct ScalarOps {
   /// so the SIMD magic-constant sequences land on the same double as the
   /// scalar static_cast).
   static F64 u64_to_f64_53(U64 n) { return static_cast<double>(n); }
+
+  /// The IEEE bit pattern of each lane, and back.
+  static U64 as_u64(F64 v) { return std::bit_cast<std::uint64_t>(v); }
+  static F64 as_f64(U64 n) { return std::bit_cast<double>(n); }
 };
 
 // --- Lane-parallel xoshiro256++ --------------------------------------------
@@ -190,11 +200,11 @@ typename Ops::F64 uniform01_from_bits(typename Ops::U64 raw) {
 ///      lane leaves the loop after its count-th acceptance and its
 ///      generator stops (masked state advance), so each lane consumes
 ///      exactly the uniforms of its scalar sequence;
-///   2. one branch-free scalar loop replaces each s by -2.0 * log(s) / s
-///      (libm's log, the scalar expression's association);
-///   3. a vector pass forms u * sqrt(that).
-/// Each draw sees the same IEEE operations on the same values in the same
-/// order as the scalar u * sqrt(-2.0 * log(s) / s). scratch holds count *
+///   2. one vector pass forms u * sqrt(-2.0 * log(s) / s) with log_xN, in
+///      the scalar expression's association.
+/// Each draw sees the same operations on the same values in the same
+/// order as the scalar mathx::normal, whose log is log_xN's width-1
+/// instance. scratch holds count *
 /// kLanes doubles; out and scratch must not overlap.
 template <class Ops>
 void normal_batch_xN(Xoshiro256xN<Ops>& rng, int count, double* out,
@@ -236,13 +246,12 @@ void normal_batch_xN(Xoshiro256xN<Ops>& rng, int count, double* out,
     const Mask active = Ops::cmp_gt(Ops::floadu(live_l), zero);
     iterate([&] { return rng.next(active); });
   }
-  for (int j = 0; j < count * L; ++j) {
-    scratch[j] = -2.0 * std::log(scratch[j]) / scratch[j];
-  }
+  const F64 minus_two = Ops::fset1(-2.0);
   for (int i = 0; i < count; ++i) {
+    const F64 s = Ops::floadu(scratch + i * L);
+    const F64 q = Ops::fdiv(Ops::fmul(minus_two, log_xN<Ops>(s)), s);
     Ops::fstoreu(out + i * L,
-                 Ops::fmul(Ops::floadu(out + i * L),
-                           Ops::fsqrt(Ops::floadu(scratch + i * L))));
+                 Ops::fmul(Ops::floadu(out + i * L), Ops::fsqrt(q)));
   }
 }
 

@@ -32,6 +32,9 @@ struct Avx2Ops {
     return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);
   }
   static F64 fsqrt(F64 v) { return _mm256_sqrt_pd(v); }
+  static F64 fselect(Mask m, F64 a, F64 b) {
+    return _mm256_blendv_pd(b, a, m);
+  }
 
   static Mask cmp_gt(F64 a, F64 b) { return _mm256_cmp_pd(a, b, _CMP_GT_OQ); }
   static Mask cmp_lt(F64 a, F64 b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
@@ -49,6 +52,7 @@ struct Avx2Ops {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
   }
   static U64 uadd(U64 a, U64 b) { return _mm256_add_epi64(a, b); }
+  static U64 uand(U64 a, U64 b) { return _mm256_and_si256(a, b); }
   static U64 uxor(U64 a, U64 b) { return _mm256_xor_si256(a, b); }
   static U64 uor(U64 a, U64 b) { return _mm256_or_si256(a, b); }
   static U64 usll(U64 x, int k) { return _mm256_slli_epi64(x, k); }
@@ -73,6 +77,9 @@ struct Avx2Ops {
                                       _mm256_set1_pd(0x1.00000001p84));
     return _mm256_add_pd(vhi, _mm256_castsi256_pd(lo));
   }
+
+  static U64 as_u64(F64 v) { return _mm256_castpd_si256(v); }
+  static F64 as_f64(U64 n) { return _mm256_castsi256_pd(n); }
 };
 
 }  // namespace csdac::mathx

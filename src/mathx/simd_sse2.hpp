@@ -29,6 +29,9 @@ struct Sse2Ops {
   static F64 fmax(F64 a, F64 b) { return _mm_max_pd(a, b); }
   static F64 fabs(F64 v) { return _mm_andnot_pd(_mm_set1_pd(-0.0), v); }
   static F64 fsqrt(F64 v) { return _mm_sqrt_pd(v); }
+  static F64 fselect(Mask m, F64 a, F64 b) {
+    return _mm_or_pd(_mm_and_pd(m, a), _mm_andnot_pd(m, b));
+  }
 
   static Mask cmp_gt(F64 a, F64 b) { return _mm_cmpgt_pd(a, b); }
   static Mask cmp_lt(F64 a, F64 b) { return _mm_cmplt_pd(a, b); }
@@ -46,6 +49,7 @@ struct Sse2Ops {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
   }
   static U64 uadd(U64 a, U64 b) { return _mm_add_epi64(a, b); }
+  static U64 uand(U64 a, U64 b) { return _mm_and_si128(a, b); }
   static U64 uxor(U64 a, U64 b) { return _mm_xor_si128(a, b); }
   static U64 uor(U64 a, U64 b) { return _mm_or_si128(a, b); }
   static U64 usll(U64 x, int k) { return _mm_slli_epi64(x, k); }
@@ -70,6 +74,9 @@ struct Sse2Ops {
                                    _mm_set1_pd(0x1.00000001p84));
     return _mm_add_pd(vhi, _mm_castsi128_pd(lo));
   }
+
+  static U64 as_u64(F64 v) { return _mm_castpd_si128(v); }
+  static F64 as_f64(U64 n) { return _mm_castsi128_pd(n); }
 };
 
 }  // namespace csdac::mathx

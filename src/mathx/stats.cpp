@@ -6,6 +6,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "mathx/transcendental.hpp"
+
 namespace csdac::mathx {
 
 double normal_cdf(double x) {
@@ -29,13 +31,13 @@ double acklam(double p) {
                                  2.445134137142996e+00, 3.754408661907416e+00};
   constexpr double p_low = 0.02425;
   if (p < p_low) {
-    const double q = std::sqrt(-2.0 * std::log(p));
+    const double q = std::sqrt(-2.0 * mathx::log(p));
     return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q +
             c[5]) /
            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
   }
   if (p > 1.0 - p_low) {
-    const double q = std::sqrt(-2.0 * std::log(1.0 - p));
+    const double q = std::sqrt(-2.0 * mathx::log(1.0 - p));
     return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q +
              c[5]) /
            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
@@ -56,7 +58,7 @@ double normal_inv_cdf(double p) {
   double x = acklam(p);
   // One Halley refinement step: solve Phi(x) - p = 0.
   const double e = normal_cdf(x) - p;
-  const double u = e * std::sqrt(2.0 * std::numbers::pi) * std::exp(x * x / 2.0);
+  const double u = e * std::sqrt(2.0 * std::numbers::pi) * mathx::exp(x * x / 2.0);
   x -= u / (1.0 + x * u / 2.0);
   return x;
 }

@@ -22,6 +22,7 @@
 #include "dac/spectrum.hpp"
 #include "mathx/alloc_counter.hpp"
 #include "mathx/rng.hpp"
+#include "mathx/transcendental.hpp"
 
 namespace csdac::arch {
 namespace {
@@ -82,12 +83,12 @@ std::vector<double> reference_waveform(const CellArray& arr,
     for (int s = 0; s < os; ++s) {
       const double t_end = (s + 1) * dt_sub;
       while (e < events.size() && events[e].t <= t_end) {
-        v = target + (v - target) * std::exp(-(events[e].t - t_cur) / tau);
+        v = target + (v - target) * mathx::exp(-(events[e].t - t_cur) / tau);
         t_cur = events[e].t;
         target += events[e].dlevel * v_lsb;
         ++e;
       }
-      v = target + (v - target) * std::exp(-(t_end - t_cur) / tau);
+      v = target + (v - target) * mathx::exp(-(t_end - t_cur) / tau);
       t_cur = t_end;
       out.push_back(v);
     }
