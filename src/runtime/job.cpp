@@ -282,13 +282,22 @@ BridgeYieldResult run(const InlYieldBridgeJob& j, int threads,
 }
 
 /// Resolves the scheme-param defaults against the spec: segmented 0 means
-/// the spec's own binary split; optimized 0 means "same cell count as the
-/// spec's segmented architecture" so comparisons stay cell- and
-/// area-matched.
+/// the spec's own binary split (all unit cells for a fully thermometer
+/// spec); optimized 0 means "same cell count as the spec's segmented
+/// architecture" so comparisons stay cell- and area-matched.
 arch::WeightingScheme resolve_weighting(const core::DacSpec& spec,
                                         arch::WeightingKind kind, int param) {
   int p = param;
-  if (kind == arch::WeightingKind::kSegmented && p == 0) p = spec.binary_bits;
+  if (kind == arch::WeightingKind::kSegmented && p == 0) {
+    if (spec.binary_bits == 0) {
+      // make_weighting would read split 0 as its nbits/3 default.
+      arch::WeightingScheme s =
+          arch::make_weighting(arch::WeightingKind::kUnary, spec.nbits, 0);
+      s.kind = arch::WeightingKind::kSegmented;
+      return s;
+    }
+    p = spec.binary_bits;
+  }
   if (kind == arch::WeightingKind::kOptimized && p == 0) {
     const int b = spec.binary_bits;
     p = ((1 << (spec.nbits - b)) - 1) + b;

@@ -241,6 +241,17 @@ TEST(ArchJobs, DynSpectrumThreadInvariantAndSane) {
   EXPECT_NEAR(a.ete_sfdr_mean_db, a.sfdr_mean_db, 5.0);
 }
 
+TEST(ArchJobs, FullyThermometerSpecWalksUnitCells) {
+  // binary_bits 0 and the default split: every cell is a unit cell, not
+  // make_weighting's nbits/3 segmentation.
+  DynSpectrumJob j = small_dyn_job();
+  j.spec.nbits = 6;
+  j.spec.binary_bits = 0;
+  j.chips = 2;
+  const auto& r = std::get<DynSpectrumResult>(execute_job(j, 1, nullptr));
+  EXPECT_EQ(r.cells, 63);
+}
+
 TEST(ArchJobs, CompareSweepShapeAndActivityOrdering) {
   const auto v = execute_job(small_compare_job(), 2, nullptr);
   const auto& r = std::get<ArchCompareResult>(v);
