@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "lane_apply.hpp"
 #include "mathx/rng.hpp"
 #if defined(__SSE2__)
 #include "mathx/simd_sse2.hpp"
@@ -152,6 +153,24 @@ TEST(Simd, Sse2NormalLanesMatchScalarSequences) {
 }
 
 #endif  // __SSE2__
+
+TEST(Simd, Avx2NormalLanesMatchScalarSequences) {
+  // The widest backend: four lanes, each its own stream's mathx::normal
+  // sequence, the log included (log_xN's AVX2 instance against the scalar
+  // mathx::log inside mathx::normal).
+  constexpr std::uint64_t kSeed = 7;
+  constexpr int kCount = 2000;
+  std::vector<double> out(4 * kCount), scratch(4 * kCount);
+  if (!testing::avx2_normals(kSeed, kCount, out.data(), scratch.data())) {
+    GTEST_SKIP() << "no AVX2 build or CPU";
+  }
+  for (int l = 0; l < 4; ++l) {
+    Xoshiro256 ref = stream_rng(kSeed, static_cast<std::uint64_t>(l));
+    for (int i = 0; i < kCount; ++i) {
+      ASSERT_EQ(out[4 * i + l], normal(ref)) << "lane " << l << " draw " << i;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace csdac::mathx
