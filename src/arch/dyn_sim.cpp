@@ -266,6 +266,7 @@ std::vector<double> ArchSimulator::waveform(
   // error across the whole band and buries the quantization floor.
   std::vector<Edge> events;
   std::vector<Edge> scratch;
+  std::vector<double> decays;  // the period's decay factors, in walk order
   if (linear) events.reserve(record.max_switching_cells());
 
   double level = 0.0;  // [LSB]
@@ -293,26 +294,43 @@ std::vector<double> ArchSimulator::waveform(
     // stable: equal instants keep cell-index order, so the walk is
     // deterministic for any timing draw.
     sort_edges(events, scratch);
+    // The decays into each event and from a sub-interval's last event to
+    // its grid point depend on the instants only: take their exps in one
+    // batch, in the order the walk below reads them.
+    decays.clear();
     std::size_t e = 0;
     double t_cur = 0.0;
     for (int s = 0; s < os; ++s) {
       const double t_end = (s + 1) * dt_sub;
       if (e < events.size() && events[e].t <= t_end) {
         while (e < events.size() && events[e].t <= t_end) {
-          v = target + (v - target) * mathx::exp(-(events[e].t - t_cur) / tau);
+          decays.push_back(-(events[e].t - t_cur) / tau);
           t_cur = events[e].t;
+          ++e;
+        }
+        decays.push_back(-(t_end - t_cur) / tau);
+      }
+      t_cur = t_end;
+    }
+    mathx::exp_batch(decays);
+    const double* decay = decays.data();
+    e = 0;
+    for (int s = 0; s < os; ++s) {
+      const double t_end = (s + 1) * dt_sub;
+      if (e < events.size() && events[e].t <= t_end) {
+        while (e < events.size() && events[e].t <= t_end) {
+          v = target + (v - target) * *decay++;
           v += events[e].kick;
           level += events[e].dlevel;
           target = linear ? target + events[e].dlevel * v_lsb_
                           : target_of(level);
           ++e;
         }
-        v = target + (v - target) * mathx::exp(-(t_end - t_cur) / tau);
+        v = target + (v - target) * *decay++;
       } else {
-        // No event since the last grid point: t_cur == s * dt_sub.
+        // No event since the last grid point: a whole sub-interval.
         v = target + (v - target) * decay_[static_cast<std::size_t>(s)];
       }
-      t_cur = t_end;
       out.push_back(v);
     }
   }

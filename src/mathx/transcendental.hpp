@@ -25,8 +25,10 @@
 // past that sin/cos lose accuracy (no caller passes such angles).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 namespace csdac::mathx {
 
@@ -37,6 +39,12 @@ double exp(double x);
 /// sin(x) and cos(x); NaN for +-inf and NaN, sin(+-0) = +-0.
 double sin(double x);
 double cos(double x);
+
+/// x[i] = exp(x[i]) for every i, on the widest lanes simd_backend()
+/// dispatches to. Every backend returns exp's bits, so the result does not
+/// depend on the CPU; the batch only lets independent arguments share
+/// vector lanes.
+void exp_batch(std::span<double> x);
 
 template <class Ops>
 typename Ops::F64 log_xN(typename Ops::F64 x) {
@@ -275,6 +283,31 @@ typename Ops::F64 sincos_xN(typename Ops::F64 x, std::uint64_t shift) {
   const F64 nan_or_zero = Ops::fsub(x, x);
   return Ops::fselect(Ops::cmp_eq(nan_or_zero, c(0.0)), r, nan_or_zero);
 }
+
+}  // namespace detail
+
+namespace detail {
+
+/// exp_batch on Ops lanes: whole vectors, then the tail padded to one.
+template <class Ops>
+void exp_lanes(double* x, std::size_t n) {
+  constexpr std::size_t L = Ops::kLanes;
+  std::size_t i = 0;
+  for (; i + L <= n; i += L) {
+    Ops::fstoreu(x + i, exp_xN<Ops>(Ops::floadu(x + i)));
+  }
+  if (i < n) {
+    double pad[L] = {};
+    for (std::size_t j = i; j < n; ++j) pad[j - i] = x[j];
+    Ops::fstoreu(pad, exp_xN<Ops>(Ops::floadu(pad)));
+    for (std::size_t j = i; j < n; ++j) x[j] = pad[j - i];
+  }
+}
+
+/// The AVX2 instance (transcendental_avx2.cpp); nullptr when the compiler
+/// cannot target AVX2.
+using ExpLanesFn = void (*)(double*, std::size_t);
+ExpLanesFn exp_lanes_avx2();
 
 }  // namespace detail
 

@@ -254,5 +254,28 @@ TEST(Transcendental, LanesMatchScalarBitForBit) {
   }
 }
 
+TEST(Transcendental, ExpBatchMatchesScalarOnEveryBackend) {
+  const SimdBackend saved = simd_backend();
+  const std::vector<double> xs = identity_inputs(Fn::kExp);
+  for (SimdBackend b :
+       {SimdBackend::kScalar, SimdBackend::kSse2, SimdBackend::kAvx2}) {
+    const SimdBackend got = simd_force_backend(b);
+    // Lengths that leave every tail size on every lane width.
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                          std::size_t{6}, std::size_t{7}, xs.size()}) {
+      std::vector<double> y(xs.begin(), xs.begin() + n);
+      exp_batch(y);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!same_bits(y[i], mathx::exp(xs[i]))) {
+          ADD_FAILURE() << simd_backend_name(got) << " n = " << n
+                        << " differs at x = " << std::hexfloat << xs[i];
+          break;
+        }
+      }
+    }
+  }
+  simd_force_backend(saved);
+}
+
 }  // namespace
 }  // namespace csdac::mathx
