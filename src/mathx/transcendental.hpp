@@ -83,15 +83,12 @@ typename Ops::F64 log_xN(typename Ops::F64 x) {
   const F64 s = Ops::fdiv(f, Ops::fadd(c(2.0), f));
   const F64 z = Ops::fmul(s, s);
   const F64 w = Ops::fmul(z, z);
-  const F64 t1 = Ops::fmul(
-      w, Ops::fadd(c(kLg2),
-                   Ops::fmul(w, Ops::fadd(c(kLg4), Ops::fmul(w, c(kLg6))))));
-  const F64 t2 = Ops::fmul(
-      z, Ops::fadd(
-             c(kLg1),
-             Ops::fmul(w, Ops::fadd(c(kLg3),
-                                    Ops::fmul(w, Ops::fadd(c(kLg5),
-                                                           Ops::fmul(w, c(kLg7))))))));
+  // t1 = w (Lg2 + w (Lg4 + w Lg6)), t2 = z (Lg1 + w (Lg3 + w (Lg5 + w Lg7)))
+  F64 t1 = Ops::fadd(c(kLg4), Ops::fmul(w, c(kLg6)));
+  t1 = Ops::fmul(w, Ops::fadd(c(kLg2), Ops::fmul(w, t1)));
+  F64 t2 = Ops::fadd(c(kLg5), Ops::fmul(w, c(kLg7)));
+  t2 = Ops::fadd(c(kLg3), Ops::fmul(w, t2));
+  t2 = Ops::fmul(z, Ops::fadd(c(kLg1), Ops::fmul(w, t2)));
   const F64 r = Ops::fadd(t2, t1);
   // s (hfsq + R) + k ln2_lo - hfsq + f + k ln2_hi, left to right.
   F64 y = Ops::fmul(s, Ops::fadd(hfsq, r));
@@ -147,7 +144,8 @@ typename Ops::F64 exp_xN(typename Ops::F64 x) {
   // subnormals below k = -1020 or to inf above k = 1020.
   const auto low = Ops::cmp_lt(dk, c(-1020.0));
   const auto high = Ops::cmp_gt(dk, c(1020.0));
-  const F64 adj = Ops::fselect(low, c(1000.0), Ops::fselect(high, c(-64.0), c(0.0)));
+  const F64 adj =
+      Ops::fselect(low, c(1000.0), Ops::fselect(high, c(-64.0), c(0.0)));
   const F64 post =
       Ops::fselect(low, c(0x1p-1000), Ops::fselect(high, c(0x1p64), c(1.0)));
   // 2^e for an integer-valued e in [-1022, 1023]: e + 1.5 * 2^52 holds e in

@@ -128,7 +128,8 @@ std::vector<double> trig_grid() {
   const long double half_pi = std::numbers::pi_v<long double> / 2;
   for (int k = 1; k <= 63662; ++k) {
     const double near = static_cast<double>(k * half_pi);
-    for (double x : {near, std::nextafter(near, 0.0), std::nextafter(near, 1e6)}) {
+    for (double x :
+         {near, std::nextafter(near, 0.0), std::nextafter(near, 1e6)}) {
       xs.push_back(x);
       xs.push_back(-x);
     }
@@ -168,7 +169,8 @@ TEST(Transcendental, SpecialValues) {
   EXPECT_EQ(mathx::log(kInf), kInf);
   EXPECT_TRUE(std::isnan(mathx::log(-kInf)));
   EXPECT_TRUE(std::isnan(mathx::log(-1.0)));
-  EXPECT_TRUE(std::isnan(mathx::log(-std::numeric_limits<double>::denorm_min())));
+  EXPECT_TRUE(
+      std::isnan(mathx::log(-std::numeric_limits<double>::denorm_min())));
   EXPECT_TRUE(std::isnan(mathx::log(kNaN)));
   EXPECT_TRUE(same_bits(mathx::log(1.0), 0.0));
   // exp
