@@ -20,20 +20,17 @@ double sin(double x) { return sin_xN<ScalarOps>(x); }
 double cos(double x) { return cos_xN<ScalarOps>(x); }
 
 void exp_batch(std::span<double> x) {
-  switch (simd_backend()) {
-    case SimdBackend::kAvx2:
-      if (const detail::ExpLanesFn f = detail::exp_lanes_avx2()) {
-        return f(x.data(), x.size());
-      }
-      [[fallthrough]];
-    case SimdBackend::kSse2:
-#if defined(__SSE2__)
-      return detail::exp_lanes<Sse2Ops>(x.data(), x.size());
-#endif
-      [[fallthrough]];
-    case SimdBackend::kScalar:
-      break;
+  const SimdBackend b = simd_backend();
+  if (b == SimdBackend::kAvx2) {
+    if (const detail::ExpLanesFn f = detail::exp_lanes_avx2()) {
+      return f(x.data(), x.size());
+    }
   }
+#if defined(__SSE2__)
+  if (b >= SimdBackend::kSse2) {
+    return detail::exp_lanes<Sse2Ops>(x.data(), x.size());
+  }
+#endif
   detail::exp_lanes<ScalarOps>(x.data(), x.size());
 }
 
