@@ -248,8 +248,8 @@ TEST(ArchJobs, FullyThermometerSpecWalksUnitCells) {
   j.spec.nbits = 6;
   j.spec.binary_bits = 0;
   j.chips = 2;
-  const auto& r = std::get<DynSpectrumResult>(execute_job(j, 1, nullptr));
-  EXPECT_EQ(r.cells, 63);
+  const auto v = execute_job(j, 1, nullptr);
+  EXPECT_EQ(std::get<DynSpectrumResult>(v).cells, 63);
 }
 
 TEST(ArchJobs, CompareSweepShapeAndActivityOrdering) {
