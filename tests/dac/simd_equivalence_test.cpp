@@ -427,46 +427,53 @@ TEST_F(SimdYieldEquivalence, SimdPathAgreesWithLegacyReference) {
   EXPECT_LT(fast.pass, fast.chips);
 }
 
-// The bench harness's smoke configuration (tools/run_benches --smoke): the
-// paper's 12-bit design point at the eq. (1) unit sigma, 300 INL chips,
-// and 150 calibration chips at 4x that sigma, seed 1000, one thread. The
-// product estimators must equal the serial reference chain pass for pass.
-// At the eq. (1) sigma every INL chip passes (and still all 300 at 2x),
-// so the same 300 chips also run at 3x it, where 13 fail: the INL half
-// then sees a kernel that misjudges a failing chip as well as a passing
-// one.
+// The 12-bit smoke configuration: the paper's design point at the eq. (1)
+// unit sigma, 300 INL chips, and 150 calibration chips at 4x that sigma,
+// seed 1000, one thread. Under every backend the CPU offers (scalar, SSE2,
+// AVX2) the product estimators must equal the serial reference chain pass
+// for pass, so no two backends can disagree either. At the eq. (1) sigma
+// every INL chip passes (and still all 300 at 2x), so the same 300 chips
+// also run at 3x it, where 13 fail: the INL half then sees a kernel that
+// misjudges a failing chip as well as a passing one.
 TEST(ChipOracle, BenchSmokeConfigurationMatchesPassForPass) {
   const core::DacSpec spec;
   const double sigma = core::unit_sigma_spec(spec.nbits, spec.inl_yield);
   constexpr std::uint64_t kSeed = 1000;
-
-  const auto inl = inl_yield_mc(spec, sigma, 300, kSeed, 0.5,
-                                InlReference::kBestFit, 1);
   const auto inl_ref = oracle::inl_yield_mc_legacy(spec, sigma, 300, kSeed);
-  EXPECT_EQ(inl.chips, inl_ref.chips);
-  EXPECT_EQ(inl.pass, inl_ref.pass);
-  EXPECT_EQ(inl.yield, inl_ref.yield);
-  EXPECT_EQ(inl.ci95, inl_ref.ci95);
-
-  const auto wide = inl_yield_mc(spec, 3.0 * sigma, 300, kSeed, 0.5,
-                                 InlReference::kBestFit, 1);
   const auto wide_ref =
       oracle::inl_yield_mc_legacy(spec, 3.0 * sigma, 300, kSeed);
-  EXPECT_EQ(wide.chips, wide_ref.chips);
-  EXPECT_EQ(wide.pass, wide_ref.pass);
-  EXPECT_EQ(wide.yield, wide_ref.yield);
-  EXPECT_EQ(wide.ci95, wide_ref.ci95);
-  EXPECT_LT(wide.pass, wide.chips);
-  EXPECT_GT(wide.pass, 0);
-
   const CalibrationOptions opts;
-  const auto cal =
-      calibration_yield_mc(spec, 4.0 * sigma, opts, 150, kSeed, 0.5, 1);
   const auto cal_ref =
       oracle::calibration_yield_mc_legacy(spec, 4.0 * sigma, opts, 150, kSeed);
-  EXPECT_EQ(cal.chips, cal_ref.chips);
-  EXPECT_EQ(cal.yield_before, cal_ref.yield_before);
-  EXPECT_EQ(cal.yield_after, cal_ref.yield_after);
+
+  BackendGuard guard;
+  for (SimdBackend b : kAllBackends) {
+    if (b > mathx::simd_detect()) continue;
+    SCOPED_TRACE(mathx::simd_backend_name(b));
+    ASSERT_EQ(mathx::simd_force_backend(b), b);
+
+    const auto inl = inl_yield_mc(spec, sigma, 300, kSeed, 0.5,
+                                  InlReference::kBestFit, 1);
+    EXPECT_EQ(inl.chips, inl_ref.chips);
+    EXPECT_EQ(inl.pass, inl_ref.pass);
+    EXPECT_EQ(inl.yield, inl_ref.yield);
+    EXPECT_EQ(inl.ci95, inl_ref.ci95);
+
+    const auto wide = inl_yield_mc(spec, 3.0 * sigma, 300, kSeed, 0.5,
+                                   InlReference::kBestFit, 1);
+    EXPECT_EQ(wide.chips, wide_ref.chips);
+    EXPECT_EQ(wide.pass, wide_ref.pass);
+    EXPECT_EQ(wide.yield, wide_ref.yield);
+    EXPECT_EQ(wide.ci95, wide_ref.ci95);
+    EXPECT_LT(wide.pass, wide.chips);
+    EXPECT_GT(wide.pass, 0);
+
+    const auto cal =
+        calibration_yield_mc(spec, 4.0 * sigma, opts, 150, kSeed, 0.5, 1);
+    EXPECT_EQ(cal.chips, cal_ref.chips);
+    EXPECT_EQ(cal.yield_before, cal_ref.yield_before);
+    EXPECT_EQ(cal.yield_after, cal_ref.yield_after);
+  }
 }
 
 }  // namespace

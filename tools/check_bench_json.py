@@ -1,57 +1,36 @@
 #!/usr/bin/env python3
-"""Validates a BENCH_mc.json produced by tools/run_benches.
+"""Validates a csdac-bench JSON document.
 
-Accepts the csdac-bench/1, /2, /3, and /4 schemas: required top-level
-keys, per-bench structure, and sanity of the measured numbers (positive
-throughput, yields in [0, 1]). Schema /2 additionally carries runtime
-cache benches ("cold"/"warm" sections): the warm pass must be a pure
-cache hit (cache_hits >= 1, zero chip evaluations) and the cold pass a
-miss. Schema /3 additionally embeds the metrics-registry snapshot under
-"metrics"; the snapshot must carry the engine counters and a positive
-mc.chips_evaluated. Schema /4 additionally records the active SIMD
-dispatch ("simd_backend"/"simd_lanes" top-level) and carries at least one
-simd-vs-scalar bench ("simd"/"scalar" sections + "simd_speedup"); the two
-sections must report identical yields — the lane kernels are bit-identical
-by contract. Schema /5 is the design-server loadgen document
-(tools/csdac_loadgen): at least one bench with a "serve" section reporting
-requests/errors/mismatches and the latency distribution; a run with any
-failed request, any cross-client result mismatch, or non-positive
-throughput fails validation. Schema /6 (run_benches again) additionally
-carries the rare-event estimator bench: "bruteforce"/"is"/"stratified"/
-"bridge" sections with per-estimator "chips_to_ci", an "is_chip_reduction"
-variance ratio that must exceed 1 (the importance sampler must actually
-beat brute force), a healthy effective sample size (low_ess false), and
-bridge/IS tail agreement already enforced by the producer. Schema /7
-additionally carries the dynamic-error architecture benches: the cached
-timing-MC spectrum job validates as an ordinary cache bench, and the
-architecture-comparison table ("architectures" array) must sweep at least
-binary plus two more weightings with sane per-architecture numbers
-(yields in [0, 1], positive cell counts and switching activity) and a
-metrics snapshot whose arch.* engine counters actually moved. Schema /8
-additionally carries the sparse-MNA engine benches: "spice_mna_12bit"
-("dense"/"sparse" sections, a positive "spice_speedup", dense/sparse
-solutions already cross-checked by the producer) and "spice_mc_warmstart"
-("cold"/"warm" MC sections whose yields must be identical — warm starting
-may only change where Newton starts, never where it converges — plus a
-"warm_iter_reduction" that must exceed 1), with spice.* engine counters
-in the metrics snapshot that actually moved.
+Accepts the two documents a producer in the tree writes:
 
-With --compare BASELINE.json, every bench path present in both documents
-is also checked for throughput regressions: chips_per_s must be at least
+* csdac-bench/9, from tools/run_benches: the metrics-registry snapshot
+  (engine counters, positive mc.chips_evaluated, consistent histograms,
+  moved arch.* and spice.* counters), the active SIMD dispatch, and the
+  four gated benches. The rare-event bench needs per-estimator
+  "chips_to_ci", a healthy IS effective sample size and an
+  "is_chip_reduction" above 1. The architecture table must sweep binary
+  plus two more weightings with sane per-architecture numbers. The sparse
+  MNA bench needs dense/sparse solutions within 1e-9 and a positive
+  "spice_speedup"; the SPICE MC bench needs identical cold and warm yields
+  and a "warm_iter_reduction" above 1.
+* csdac-bench/5, from tools/csdac_loadgen: at least one bench with a
+  "serve" section; any failed request, cross-client result mismatch or
+  non-positive throughput fails validation.
+
+With --compare BASELINE.json, every baseline bench path with a positive
+chips_per_s must be present in this run and reach at least
 (1 - tolerance) times the baseline (default tolerance 0.2). Wall-time
 baselines only transfer between same-shaped runs, so compare smoke runs
 against smoke baselines and full runs against full baselines.
 
-Used by the CI bench-smoke job; exits nonzero with a message on the first
-violation. Stdlib only.
+Used by the CI bench-smoke and serve-smoke jobs; exits nonzero with a
+message on the first violation. Stdlib only.
 """
 import argparse
 import json
 import sys
 
-SCHEMAS = ("csdac-bench/1", "csdac-bench/2", "csdac-bench/3",
-           "csdac-bench/4", "csdac-bench/5", "csdac-bench/6",
-           "csdac-bench/7", "csdac-bench/8")
+SCHEMAS = ("csdac-bench/5", "csdac-bench/9")
 TOP_KEYS = {
     "schema": str,
     "git_sha": str,
@@ -88,14 +67,13 @@ def check_path(bench, name, which):
         fail(f"{where}: chips_per_s must be positive")
     if path["wall_s"] < 0:
         fail(f"{where}: wall_s must be >= 0")
-    for key in ("yield", "yield_before", "yield_after"):
-        if key in path and not 0.0 <= path[key] <= 1.0:
-            fail(f"{where}: {key} out of [0, 1]")
+    if "yield" in path and not 0.0 <= path["yield"] <= 1.0:
+        fail(f"{where}: yield out of [0, 1]")
     return path
 
 
 def check_metrics(doc):
-    """Schema /3 embedded registry snapshot."""
+    """Embedded registry snapshot."""
     metrics = check_type(doc, "metrics", dict, "top level")
     counters = check_type(metrics, "counters", dict, "metrics")
     check_type(metrics, "gauges", dict, "metrics")
@@ -122,42 +100,8 @@ def check_metrics(doc):
             fail(f"{where}: bucket counts sum to {total}, count is {count}")
 
 
-def check_cache_bench(bench, name):
-    """Schema /2 runtime cache bench: cold miss vs warm hit."""
-    cold = check_path(bench, name, "cold")
-    warm = check_path(bench, name, "warm")
-    if cold.get("cache_misses", 0) < 1:
-        fail(f"bench '{name}' / cold: expected >= 1 cache miss")
-    if warm.get("cache_hits", 0) < 1:
-        fail(f"bench '{name}' / warm: expected >= 1 cache hit")
-    if warm.get("chip_evals", -1) != 0:
-        fail(f"bench '{name}' / warm: chip_evals must be 0 "
-             f"(got {warm.get('chip_evals')!r}) — the warm run recomputed")
-    speedup = check_type(bench, "warm_speedup", (int, float),
-                         f"bench '{name}'")
-    if speedup <= 0:
-        fail(f"bench '{name}': warm_speedup must be positive")
-
-
-def check_simd_bench(bench, name):
-    """Schema /4 simd-vs-scalar bench: identical yields, speedup field."""
-    simd = check_path(bench, name, "simd")
-    scalar = check_path(bench, name, "scalar")
-    for key in ("yield", "yield_before", "yield_after"):
-        if (key in simd) != (key in scalar):
-            fail(f"bench '{name}': '{key}' present in only one section")
-        if key in simd and simd[key] != scalar[key]:
-            fail(f"bench '{name}': simd/scalar {key} differ "
-                 f"({simd[key]!r} vs {scalar[key]!r}) — the lane kernels "
-                 f"must be bit-identical")
-    speedup = check_type(bench, "simd_speedup", (int, float),
-                         f"bench '{name}'")
-    if speedup <= 0:
-        fail(f"bench '{name}': simd_speedup must be positive")
-
-
 def check_rare_bench(bench, name):
-    """Schema /6 rare-event estimator bench."""
+    """Rare-event estimator bench."""
     bf = check_path(bench, name, "bruteforce")
     is_ = check_path(bench, name, "is")
     strat = check_path(bench, name, "stratified")
@@ -188,7 +132,7 @@ def check_rare_bench(bench, name):
 
 
 def check_arch_bench(bench, name):
-    """Schema /7 architecture-comparison bench."""
+    """Architecture-comparison bench."""
     where = f"bench '{name}'"
     # Every job kind fills RunStats::wall_seconds, so a zero is a fault.
     wall = check_type(bench, "wall_s", (int, float), where)
@@ -224,7 +168,7 @@ def check_arch_bench(bench, name):
 
 
 def check_spice_mna_bench(bench, name):
-    """Schema /8 dense-vs-sparse MNA solve bench."""
+    """Dense-vs-sparse MNA solve bench."""
     where = f"bench '{name}'"
     for which in ("dense", "sparse"):
         section = check_type(bench, which, dict, where)
@@ -251,7 +195,7 @@ def check_spice_mna_bench(bench, name):
 
 
 def check_spice_mc_bench(bench, name):
-    """Schema /8 SPICE mismatch-MC warm-start bench."""
+    """SPICE mismatch-MC warm-start bench."""
     where = f"bench '{name}'"
     sections = {}
     for which in ("cold", "warm"):
@@ -278,7 +222,7 @@ def check_spice_mc_bench(bench, name):
 
 
 def check_serve_bench(bench, name):
-    """Schema /5 design-server loadgen bench."""
+    """Design-server loadgen bench."""
     where = f"bench '{name}' / serve"
     serve = check_type(bench, "serve", dict, f"bench '{name}'")
     for key in ("requests", "errors", "mismatches", "chip_evals"):
@@ -306,30 +250,30 @@ def check_serve_bench(bench, name):
 
 
 def bench_paths(doc):
-    """Yields (bench_name, path_name, path_dict) for every measured path."""
-    for bench in doc.get("benches", []):
-        if not isinstance(bench, dict) or "name" not in bench:
-            continue
-        for which in ("workspace", "legacy", "simd", "scalar", "cold",
-                      "warm", "bruteforce", "is", "stratified"):
-            path = bench.get(which)
-            if isinstance(path, dict) and "chips_per_s" in path:
-                yield bench["name"], which, path
+    """{(bench_name, path_name): path} for every path reporting chips/s."""
+    return {(bench["name"], which): path
+            for bench in doc.get("benches", [])
+            if isinstance(bench, dict) and "name" in bench
+            for which, path in bench.items()
+            if isinstance(path, dict) and "chips_per_s" in path}
 
 
 def check_compare(doc, baseline_path, tolerance):
-    """Fails on a >tolerance relative throughput drop vs the baseline."""
+    """Fails on a missing path or a >tolerance relative throughput drop."""
     try:
         with open(baseline_path, encoding="utf-8") as f:
             base = json.load(f)
     except (OSError, ValueError) as e:
         fail(f"cannot parse baseline {baseline_path}: {e}")
-    base_paths = {(b, w): p for b, w, p in bench_paths(base)}
+    run_paths = bench_paths(doc)
     compared = 0
-    for bench, which, path in bench_paths(doc):
-        ref = base_paths.get((bench, which))
-        if ref is None or ref["chips_per_s"] <= 0:
+    for (bench, which), ref in bench_paths(base).items():
+        if ref["chips_per_s"] <= 0:
             continue
+        path = run_paths.get((bench, which))
+        if path is None:
+            fail(f"bench '{bench}' / {which}: in the baseline but missing "
+                 f"from this run")
         ratio = path["chips_per_s"] / ref["chips_per_s"]
         status = "OK" if ratio >= 1.0 - tolerance else "FAIL"
         print(f"  {status}: {bench}/{which}: {path['chips_per_s']:.0f} "
@@ -348,7 +292,7 @@ def check_compare(doc, baseline_path, tolerance):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="Validate a run_benches JSON document.")
+        description="Validate a csdac-bench JSON document.")
     parser.add_argument("bench_json")
     parser.add_argument("--compare", metavar="BASELINE",
                         help="baseline BENCH json to diff throughput "
@@ -371,20 +315,11 @@ def main():
         check_type(doc, key, types, "top level")
     if doc["schema"] not in SCHEMAS:
         fail(f"schema is '{doc['schema']}', expected one of {SCHEMAS}")
-    v2 = doc["schema"] != "csdac-bench/1"
-    v4 = doc["schema"] in ("csdac-bench/4", "csdac-bench/6",
-                           "csdac-bench/7", "csdac-bench/8")
-    v5 = doc["schema"] == "csdac-bench/5"
-    v6 = doc["schema"] in ("csdac-bench/6", "csdac-bench/7",
-                           "csdac-bench/8")
-    v7 = doc["schema"] in ("csdac-bench/7", "csdac-bench/8")
-    v8 = doc["schema"] == "csdac-bench/8"
+    gated = doc["schema"] == "csdac-bench/9"
     if not doc["benches"]:
         fail("benches array is empty")
-    if doc["schema"] in ("csdac-bench/3", "csdac-bench/4", "csdac-bench/6",
-                         "csdac-bench/7", "csdac-bench/8"):
+    if gated:
         check_metrics(doc)
-    if v8:
         counters = doc["metrics"]["counters"]
         for key in ("spice.solves", "spice.newton_iters",
                     "spice.factorizations", "spice.refactorizations",
@@ -392,14 +327,10 @@ def main():
             if not isinstance(counters.get(key), int) or counters[key] <= 0:
                 fail(f"metrics: counter '{key}' must be positive after the "
                      f"spice benches ran")
-    if v7:
-        counters = doc["metrics"]["counters"]
-        for key in ("arch.dyn_runs", "arch.waveforms", "arch.ete_evals",
-                    "arch.compare_runs"):
+        for key in ("arch.waveforms", "arch.ete_evals", "arch.compare_runs"):
             if not isinstance(counters.get(key), int) or counters[key] <= 0:
                 fail(f"metrics: counter '{key}' must be positive after the "
                      f"arch benches ran")
-    if v4:
         check_type(doc, "simd_backend", str, "top level")
         lanes = check_type(doc, "simd_lanes", int, "top level")
         if doc["simd_backend"] not in ("scalar", "sse2", "avx2"):
@@ -408,12 +339,7 @@ def main():
             fail(f"simd_lanes is {lanes}, expected 1, 2, or 4")
 
     names = set()
-    cache_benches = 0
-    simd_benches = 0
-    serve_benches = 0
-    rare_benches = 0
-    arch_benches = 0
-    spice_benches = 0
+    counts = {"serve": 0, "rare": 0, "arch": 0, "spice": 0}
     for bench in doc["benches"]:
         if not isinstance(bench, dict):
             fail("bench entry is not an object")
@@ -422,75 +348,35 @@ def main():
             fail(f"duplicate bench name '{name}'")
         names.add(name)
         check_type(bench, "config", dict, f"bench '{name}'")
-        # Spice benches are dispatched before the cache benches: the MC
-        # warm-start bench also has cold/warm sections, but they hold
-        # solver counters rather than cache-throughput fields.
         if "spice_speedup" in bench:
-            if not v8:
-                fail(f"bench '{name}': spice benches require csdac-bench/8")
             check_spice_mna_bench(bench, name)
-            spice_benches += 1
-            continue
-        if "warm_iter_reduction" in bench:
-            if not v8:
-                fail(f"bench '{name}': spice benches require csdac-bench/8")
+            kind = "spice"
+        elif "warm_iter_reduction" in bench:
             check_spice_mc_bench(bench, name)
-            spice_benches += 1
-            continue
-        if "cold" in bench or "warm" in bench:
-            if not v2:
-                fail(f"bench '{name}': cache benches require csdac-bench/2")
-            check_cache_bench(bench, name)
-            cache_benches += 1
-            continue
-        if "simd" in bench or "scalar" in bench:
-            if not v4:
-                fail(f"bench '{name}': simd benches require csdac-bench/4")
-            check_simd_bench(bench, name)
-            simd_benches += 1
-            continue
-        if "serve" in bench:
-            if not v5:
-                fail(f"bench '{name}': serve benches require csdac-bench/5")
+            kind = "spice"
+        elif "serve" in bench:
             check_serve_bench(bench, name)
-            serve_benches += 1
-            continue
-        if "bridge" in bench or "is" in bench:
-            if not v6:
-                fail(f"bench '{name}': rare-event benches require "
-                     f"csdac-bench/6")
+            kind = "serve"
+        elif "bridge" in bench or "is" in bench:
             check_rare_bench(bench, name)
-            rare_benches += 1
-            continue
-        if "architectures" in bench:
-            if not v7:
-                fail(f"bench '{name}': architecture benches require "
-                     f"csdac-bench/7")
+            kind = "rare"
+        elif "architectures" in bench:
             check_arch_bench(bench, name)
-            arch_benches += 1
-            continue
-        check_path(bench, name, "workspace")
-        if "legacy" in bench:
-            check_path(bench, name, "legacy")
-            speedup = check_type(bench, "speedup", (int, float),
-                                 f"bench '{name}'")
-            if speedup <= 0:
-                fail(f"bench '{name}': speedup must be positive")
-    if v2 and not v5 and cache_benches == 0:
-        fail("csdac-bench/2 document has no runtime cache benches")
-    if v4 and simd_benches == 0:
-        fail("csdac-bench/4 document has no simd-vs-scalar benches")
-    if v5 and serve_benches == 0:
+            kind = "arch"
+        else:
+            fail(f"bench '{name}': not a bench this schema knows")
+        if (kind == "serve") == gated:
+            fail(f"bench '{name}': {kind} benches do not belong in a "
+                 f"{doc['schema']} document")
+        counts[kind] += 1
+    if not gated and counts["serve"] == 0:
         fail("csdac-bench/5 document has no serve benches")
-    if v6 and rare_benches == 0:
-        fail("csdac-bench/6+ document has no rare-event bench")
-    if v7 and arch_benches == 0:
-        fail("csdac-bench/7 document has no architecture-comparison bench")
-    if v7 and "runtime_cache_dyn_spectrum" not in names:
-        fail("csdac-bench/7 document is missing the cached dyn-spectrum "
-             "bench")
-    if v8 and spice_benches < 2:
-        fail("csdac-bench/8 document must carry both spice benches "
+    if gated and counts["rare"] == 0:
+        fail("csdac-bench/9 document has no rare-event bench")
+    if gated and counts["arch"] == 0:
+        fail("csdac-bench/9 document has no architecture-comparison bench")
+    if gated and counts["spice"] < 2:
+        fail("csdac-bench/9 document must carry both spice benches "
              "(spice_mna_12bit and spice_mc_warmstart)")
 
     print(f"check_bench_json: OK ({len(names)} benches: "

@@ -38,7 +38,7 @@ series are present — one hot-tier outcome per submitted job:
 csdac_cache_hot_hits_total + csdac_cache_hot_misses_total ==
 csdac_sched_submitted_total (a queued task's worker counts its hit or
 miss, a hit answered at submit counts itself, a dedup attachment is not
-a submission). Used by the CI serve-smoke and trace-smoke jobs on the
+a submission). Used by the CI serve-smoke job on the
 dumps the server writes at shutdown.
 
 --expect-rare (either mode) additionally requires the rare-event

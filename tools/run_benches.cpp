@@ -1,73 +1,49 @@
-// Machine-readable perf harness: runs the Monte-Carlo/yield benches on the
-// paper's 12-bit spec and writes BENCH_mc.json (schema "csdac-bench/3",
-// documented in EXPERIMENTS.md) so the perf trajectory can be tracked
-// across commits. The fixed-count MC benches measure the chip-per-lane
-// kernel path ("workspace" sections) and the bytes it allocates per chip,
-// counted by the engine's opt-in allocation hook (lane workspaces
-// included). Their bit-identity against the allocating reference chain is
-// a ctest (ChipOracle.BenchSmokeConfigurationMatchesPassForPass, at this
-// harness's smoke configuration), not a timing here.
-// Schema /2 adds runtime-cache benches: the same job executed cold (miss,
-// full compute) and warm (hit, served from the persistent store), with the
-// warm run required to be a hit with zero Monte-Carlo chip evaluations.
-// Schema /3 embeds the end-of-run metrics-registry snapshot under
-// "metrics", so a bench record also carries the engine/cache counters
-// (chips evaluated, waves, early stops, cache traffic) behind the numbers.
-// Schema /4 adds the chip-per-lane SIMD benches: the same fixed-count
-// yield jobs run single-threaded under the forced scalar dispatch and
-// under the widest backend the CPU offers ("scalar" vs "simd" sections,
-// "simd_speedup" ratio), with a FATAL exit if the two disagree on any
-// pass count — the SIMD path is required to be bit-identical, so a
-// mismatch is a correctness bug, not noise. The active backend is
-// recorded top-level under "simd_backend" / "simd_lanes".
-// (Schema /5 is the design-server loadgen document written by
-// tools/csdac_loadgen, not by this harness.)
-// Schema /8 adds the sparse-MNA engine benches: one DC operating-point
-// solve of the paper's full 12-bit transistor-level array under the dense
-// and the sparse solver policies ("spice_mna_12bit", "spice_speedup"
-// ratio, FATAL if the two solutions diverge beyond 1e-9), and the
-// SPICE-in-the-loop mismatch MC run cold vs corner-to-corner warm-started
-// ("spice_mc_warmstart", "warm_iter_reduction" Newton-iteration ratio,
-// FATAL if warm starting changes the yield). Both ratios are
-// compute-shape properties, not wall-clock races, so CI gates on them
-// via --require-spice-speedup.
-// Schema /6 adds the rare-event estimator bench: the 99.99%-yield
-// 12-bit tail case measured by brute-force MC, importance sampling,
-// stratified+antithetic sampling, and the analytic bridge surrogate,
-// each section reporting "chips_to_ci" — the chip count that estimator
-// needs to pin the failure probability to a 50% relative 95% CI — plus
-// the headline "is_chip_reduction" variance ratio (brute-force /
-// importance-sampling chips for equal CI).
-// Schema /7 adds the dynamic-error architecture benches: the cold/warm
-// cache pass of a per-cell timing-MC spectrum job
-// ("runtime_cache_dyn_spectrum"), and the architecture-comparison table
-// ("arch_compare_10bit") sweeping binary / segmented splits / optimized
-// weightings with INL yield, timing-limited SFDR, ETE prediction, and
-// switching activity side by side.
+// Gate harness: runs the four benches that carry a paper-level CI gate
+// and writes BENCH_mc.json (schema "csdac-bench/9", documented in
+// EXPERIMENTS.md). Per-kernel throughput and cache-tier timings live in
+// perfbench's per-layer probes; this harness keeps only what it gates.
+//
+//   rare_inl_yield_9999   the paper's 12-bit, b = 4 array at a sigma the
+//                         bridge surrogate calibrates to 99.99 % INL
+//                         yield, measured by brute-force MC, importance
+//                         sampling and stratified+antithetic sampling,
+//                         each with "chips_to_ci" (chips for a 50 %
+//                         relative 95 % CI) and the "is_chip_reduction"
+//                         variance ratio. FATAL if IS sees no tail or has
+//                         a low ESS, or disagrees with the bridge beyond
+//                         10x its CI.
+//   arch_compare_10bit    the architecture table (binary, segmented
+//                         splits, optimized weightings) with INL yield,
+//                         timing-limited SFDR, ETE prediction and
+//                         switching activity side by side.
+//   spice_mna_12bit       one DC solve of the full 12-bit transistor-level
+//                         array under the dense and the sparse solver
+//                         ("spice_speedup"); FATAL if the two solutions
+//                         differ by more than 1e-9.
+//   spice_mc_warmstart    the SPICE mismatch MC cold vs corner-to-corner
+//                         warm-started ("warm_iter_reduction" Newton-
+//                         iteration ratio); FATAL if warm starting changes
+//                         the verdict.
+//
+// The document also records the active SIMD dispatch ("simd_backend",
+// "simd_lanes") and the end-of-run metrics-registry snapshot ("metrics").
 //
 //   run_benches [--smoke] [--out PATH] [--threads N]
-//               [--require-simd-speedup X] [--require-rare-reduction X]
-//               [--require-spice-speedup X]
+//               [--require-rare-reduction X] [--require-spice-speedup X]
 //
-// --smoke shrinks the chip budgets for CI and reports inl_yield_12bit and
-// calibration_yield_12bit as the best of five repeats of their short
-// windows; --require-simd-speedup X exits
-// nonzero unless the simd INL bench shows >= X times the forced-scalar
-// chips/s (used for local acceptance runs, not in CI where shared
-// runners make timing unreliable). --require-rare-reduction X gates on
-// is_chip_reduction >= X; unlike the timing gates this one is a variance
-// ratio, stable on shared runners, so CI enforces it.
-// --require-spice-speedup X gates on spice_speedup >= X AND
-// warm_iter_reduction > 1; the dense/sparse ratio compares two
+// --smoke shrinks the chip budgets for CI. --require-rare-reduction X
+// gates on is_chip_reduction >= X; it is a variance ratio, stable on
+// shared runners. --require-spice-speedup X gates on spice_speedup >= X
+// AND warm_iter_reduction > 1; the dense/sparse ratio compares two
 // single-threaded runs of the same process, so it is stable enough for CI
-// despite being a timing.
+// despite being a timing. tools/check_bench_json.py --compare diffs the
+// three rare paths' chips/s against a committed baseline.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -76,19 +52,17 @@
 
 #include "arch/weighting.hpp"
 #include "bench_json.hpp"
-#include "core/accuracy.hpp"
 #include "core/sizer.hpp"
 #include "dacgen/dacgen.hpp"
 #include "dacgen/spice_mc.hpp"
 #include "spice/solver.hpp"
 #include "tech/tech.hpp"
-#include "dac/calibration.hpp"
 #include "dac/rare_event.hpp"
 #include "dac/static_analysis.hpp"
 #include "mathx/rare_event.hpp"
 #include "mathx/simd.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/executor.hpp"
+#include "runtime/job.hpp"
 
 using namespace csdac;
 
@@ -109,89 +83,11 @@ std::string detect_git_sha() {
   return "unknown";
 }
 
-/// Cold/warm timing of one job through the runtime cache. Returns false
-/// (after printing) when the warm run is not a pure cache hit or redoes
-/// Monte-Carlo work — that is a correctness bug, not a slow run.
-bool bench_cache_job(bench::JsonWriter& w, const char* name,
-                     const runtime::Job& job, std::int64_t chips,
-                     int threads) {
-  const std::string dir = ".csdac-cache-bench";
-  std::filesystem::remove_all(dir);
-  runtime::ExecutorOptions eo;
-  eo.cache_dir = dir;
-  const mathx::HashKey128 key = runtime::job_key(job);
-
-  const runtime::ExecResult cold =
-      runtime::JobExecutor(eo).run(job, key, threads);
-  const std::int64_t chips0 = dac::mc_chips_evaluated();
-  const runtime::ExecResult warm =
-      runtime::JobExecutor(eo).run(job, key, threads);
-  const std::int64_t warm_evals = dac::mc_chips_evaluated() - chips0;
-  std::filesystem::remove_all(dir);
-
-  if (cold.cache_hit() || !warm.cache_hit() || warm_evals != 0) {
-    std::fprintf(stderr,
-                 "FATAL: %s cache behavior wrong (cold hit=%d, warm hit=%d, "
-                 "warm chip evals=%lld)\n",
-                 name, cold.cache_hit(), warm.cache_hit(),
-                 static_cast<long long>(warm_evals));
-    return false;
-  }
-  const double warm_speedup =
-      warm.wall_seconds > 0.0 ? cold.wall_seconds / warm.wall_seconds : 0.0;
-  std::printf("  cold %.4f s (miss), warm %.6f s (hit, 0 chip evals): "
-              "%.0fx\n",
-              cold.wall_seconds, warm.wall_seconds, warm_speedup);
-
-  w.begin_object();
-  w.field("name", name);
-  w.key("config").begin_object();
-  w.field("key", key.hex().c_str());
-  w.field("chips", chips);
-  w.end_object();
-  w.key("cold").begin_object();
-  w.field("chips", chips);
-  w.field("wall_s", cold.wall_seconds);
-  w.field("chips_per_s", cold.wall_seconds > 0.0
-                             ? static_cast<double>(chips) / cold.wall_seconds
-                             : 0.0);
-  w.field("cache_hits", cold.stats.cache_hits);
-  w.field("cache_misses", cold.stats.cache_misses);
-  w.end_object();
-  w.key("warm").begin_object();
-  w.field("chips", chips);
-  w.field("wall_s", warm.wall_seconds);
-  w.field("chips_per_s", warm.wall_seconds > 0.0
-                             ? static_cast<double>(chips) / warm.wall_seconds
-                             : 0.0);
-  w.field("cache_hits", warm.stats.cache_hits);
-  w.field("cache_misses", warm.stats.cache_misses);
-  w.field("chip_evals", warm_evals);
-  w.end_object();
-  w.field("warm_speedup", warm_speedup);
-  w.end_object();
-  return true;
-}
-
-void emit_path(bench::JsonWriter& w, const char* name,
-               const dac::YieldEstimate& y, double alloc_bytes_per_chip) {
-  w.key(name).begin_object();
-  w.field("chips", y.chips);
-  w.field("yield", y.yield);
-  w.field("ci95", y.ci95);
-  w.field("chips_per_s", y.stats.items_per_second);
-  w.field("wall_s", y.stats.wall_seconds);
-  w.field("threads", y.stats.threads);
-  w.field("alloc_bytes_per_chip", alloc_bytes_per_chip);
-  w.end_object();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
   int threads = 0;  // hardware concurrency
-  double require_simd_speedup = 0.0;
   double require_rare_reduction = 0.0;
   double require_spice_speedup = 0.0;
   std::string out_path = "BENCH_mc.json";
@@ -202,9 +98,6 @@ int main(int argc, char** argv) {
       out_path = argv[++a];
     } else if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc) {
       threads = std::atoi(argv[++a]);
-    } else if (std::strcmp(argv[a], "--require-simd-speedup") == 0 &&
-               a + 1 < argc) {
-      require_simd_speedup = std::atof(argv[++a]);
     } else if (std::strcmp(argv[a], "--require-rare-reduction") == 0 &&
                a + 1 < argc) {
       require_rare_reduction = std::atof(argv[++a]);
@@ -214,7 +107,6 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: run_benches [--smoke] [--out PATH] [--threads N] "
-                   "[--require-simd-speedup X] "
                    "[--require-rare-reduction X] "
                    "[--require-spice-speedup X]\n");
       return 2;
@@ -222,14 +114,12 @@ int main(int argc, char** argv) {
   }
 
   core::DacSpec spec;  // paper's 12-bit, b = 4 design point
-  const double sigma = core::unit_sigma_spec(spec.nbits, spec.inl_yield);
   const std::uint64_t seed = 1000;
-  const int chips = smoke ? 300 : 2000;
 
   bench::JsonWriter w;
   w.begin_object();
   const mathx::SimdBackend simd_backend = mathx::simd_backend();
-  w.field("schema", "csdac-bench/8");
+  w.field("schema", "csdac-bench/9");
   w.field("git_sha", detect_git_sha().c_str());
   w.field("generated_unix", static_cast<std::int64_t>(std::time(nullptr)));
   w.field("smoke", smoke);
@@ -239,254 +129,6 @@ int main(int argc, char** argv) {
   w.field("simd_backend", mathx::simd_backend_name(simd_backend));
   w.field("simd_lanes", mathx::simd_lane_width(simd_backend));
   w.key("benches").begin_array();
-
-  // --- Fixed-count INL yield on the lane kernel -------------------------
-  std::printf("inl_yield_12bit: %d chips, sigma = %.4f%% ...\n", chips,
-              sigma * 100);
-  // Warm up once so first-touch page faults don't bias the measurement.
-  (void)dac::inl_yield_mc(spec, sigma, chips / 4 + 1, seed, 0.5,
-                          dac::InlReference::kBestFit, threads);
-  // A fixed-count run is the adaptive run with one wave and no early stop;
-  // the adaptive entry lets the engine count the run's allocations.
-  dac::AdaptiveMcOptions fixed;
-  fixed.max_chips = fixed.min_chips = fixed.batch = chips;
-  fixed.ci_half_width = 0.0;
-  fixed.threads = threads;
-  fixed.count_allocs = true;
-  // Smoke windows last a few milliseconds, so one scheduling hiccup on a
-  // shared runner reads as a regression: report the best of five repeats
-  // there (every repeat computes the same result).
-  const int repeats = smoke ? 5 : 1;
-  const auto best_of = [repeats](const auto& run) {
-    auto best = run();
-    for (int r = 1; r < repeats; ++r) {
-      auto y = run();
-      if (y.stats.items_per_second > best.stats.items_per_second) {
-        best = std::move(y);
-      }
-    }
-    return best;
-  };
-  const auto ws_inl = best_of(
-      [&] { return dac::inl_yield_mc_adaptive(spec, sigma, fixed, seed); });
-  const double ws_alloc =
-      static_cast<double>(ws_inl.stats.alloc_bytes) / ws_inl.chips;
-  std::printf("  %.0f chips/s (%.1f B/chip)\n",
-              ws_inl.stats.items_per_second, ws_alloc);
-  w.begin_object();
-  w.field("name", "inl_yield_12bit");
-  w.key("config").begin_object();
-  w.field("nbits", spec.nbits);
-  w.field("binary_bits", spec.binary_bits);
-  w.field("sigma_unit", sigma);
-  w.field("chips", chips);
-  w.field("seed", static_cast<std::int64_t>(seed));
-  w.field("inl_limit", 0.5);
-  w.end_object();
-  emit_path(w, "workspace", ws_inl, ws_alloc);
-  w.end_object();
-
-  // --- Calibration-in-the-loop yield on the lane kernel -----------------
-  const int cal_chips = smoke ? 150 : 800;
-  const double cal_sigma = 4.0 * sigma;  // undersized array: trims matter
-  dac::CalibrationOptions cal_opts;
-  std::printf("calibration_yield_12bit: %d chips ...\n", cal_chips);
-  const auto ws_cal = best_of([&] {
-    return dac::calibration_yield_mc(spec, cal_sigma, cal_opts, cal_chips,
-                                     seed, 0.5, threads);
-  });
-  std::printf("  %.0f chips/s\n", ws_cal.stats.items_per_second);
-  w.begin_object();
-  w.field("name", "calibration_yield_12bit");
-  w.key("config").begin_object();
-  w.field("nbits", spec.nbits);
-  w.field("binary_bits", spec.binary_bits);
-  w.field("sigma_unit", cal_sigma);
-  w.field("chips", cal_chips);
-  w.field("seed", static_cast<std::int64_t>(seed));
-  w.field("cal_range_lsb", cal_opts.range_lsb);
-  w.field("cal_bits", cal_opts.bits);
-  w.end_object();
-  w.key("workspace").begin_object();
-  w.field("chips", ws_cal.chips);
-  w.field("yield_before", ws_cal.yield_before);
-  w.field("yield_after", ws_cal.yield_after);
-  w.field("chips_per_s", ws_cal.stats.items_per_second);
-  w.field("wall_s", ws_cal.stats.wall_seconds);
-  w.end_object();
-  w.end_object();
-
-  // --- Adaptive early stopping: engine counters -------------------------
-  dac::AdaptiveMcOptions aopts;
-  aopts.max_chips = smoke ? 1500 : 6000;
-  aopts.ci_half_width = 0.02;
-  aopts.threads = threads;
-  aopts.count_allocs = true;
-  std::printf("adaptive_inl_yield_12bit: cap %d chips, ci <= %.3f ...\n",
-              aopts.max_chips, aopts.ci_half_width);
-  const auto adaptive = dac::inl_yield_mc_adaptive(spec, sigma, aopts, seed);
-  std::printf("  evaluated %lld, skipped %lld, %.0f chips/s, "
-              "utilization %.2f, %lld B allocated\n",
-              static_cast<long long>(adaptive.stats.evaluated),
-              static_cast<long long>(adaptive.stats.skipped),
-              adaptive.stats.items_per_second, adaptive.stats.utilization,
-              static_cast<long long>(adaptive.stats.alloc_bytes));
-  w.begin_object();
-  w.field("name", "adaptive_inl_yield_12bit");
-  w.key("config").begin_object();
-  w.field("nbits", spec.nbits);
-  w.field("binary_bits", spec.binary_bits);
-  w.field("sigma_unit", sigma);
-  w.field("max_chips", aopts.max_chips);
-  w.field("ci_half_width", aopts.ci_half_width);
-  w.field("seed", static_cast<std::int64_t>(seed));
-  w.end_object();
-  w.key("workspace").begin_object();
-  w.field("chips", adaptive.chips);
-  w.field("yield", adaptive.yield);
-  w.field("ci95", adaptive.ci95);
-  w.field("chips_per_s", adaptive.stats.items_per_second);
-  w.field("wall_s", adaptive.stats.wall_seconds);
-  w.field("evaluated", adaptive.stats.evaluated);
-  w.field("skipped", adaptive.stats.skipped);
-  w.field("early_stopped", adaptive.stats.early_stopped);
-  w.field("utilization", adaptive.stats.utilization);
-  w.field("alloc_bytes", adaptive.stats.alloc_bytes);
-  w.field("alloc_count", adaptive.stats.alloc_count);
-  w.end_object();
-  w.end_object();
-
-  // --- SIMD chip-per-lane kernel vs forced scalar dispatch --------------
-  // Single-threaded on purpose: the lane speedup is a per-core property,
-  // and one thread keeps the measurement off the scheduler. Pass counts
-  // must agree exactly — the SIMD path is bit-identical by construction
-  // and by the equivalence test suite.
-  double simd_speedup = 0.0;
-  {
-    const int simd_chips = smoke ? 300 : 2000;
-    std::printf("simd_inl_yield_12bit: %d chips, %s vs scalar ...\n",
-                simd_chips, mathx::simd_backend_name(simd_backend));
-    mathx::simd_force_backend(mathx::SimdBackend::kScalar);
-    (void)dac::inl_yield_mc(spec, sigma, simd_chips / 4 + 1, seed, 0.5,
-                            dac::InlReference::kBestFit, 1);
-    const auto scalar_inl = dac::inl_yield_mc(
-        spec, sigma, simd_chips, seed, 0.5, dac::InlReference::kBestFit, 1);
-    mathx::simd_force_backend(simd_backend);
-    const auto simd_inl = dac::inl_yield_mc(
-        spec, sigma, simd_chips, seed, 0.5, dac::InlReference::kBestFit, 1);
-    if (simd_inl.pass != scalar_inl.pass) {
-      std::fprintf(stderr, "FATAL: simd/scalar pass mismatch (%d vs %d)\n",
-                   simd_inl.pass, scalar_inl.pass);
-      return 1;
-    }
-    simd_speedup = scalar_inl.stats.items_per_second > 0.0
-                       ? simd_inl.stats.items_per_second /
-                             scalar_inl.stats.items_per_second
-                       : 0.0;
-    std::printf("  %s %.0f chips/s, scalar %.0f chips/s: %.2fx\n",
-                mathx::simd_backend_name(simd_backend),
-                simd_inl.stats.items_per_second,
-                scalar_inl.stats.items_per_second, simd_speedup);
-    w.begin_object();
-    w.field("name", "simd_inl_yield_12bit");
-    w.key("config").begin_object();
-    w.field("nbits", spec.nbits);
-    w.field("binary_bits", spec.binary_bits);
-    w.field("sigma_unit", sigma);
-    w.field("chips", simd_chips);
-    w.field("seed", static_cast<std::int64_t>(seed));
-    w.field("inl_limit", 0.5);
-    w.field("backend", mathx::simd_backend_name(simd_backend));
-    w.field("lanes", mathx::simd_lane_width(simd_backend));
-    w.end_object();
-    emit_path(w, "simd", simd_inl, 0.0);
-    emit_path(w, "scalar", scalar_inl, 0.0);
-    w.field("simd_speedup", simd_speedup);
-    w.end_object();
-
-    const int simd_cal_chips = smoke ? 150 : 800;
-    std::printf("simd_calibration_yield_12bit: %d chips, %s vs scalar ...\n",
-                simd_cal_chips, mathx::simd_backend_name(simd_backend));
-    mathx::simd_force_backend(mathx::SimdBackend::kScalar);
-    const auto scalar_cal = dac::calibration_yield_mc(
-        spec, cal_sigma, cal_opts, simd_cal_chips, seed, 0.5, 1);
-    mathx::simd_force_backend(simd_backend);
-    const auto simd_cal = dac::calibration_yield_mc(
-        spec, cal_sigma, cal_opts, simd_cal_chips, seed, 0.5, 1);
-    if (simd_cal.yield_before != scalar_cal.yield_before ||
-        simd_cal.yield_after != scalar_cal.yield_after) {
-      std::fprintf(stderr, "FATAL: simd/scalar calibration mismatch\n");
-      return 1;
-    }
-    const double simd_cal_speedup =
-        scalar_cal.stats.items_per_second > 0.0
-            ? simd_cal.stats.items_per_second /
-                  scalar_cal.stats.items_per_second
-            : 0.0;
-    std::printf("  %s %.0f chips/s, scalar %.0f chips/s: %.2fx\n",
-                mathx::simd_backend_name(simd_backend),
-                simd_cal.stats.items_per_second,
-                scalar_cal.stats.items_per_second, simd_cal_speedup);
-    w.begin_object();
-    w.field("name", "simd_calibration_yield_12bit");
-    w.key("config").begin_object();
-    w.field("nbits", spec.nbits);
-    w.field("binary_bits", spec.binary_bits);
-    w.field("sigma_unit", cal_sigma);
-    w.field("chips", simd_cal_chips);
-    w.field("seed", static_cast<std::int64_t>(seed));
-    w.field("cal_range_lsb", cal_opts.range_lsb);
-    w.field("cal_bits", cal_opts.bits);
-    w.field("backend", mathx::simd_backend_name(simd_backend));
-    w.field("lanes", mathx::simd_lane_width(simd_backend));
-    w.end_object();
-    w.key("simd").begin_object();
-    w.field("chips", simd_cal.chips);
-    w.field("yield_before", simd_cal.yield_before);
-    w.field("yield_after", simd_cal.yield_after);
-    w.field("chips_per_s", simd_cal.stats.items_per_second);
-    w.field("wall_s", simd_cal.stats.wall_seconds);
-    w.end_object();
-    w.key("scalar").begin_object();
-    w.field("chips", scalar_cal.chips);
-    w.field("yield_before", scalar_cal.yield_before);
-    w.field("yield_after", scalar_cal.yield_after);
-    w.field("chips_per_s", scalar_cal.stats.items_per_second);
-    w.field("wall_s", scalar_cal.stats.wall_seconds);
-    w.end_object();
-    w.field("simd_speedup", simd_cal_speedup);
-    w.end_object();
-  }
-
-  // --- Runtime cache: cold (compute + store) vs warm (pure hit) ---------
-  {
-    const int cache_chips = smoke ? 300 : 2000;
-    std::printf("runtime_cache_inl_yield: %d chips cold vs warm ...\n",
-                cache_chips);
-    runtime::InlYieldJob inl_job;
-    inl_job.spec = spec;
-    inl_job.sigma_unit = sigma;
-    inl_job.chips = cache_chips;
-    inl_job.seed = seed;
-    if (!bench_cache_job(w, "runtime_cache_inl_yield", inl_job, cache_chips,
-                         threads)) {
-      return 1;
-    }
-
-    const int cache_cal_chips = smoke ? 150 : 800;
-    std::printf("runtime_cache_cal_yield: %d chips cold vs warm ...\n",
-                cache_cal_chips);
-    runtime::CalYieldJob cal_job;
-    cal_job.spec = spec;
-    cal_job.sigma_unit = cal_sigma;
-    cal_job.cal = cal_opts;
-    cal_job.chips = cache_cal_chips;
-    cal_job.seed = seed;
-    if (!bench_cache_job(w, "runtime_cache_cal_yield", cal_job,
-                         cache_cal_chips, threads)) {
-      return 1;
-    }
-  }
 
   // --- Rare-event estimators at the 99.99%-yield tail -------------------
   // Sigma is chosen FROM the bridge surrogate so the true failure
@@ -635,27 +277,11 @@ int main(int argc, char** argv) {
     arch_spec.nbits = 10;
     arch_spec.binary_bits = 3;
 
-    const int dyn_mc_chips = smoke ? 8 : 32;
-    std::printf("runtime_cache_dyn_spectrum: %d timing chips cold vs warm "
-                "...\n",
-                dyn_mc_chips);
-    runtime::DynSpectrumJob dyn_job;
-    dyn_job.spec = arch_spec;
-    dyn_job.timing.sigma_t = 60e-12;
-    dyn_job.timing.oversample = smoke ? 8 : 16;
-    dyn_job.n_samples = 256;
-    dyn_job.cycles = 21;
-    dyn_job.chips = dyn_mc_chips;
-    dyn_job.seed = seed;
-    if (!bench_cache_job(w, "runtime_cache_dyn_spectrum", dyn_job,
-                         dyn_mc_chips, threads)) {
-      return 1;
-    }
-
     runtime::ArchCompareJob cmp;
     cmp.spec = arch_spec;
     cmp.sigma_unit = 0.02;
-    cmp.timing = dyn_job.timing;
+    cmp.timing.sigma_t = 60e-12;
+    cmp.timing.oversample = smoke ? 8 : 16;
     cmp.n_samples = 256;
     cmp.cycles = 21;
     cmp.chips = smoke ? 200 : 1000;
@@ -883,11 +509,6 @@ int main(int argc, char** argv) {
   out.close();
   std::printf("wrote %s\n", out_path.c_str());
 
-  if (require_simd_speedup > 0.0 && simd_speedup < require_simd_speedup) {
-    std::fprintf(stderr, "FAIL: simd speedup %.2fx below required %.2fx\n",
-                 simd_speedup, require_simd_speedup);
-    return 1;
-  }
   if (require_rare_reduction > 0.0 && rare_reduction < require_rare_reduction) {
     std::fprintf(stderr,
                  "FAIL: IS chip reduction %.0fx below required %.0fx\n",
