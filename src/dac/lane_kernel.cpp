@@ -17,10 +17,6 @@ ChipWorkspaceXN::ChipWorkspaceXN(const core::DacSpec& s, int nlanes)
   const auto ll = static_cast<std::size_t>(lanes);
   const auto nu = static_cast<std::size_t>(spec.num_unary());
   const auto nb = static_cast<std::size_t>(spec.binary_bits);
-  trim.errors.unary.reserve(nu);
-  trim.errors.binary.reserve(nb);
-  trim.trimmed.unary.reserve(nu);
-  trim.trimmed.binary.reserve(nb);
   unary.resize(nu * ll, 0.0);
   binary.resize(nb * ll, 0.0);
   trimmed_unary.resize(nu * ll, 0.0);
@@ -29,6 +25,22 @@ ChipWorkspaceXN::ChipWorkspaceXN(const core::DacSpec& s, int nlanes)
   z.resize((nu + nb) * ll, 0.0);
   polar.resize((nu + nb) * ll, 0.0);
   amp.resize(nu * ll, 0.0);
+  const std::size_t n = std::size_t{1} << spec.nbits;
+  double sxx;
+  if (n <= (std::size_t{1} << 17)) {
+    const auto m = static_cast<std::int64_t>(n) - 1;
+    x_sum = static_cast<double>(m * (m + 1) / 2);
+    sxx = static_cast<double>(m * (m + 1) * (2 * m + 1) / 6);
+  } else {
+    x_sum = 0.0;
+    sxx = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto x = static_cast<double>(i);
+      x_sum += x;
+      sxx += x * x;
+    }
+  }
+  x_denom = static_cast<double>(n) * sxx - x_sum * x_sum;
 }
 
 namespace detail {
@@ -40,6 +52,8 @@ LaneView lane_view(ChipWorkspaceXN& ws) {
   v.binary_bits = ws.spec.binary_bits;
   v.n_codes = 1 << ws.spec.nbits;
   v.unary_weight = static_cast<double>(ws.spec.unary_weight());
+  v.x_sum = ws.x_sum;
+  v.x_denom = ws.x_denom;
   v.unary = ws.unary.data();
   v.binary = ws.binary.data();
   v.trimmed_unary = ws.trimmed_unary.data();
@@ -49,32 +63,6 @@ LaneView lane_view(ChipWorkspaceXN& ws) {
   v.polar = ws.polar.data();
   v.amp = ws.amp.data();
   return v;
-}
-
-void cal_trim_lanes(ChipWorkspaceXN& ws, int lanes,
-                    const CalibrationOptions& opts, std::uint64_t seed,
-                    std::int64_t chip0) {
-  TrimScratch& s = ws.trim;
-  const auto nu = static_cast<std::size_t>(ws.spec.num_unary());
-  const auto nb = static_cast<std::size_t>(ws.spec.binary_bits);
-  const auto ll = static_cast<std::size_t>(lanes);
-  s.errors.unary.resize(nu);
-  s.errors.binary.resize(nb);
-  for (std::size_t l = 0; l < ll; ++l) {
-    for (std::size_t i = 0; i < nu; ++i) {
-      s.errors.unary[i] = ws.unary[i * ll + l];
-    }
-    for (std::size_t k = 0; k < nb; ++k) {
-      s.errors.binary[k] = ws.binary[k * ll + l];
-    }
-    mathx::stream_rng_into(
-        s.rng, seed,
-        2 * (static_cast<std::uint64_t>(chip0) + l) + 1);
-    calibrate_into(ws.spec, s.errors, opts, s.rng, s.trimmed);
-    for (std::size_t i = 0; i < nu; ++i) {
-      ws.trimmed_unary[i * ll + l] = s.trimmed.unary[i];
-    }
-  }
 }
 
 void throw_bad_sigma() {
@@ -102,9 +90,10 @@ const LaneKernel& scalar_kernel() {
   return k;
 }
 
-/// simd.* instruments, registered eagerly (all three dispatch counters
-/// exist in every exposition, so check_metrics.py can assert "exactly one
-/// is positive").
+/// simd.* and dac.decide.* instruments, registered eagerly (all three
+/// dispatch counters exist in every exposition, so check_metrics.py can
+/// assert "exactly one is positive", and both decide counters exist
+/// wherever a kernel ran, so it can bound the exact-walk share).
 struct SimdMetrics {
   obs::Counter& dispatch_scalar;
   obs::Counter& dispatch_sse2;
@@ -112,6 +101,8 @@ struct SimdMetrics {
   obs::Counter& lanes_utilized;
   obs::Counter& chips_scalar_tail;
   obs::Gauge& lane_width;
+  obs::Counter& decide_lanes;
+  obs::Counter& decide_exact_lanes;
 
   static SimdMetrics& get() {
     static SimdMetrics m{
@@ -130,6 +121,12 @@ struct SimdMetrics {
             "scalar dispatch)"),
         obs::Registry::global().gauge(
             "simd.lane_width", "lanes of the most recently dispatched kernel"),
+        obs::Registry::global().counter(
+            "dac.decide.lanes", "chip verdicts decided by the lane kernels"),
+        obs::Registry::global().counter(
+            "dac.decide.exact_lanes",
+            "chip verdicts taken from the exact code walk (metric within "
+            "its rounding bound of the limit)"),
     };
     return m;
   }
@@ -156,6 +153,16 @@ void record_lane_run(const LaneKernel& k, std::int64_t vector_chips,
 }
 
 }  // namespace
+
+namespace detail {
+
+void count_decisions(int lanes, int exact_lanes) {
+  SimdMetrics& m = SimdMetrics::get();
+  m.decide_lanes.add(lanes);
+  if (exact_lanes > 0) m.decide_exact_lanes.add(exact_lanes);
+}
+
+}  // namespace detail
 
 const LaneKernel* lane_kernel(mathx::SimdBackend backend) {
   switch (backend) {

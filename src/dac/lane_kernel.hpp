@@ -1,10 +1,15 @@
 // Chip-per-lane Monte-Carlo kernels, the one chip implementation of the
 // static yield estimators. A LaneKernel evaluates `lanes` consecutive chips
 // at once, one chip per vector lane, with every lane performing the scalar
-// chip arithmetic in the scalar order — so the per-chip metrics are
-// bit-identical to the allocating draw_source_errors → (calibrate →)
-// SegmentedDac::transfer → analyze_transfer chain on the same streams,
-// which the equivalence tests enforce with EXPECT_EQ. The blocks:
+// chip arithmetic in the scalar order — so the per-chip draws, trims and
+// transfer tables are bit-identical to the allocating draw_source_errors →
+// (calibrate →) SegmentedDac::transfer chain on the same streams. Each
+// chip ends in a pass/fail verdict, max|INL| (or max|DNL|) < limit, which
+// equals the verdict of analyze_transfer's maxima on that chain: the
+// kernels decide from the segmented decomposition of the transfer and walk
+// every code exactly only for a chip whose metric lies within a certified
+// rounding bound of the limit (LaneKernelImpl::decide_block). The
+// equivalence tests enforce both with EXPECT_EQ. The blocks:
 //
 //   mc_block     brute-force INL/DNL chips (inl_yield_mc, dnl_yield_mc)
 //   cal_block    pre/post-calibration chips (calibration_yield_mc)
@@ -37,14 +42,9 @@ namespace csdac::dac {
 /// stack output arrays with this.
 inline constexpr int kMaxSimdLanes = 4;
 
-/// One chip's scratch for the scalar calibration trim (calibrate_into
-/// reads and writes nothing else), so a lane workspace carries no 2^n
-/// per-chip arrays.
-struct TrimScratch {
-  mathx::Xoshiro256 rng{0};  ///< re-seeded per lane via stream_rng_into
-  SourceErrors errors;       ///< the lane's gathered mismatch draw
-  SourceErrors trimmed;      ///< calibrate_into's output
-};
+/// What a chip's verdict compares with its limit: max|INL| or max|DNL|,
+/// in LSB of the chip's own reference line.
+enum class ChipMetric { kInl, kDnl };
 
 /// Per-worker scratch for the lane-batched MC path. Arrays are
 /// lane-interleaved — element i of lane l lives at [i * lanes + l], so one
@@ -58,7 +58,11 @@ struct ChipWorkspaceXN {
 
   core::DacSpec spec;   ///< validated copy
   int lanes;            ///< chips per block (the widest kernel it serves)
-  TrimScratch trim;     ///< calibration trim gather/scatter
+  /// The best-fit line's lane-independent x statistics over codes
+  /// 0 .. 2^n - 1, computed once with analyze_levels_summary's branches:
+  /// sum x, and n * sum x^2 - (sum x)^2.
+  double x_sum = 0.0;
+  double x_denom = 0.0;
   std::vector<double> unary;          ///< num_unary() x lanes mismatch draw
   std::vector<double> binary;         ///< binary_bits x lanes
   std::vector<double> trimmed_unary;  ///< post-calibration unary weights
@@ -66,7 +70,8 @@ struct ChipWorkspaceXN {
   std::vector<double> binsum;         ///< 2^b x lanes partial sums
   /// (num_unary()+binary_bits) x lanes standard normal draws in stream
   /// order: the unary draws (rows 0..num_unary()-1, tilted in place by the
-  /// rare-event blocks), then the binary ones.
+  /// rare-event blocks), then the binary ones. The calibration trim reuses
+  /// the first num_unary() rows for its measurement-noise draws.
   std::vector<double> z;
   std::vector<double> polar;          ///< z-sized normal_batch_xN scratch
   std::vector<double> amp;            ///< num_unary() x lanes mode amplitudes
@@ -83,6 +88,8 @@ struct LaneView {
   int binary_bits = 0;
   int n_codes = 0;
   double unary_weight = 0.0;
+  double x_sum = 0.0;    ///< ChipWorkspaceXN::x_sum
+  double x_denom = 0.0;  ///< ChipWorkspaceXN::x_denom
   double* unary = nullptr;
   double* binary = nullptr;
   double* trimmed_unary = nullptr;
@@ -123,18 +130,20 @@ struct LaneKernel {
   int lanes = 1;
 
   /// Evaluates chips [chip0, chip0 + lanes): per-lane mismatch draw
-  /// (stream chip0 + l), transfer, INL/DNL maxima into out[0..lanes).
-  /// Bit-identical to analyze_transfer(SegmentedDac(spec,
-  /// draw_source_errors(spec, sigma_unit, stream_rng(seed, chip0 + l)))
-  /// .transfer(), ref)'s maxima.
+  /// (stream chip0 + l), transfer, and pass[l] = metric < limit, where
+  /// metric is max|INL| or max|DNL| against `ref`. The verdict equals the
+  /// one analyze_transfer(SegmentedDac(spec, draw_source_errors(spec,
+  /// sigma_unit, stream_rng(seed, chip0 + l))).transfer(), ref)'s maxima
+  /// give.
   void (*mc_block)(ChipWorkspaceXN& ws, double sigma_unit,
                    std::uint64_t seed, std::int64_t chip0, InlReference ref,
-                   StaticSummary* out) = nullptr;
+                   ChipMetric metric, double limit, bool* pass) = nullptr;
 
   /// Calibration chip block: per-lane draw (stream 2*(chip0+l)), pre-cal
-  /// pass/fail, scalar per-lane trim (stream 2*(chip0+l)+1), post-cal
-  /// pass/fail. Bit-identical to the allocating chain with calibrate
-  /// between the two analyses (see calibration_yield_mc).
+  /// pass/fail, the vector trim (noise on stream 2*(chip0+l)+1, trimmed
+  /// unary weights left in ws.trimmed_unary), post-cal pass/fail. The
+  /// trimmed weights are bit-identical to calibrate's and the verdicts
+  /// equal the allocating chain's (see calibration_yield_mc).
   void (*cal_block)(ChipWorkspaceXN& ws, double sigma_unit,
                     const CalibrationOptions& opts, std::uint64_t seed,
                     std::int64_t chip0, double inl_limit, bool* pass_before,
@@ -165,6 +174,20 @@ struct LaneKernel {
   void (*draw_bits)(std::uint64_t seed, std::uint64_t index0,
                     std::uint64_t stride, int count,
                     std::uint64_t* out) = nullptr;
+
+  /// Test hooks on mc_block's chips (same draw, same transfer tables).
+  /// mc_values: the exact walk's maxima, bit-identical to
+  /// analyze_transfer's. mc_bounds: the segmented decomposition's maxima
+  /// and their certified bounds, each at least 4x the distance from the
+  /// exact walk's value (+inf where the gain is not certified nonzero).
+  void (*mc_values)(ChipWorkspaceXN& ws, double sigma_unit,
+                    std::uint64_t seed, std::int64_t chip0, InlReference ref,
+                    StaticSummary* out) = nullptr;
+  void (*mc_bounds)(ChipWorkspaceXN& ws, double sigma_unit,
+                    std::uint64_t seed, std::int64_t chip0, InlReference ref,
+                    StaticSummary* fast, StaticSummary* bound) = nullptr;
+  /// Test hook: the trim's std::round on lanes values, in[l] -> out[l].
+  void (*round_half_away)(const double* in, double* out) = nullptr;
 };
 
 /// Kernel for a specific backend, or nullptr if this build/CPU cannot run
@@ -187,17 +210,9 @@ const LaneKernel* lane_kernel_avx2();
 /// Raw-pointer view of ws (out-of-line; see LaneView).
 LaneView lane_view(ChipWorkspaceXN& ws);
 
-/// Scalar per-lane calibration trim for a `lanes`-wide kernel: gathers
-/// lane l's mismatch draw (lane stride `lanes`, which may be less than
-/// ws.lanes) into ws.trim.errors, runs the real calibrate_into on the
-/// (seed, 2*(chip0+l)+1) stream, scatters the trimmed unary weights into
-/// ws.trimmed_unary at the same stride. Scalar because the trim rounds
-/// with std::round (half-away-from-zero) while SIMD rounding is
-/// to-nearest-even — the one step of the chip pipeline with no
-/// bit-identical vector equivalent.
-void cal_trim_lanes(ChipWorkspaceXN& ws, int lanes,
-                    const CalibrationOptions& opts, std::uint64_t seed,
-                    std::int64_t chip0);
+/// Records one decide_block call in the dac.decide.* counters: `lanes`
+/// verdicts, `exact_lanes` of them taken from the exact walk.
+void count_decisions(int lanes, int exact_lanes);
 
 /// One block of a lane-block run: evaluates unit * k.lanes items from `lo`
 /// on kernel k in workspace ws and returns how many of them passed.
@@ -214,7 +229,9 @@ using LaneBlockFn = std::function<std::int64_t(
 /// scalar backend is the width-1 kernel, so there every block is full.
 /// Records the run in the simd.* metrics: simd.dispatch.<backend>, the
 /// chips through vector lanes (simd.lanes_utilized) and through the width-1
-/// kernel (simd.chips_scalar_tail), and the simd.lane_width gauge.
+/// kernel (simd.chips_scalar_tail), and the simd.lane_width gauge. The
+/// kernels themselves count their verdicts in dac.decide.lanes and
+/// dac.decide.exact_lanes (count_decisions).
 mathx::YieldRun run_lane_blocks(const core::DacSpec& spec,
                                 const mathx::EarlyStopOptions& opts,
                                 int threads, int unit,

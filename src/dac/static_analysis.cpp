@@ -163,12 +163,11 @@ YieldEstimate run_mc(const core::DacSpec& spec, double sigma_unit,
   const mathx::YieldRun r = detail::run_lane_blocks(
       spec, es, threads, /*unit=*/1,
       [&](const LaneKernel& k, ChipWorkspaceXN& ws, std::int64_t lo) {
-        StaticSummary s[kMaxSimdLanes];
-        k.mc_block(ws, sigma_unit, seed, lo, ref, s);
+        bool pass[kMaxSimdLanes];
+        k.mc_block(ws, sigma_unit, seed, lo, ref,
+                   use_inl ? ChipMetric::kInl : ChipMetric::kDnl, limit, pass);
         std::int64_t passed = 0;
-        for (int l = 0; l < k.lanes; ++l) {
-          if ((use_inl ? s[l].inl_max : s[l].dnl_max) < limit) ++passed;
-        }
+        for (int l = 0; l < k.lanes; ++l) passed += pass[l] ? 1 : 0;
         return passed;
       },
       count_allocs);

@@ -135,7 +135,7 @@ TEST(GoldenStatic12Bit, LaneKernelMatchesAllocatingChain) {
     ChipWorkspaceXN ws(spec, k->lanes);
     for (std::int64_t chip0 = 0; chip0 < 8; chip0 += k->lanes) {
       StaticSummary s[kMaxSimdLanes];
-      k->mc_block(ws, 0.0026, 1212, chip0, InlReference::kBestFit, s);
+      k->mc_values(ws, 0.0026, 1212, chip0, InlReference::kBestFit, s);
       for (int l = 0; l < k->lanes; ++l) {
         const StaticMetrics m = analyze_transfer(oracle::chip_transfer(
             spec, 0.0026, 1212, static_cast<std::uint64_t>(chip0 + l)));

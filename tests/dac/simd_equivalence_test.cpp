@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "chip_oracle.hpp"
@@ -121,7 +123,12 @@ TEST(SimdEquivalence, McBlockMatchesScalarChips) {
       for (auto ref : {InlReference::kEndpoint, InlReference::kBestFit}) {
         for (std::int64_t chip0 : {0, 7}) {
           StaticSummary out[kMaxSimdLanes];
-          k->mc_block(ws, kSigma, kSeed, chip0, ref, out);
+          k->mc_values(ws, kSigma, kSeed, chip0, ref, out);
+          bool inl_pass[kMaxSimdLanes], dnl_pass[kMaxSimdLanes];
+          k->mc_block(ws, kSigma, kSeed, chip0, ref, ChipMetric::kInl, 0.5,
+                      inl_pass);
+          k->mc_block(ws, kSigma, kSeed, chip0, ref, ChipMetric::kDnl, 0.5,
+                      dnl_pass);
           for (int l = 0; l < k->lanes; ++l) {
             const StaticMetrics want = analyze_transfer(
                 oracle::chip_transfer(
@@ -132,6 +139,12 @@ TEST(SimdEquivalence, McBlockMatchesScalarChips) {
                 << simd_backend_name(b) << " nbits=" << spec.nbits
                 << " b=" << spec.binary_bits << " chip " << chip0 + l;
             EXPECT_EQ(out[l].dnl_max, want.dnl_max)
+                << simd_backend_name(b) << " nbits=" << spec.nbits
+                << " b=" << spec.binary_bits << " chip " << chip0 + l;
+            EXPECT_EQ(inl_pass[l], want.inl_max < 0.5)
+                << simd_backend_name(b) << " nbits=" << spec.nbits
+                << " b=" << spec.binary_bits << " chip " << chip0 + l;
+            EXPECT_EQ(dnl_pass[l], want.dnl_max < 0.5)
                 << simd_backend_name(b) << " nbits=" << spec.nbits
                 << " b=" << spec.binary_bits << " chip " << chip0 + l;
           }
@@ -179,6 +192,43 @@ TEST(SimdEquivalence, CalBlockMatchesScalarChips) {
             }
           }
         }
+      }
+    }
+  }
+}
+
+// The calibration trim rounds with std::round (half away from zero), which
+// the vector trim rebuilds from basic operations: ties away from zero, the
+// sign of a zero and of a small negative, and magnitudes around 2^52 where
+// the rounding trick stops applying must all match it bit for bit.
+TEST(SimdEquivalence, TrimRoundMatchesStdRound) {
+  std::vector<double> xs = {0.5,  1.5,  2.5,  -0.5, -1.5, -2.5, 0.0, -0.0,
+                            0.49999999999999994, -0.49999999999999994,
+                            0.3,  -0.3, 1e-300, -1e-300, 7.25, -7.75};
+  for (double k = 0.0; k < 40.0; k += 1.0) {
+    xs.push_back(k + 0.5);
+    xs.push_back(-(k + 0.5));
+  }
+  for (double e : {0x1p52 - 1.0, 0x1p52, 0x1p52 + 1.0, 0x1p52 - 0.5,
+                   0x1p51 + 0.5, 0x1p53 + 2.0, 1e300}) {
+    xs.push_back(e);
+    xs.push_back(-e);
+  }
+  xs.push_back(std::numeric_limits<double>::infinity());
+  xs.push_back(-std::numeric_limits<double>::infinity());
+  for (SimdBackend b : kAllBackends) {
+    const LaneKernel* k = lane_kernel(b);
+    if (k == nullptr || b > mathx::simd_detect()) continue;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      double in[kMaxSimdLanes], out[kMaxSimdLanes];
+      // Each value in every lane position, the others filled with
+      // neighbours, so a lane mix-up shows.
+      for (int l = 0; l < k->lanes; ++l) in[l] = xs[(i + l) % xs.size()];
+      k->round_half_away(in, out);
+      for (int l = 0; l < k->lanes; ++l) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[l]),
+                  std::bit_cast<std::uint64_t>(std::round(in[l])))
+            << simd_backend_name(b) << " lane " << l << " x=" << in[l];
       }
     }
   }
@@ -280,7 +330,7 @@ TEST(SimdEquivalence, IsAndStratBlocksMatchWidthOne) {
 
 // The lane workspace holds no per-code array: the kernels form each level
 // from the unary prefix sums and the 2^b binary partial sums, and the
-// calibration trim scratch keeps only one chip's draw. A 20-bit
+// calibration trim works in the draw's own rows. A 20-bit
 // converter's workspace therefore stays far below a single 2^20-code lane
 // array (32 MiB at four lanes).
 TEST(LaneWorkspace, DoesNotScaleWithCodeCount) {

@@ -24,7 +24,10 @@ Modes:
       must all be present with at least one Monte-Carlo run recorded.
       --expect-simd additionally pins WHICH backend ran: that backend's
       counter must be positive and the other two zero (used by CI to
-      prove the CSDAC_SIMD override reached the kernels).
+      prove the CSDAC_SIMD override reached the kernels). The lane
+      kernels' verdict counters (csdac_dac_decide_lanes_total and
+      csdac_dac_decide_exact_lanes_total) must be present too, and the
+      verdicts taken from the exact code walk at most 1 % of them.
   check_metrics.py --cold COLD.prom --warm WARM.prom
       Additionally asserts the warm run recomputed nothing: the warm dump
       must show csdac_cache_misses_total == 0,
@@ -308,6 +311,19 @@ def check_cold(path, samples):
         if counter(samples, "csdac_cache_misses_total") < 1:
             fail(f"{path}: cold run shows no cache misses")
     check_simd(path, samples)
+    check_decide(path, samples)
+
+
+def check_decide(path, samples):
+    """The lane kernels decide a chip from the segmented decomposition of
+    its transfer and walk every code only when its metric lies within the
+    decomposition's rounding bound of the limit. That must stay rare, or
+    the kernels have lost their speed without any result changing."""
+    lanes = counter(samples, "csdac_dac_decide_lanes_total")
+    exact = counter(samples, "csdac_dac_decide_exact_lanes_total")
+    if exact > 0.01 * lanes:
+        fail(f"{path}: {int(exact)} of {int(lanes)} chip verdicts took the "
+             f"exact code walk (more than 1 %)")
 
 
 def check_simd(path, samples, expect=None):
