@@ -10,14 +10,6 @@
 
 namespace csdac::dac {
 
-SourceErrors calibrate(const core::DacSpec& spec, const SourceErrors& chip,
-                       const CalibrationOptions& opts,
-                       mathx::Xoshiro256& rng) {
-  SourceErrors out;
-  calibrate_into(spec, chip, opts, rng, out);
-  return out;
-}
-
 void CalibrationOptions::validate() const {
   if (!(range_lsb > 0.0) || bits < 1 || bits > 20 ||
       !(measure_noise_lsb >= 0.0)) {
@@ -25,12 +17,11 @@ void CalibrationOptions::validate() const {
   }
 }
 
-void calibrate_into(const core::DacSpec& spec, const SourceErrors& chip,
-                    const CalibrationOptions& opts, mathx::Xoshiro256& rng,
-                    SourceErrors& out) {
+SourceErrors calibrate(const core::DacSpec& spec, const SourceErrors& chip,
+                       const CalibrationOptions& opts,
+                       mathx::Xoshiro256& rng) {
   opts.validate();
-  out.unary = chip.unary;
-  out.binary = chip.binary;
+  SourceErrors out = chip;
   const double nominal = spec.unary_weight();
   const double half_range = 0.5 * opts.range_lsb;
   const double step = opts.step_lsb();
@@ -47,6 +38,7 @@ void calibrate_into(const core::DacSpec& spec, const SourceErrors& chip,
                     half_range);
     w += trim;
   }
+  return out;
 }
 
 namespace {

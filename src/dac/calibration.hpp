@@ -35,16 +35,11 @@ struct CalibrationOptions {
 
 /// Applies calibration to every unary source (the binary sources are left
 /// untouched — their INL contribution is bounded by the segmentation).
-/// Returns the post-calibration source errors.
+/// Returns the post-calibration source errors. The lane kernels' trim
+/// (LaneKernelImpl::trim_block) repeats its arithmetic bit for bit.
 SourceErrors calibrate(const core::DacSpec& spec, const SourceErrors& chip,
                        const CalibrationOptions& opts,
                        mathx::Xoshiro256& rng);
-
-/// Allocation-free calibrate into a preallocated SourceErrors (capacity is
-/// kept across calls; `out` must not alias `chip`). Bit-identical trims.
-void calibrate_into(const core::DacSpec& spec, const SourceErrors& chip,
-                    const CalibrationOptions& opts, mathx::Xoshiro256& rng,
-                    SourceErrors& out);
 
 /// Monte-Carlo INL yield with calibration in the loop.
 struct CalibratedYield {

@@ -9,7 +9,7 @@
 // floating-point operations of the scalar chip pipeline —
 // draw_source_errors (the sigma_unit*sqrt(w) coefficient is one rounded
 // product, computed once in scalar and broadcast, exactly as the scalar
-// expression associates), calibrate_into's trim (trim_block, with std::round
+// expression associates), calibrate's trim (trim_block, with std::round
 // rebuilt from basic operations), SegmentedDac's levels (same unary prefix
 // sums; the binary partial sums tabulated by top set bit, which reproduces
 // the ascending-bit accumulation of SegmentedDac::level), and
@@ -479,11 +479,11 @@ struct LaneKernelImpl {
     return Ops::uset1(std::uint64_t{1} << 63);
   }
 
-  /// calibrate_into's trim, one chip per lane, from v.unary into
+  /// calibrate's trim, one chip per lane, from v.unary into
   /// v.trimmed_unary. The measurement-noise draws come from the
   /// (seed, 2*(chip0+l)+1) streams through normal_batch_xN into v.z (free
   /// once the unary weights are drawn), and each source takes
-  /// calibrate_into's operations in its order: (w - nominal) + (0.0 +
+  /// calibrate's operations in its order: (w - nominal) + (0.0 +
   /// noise * z), divided by the step, round_half_away, times the step,
   /// std::clamp's two comparisons, negated (sign flip), added to w.
   static void trim_block(const LaneView& v, const CalibrationOptions& opts,

@@ -129,20 +129,6 @@ TEST(Calibration, WorkspaceKernelBitIdenticalToLegacyAcrossThreads) {
   }
 }
 
-TEST(Calibration, CalibrateIntoMatchesCalibrate) {
-  const auto spec = spec12();
-  mathx::Xoshiro256 draw_rng(44);
-  const auto raw = draw_source_errors(spec, 0.01, draw_rng);
-  CalibrationOptions opts;
-  opts.measure_noise_lsb = 0.1;
-  mathx::Xoshiro256 a(7), b(7);
-  const auto expected = calibrate(spec, raw, opts, a);
-  SourceErrors out;
-  calibrate_into(spec, raw, opts, b, out);
-  EXPECT_EQ(out.unary, expected.unary);
-  EXPECT_EQ(out.binary, expected.binary);
-}
-
 TEST(Calibration, BinarySourcesUntouched) {
   const auto spec = spec12();
   mathx::Xoshiro256 rng(9);
