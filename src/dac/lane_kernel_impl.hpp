@@ -301,10 +301,9 @@ struct LaneKernelImpl {
   // since fmax alone can drop a NaN.
   static Decomposed decompose(const LaneView& v, InlReference ref) {
     constexpr double u = 0x1p-53;
-    const int n = v.n_codes;
     const int nb = 1 << v.binary_bits;
     const int np = v.num_unary + 1;
-    const auto nd = static_cast<double>(n);
+    const auto nd = static_cast<double>(v.n_codes);
     const F64 zero = Ops::fset1(0.0);
     const F64 one = Ops::fset1(1.0);
     const double* P = v.unary_prefix;
@@ -313,7 +312,8 @@ struct LaneKernelImpl {
 
     // Binary half: sums, max|B|, inner steps (np >= 2, so a boundary step
     // seeds the step extremes).
-    F64 dmin = Ops::fsub(Ops::fsub(Ops::floadu(P + L), Ops::floadu(P)), b_top);
+    F64 dmin =
+        Ops::fsub(Ops::fsub(Ops::floadu(P + L), Ops::floadu(P)), b_top);
     F64 dmax = dmin;
     F64 sb = zero, sbd = zero, bmax = zero, prev = zero;
     const std::int64_t d0 = std::int64_t{nb} * np * (np - 1) / 2;
@@ -321,9 +321,8 @@ struct LaneKernelImpl {
       const F64 bj = Ops::floadu(B + j * L);
       bmax = Ops::fmax(bmax, Ops::fabs(bj));
       sb = Ops::fadd(sb, bj);
-      sbd = Ops::fadd(
-          sbd, Ops::fmul(Ops::fset1(static_cast<double>(d0 + std::int64_t{np} * j)),
-                         bj));
+      const auto d_j = static_cast<double>(d0 + std::int64_t{np} * j);
+      sbd = Ops::fadd(sbd, Ops::fmul(Ops::fset1(d_j), bj));
       if (j > 0) {
         const F64 d = Ops::fsub(bj, prev);
         dmin = Ops::fmin(dmin, d);
@@ -339,8 +338,8 @@ struct LaneKernelImpl {
       const F64 pk = Ops::floadu(P + k * L);
       pmax = Ops::fmax(pmax, Ops::fabs(pk));
       sp = Ops::fadd(sp, pk);
-      spc = Ops::fadd(
-          spc, Ops::fmul(Ops::fset1(static_cast<double>(c0 + nb2 * k)), pk));
+      const auto c_k = static_cast<double>(c0 + nb2 * k);
+      spc = Ops::fadd(spc, Ops::fmul(Ops::fset1(c_k), pk));
       if (k > 1) {
         const F64 d =
             Ops::fsub(Ops::fsub(pk, Ops::floadu(P + (k - 1) * L)), b_top);
@@ -387,7 +386,8 @@ struct LaneKernelImpl {
     for (int k = 0; k < np; ++k) {
       const F64 a = Ops::fsub(
           Ops::floadu(P + k * L),
-          Ops::fadd(offset, Ops::fmul(gain, Ops::fset1(double(k) * nb))));
+          Ops::fadd(offset,
+                    Ops::fmul(gain, Ops::fset1(static_cast<double>(k) * nb))));
       rmax = Ops::fmax(rmax, Ops::fmax(Ops::fabs(Ops::fadd(a, cmax)),
                                        Ops::fabs(Ops::fadd(a, cmin))));
     }
@@ -400,8 +400,9 @@ struct LaneKernelImpl {
     const F64 t = Ops::fadd(
         Ops::fadd(m, Ops::fadd(Ops::fabs(offset), doff)),
         Ops::fmul(Ops::fadd(ag, dg), Ops::fset1(nd - 1.0)));
-    const F64 dr = Ops::fadd(Ops::fmul(Ops::fset1(2.0 * gamma(4.0)), t),
-                             Ops::fadd(doff, Ops::fmul(Ops::fset1(nd - 1.0), dg)));
+    const F64 dr =
+        Ops::fadd(Ops::fmul(Ops::fset1(2.0 * gamma(4.0)), t),
+                  Ops::fadd(doff, Ops::fmul(Ops::fset1(nd - 1.0), dg)));
     const F64 g_lo = Ops::fsub(ag, dg);
     const F64 scale = Ops::fset1(4.0 * (1.0 + 32.0 * u));
     const F64 inl_b = Ops::fadd(
@@ -454,6 +455,10 @@ struct LaneKernelImpl {
     detail::count_decisions(L, exact);
   }
 
+  static typename Ops::U64 sign_bit() {
+    return Ops::uset1(std::uint64_t{1} << 63);
+  }
+
   /// std::round per lane (half away from zero) from IEEE basic operations
   /// and bit casts, bit for bit: |x| + 2^52 - 2^52 is |x| rounded to the
   /// nearest even integer (exact below 2^52, where it is used; larger
@@ -473,10 +478,6 @@ struct LaneKernelImpl {
                                   zero, one));
     return Ops::as_f64(
         Ops::uor(Ops::as_u64(t), Ops::uand(Ops::as_u64(x), sign_bit())));
-  }
-
-  static typename Ops::U64 sign_bit() {
-    return Ops::uset1(std::uint64_t{1} << 63);
   }
 
   /// calibrate's trim, one chip per lane, from v.unary into
@@ -549,7 +550,8 @@ struct LaneKernelImpl {
                         std::uint64_t seed, std::int64_t chip0,
                         InlReference ref, StaticSummary* fast,
                         StaticSummary* bound) {
-    const Decomposed d = decompose(mc_chips(ws, sigma_unit, seed, chip0), ref);
+    const Decomposed d =
+        decompose(mc_chips(ws, sigma_unit, seed, chip0), ref);
     double a[4][L];
     Ops::fstoreu(a[0], d.inl);
     Ops::fstoreu(a[1], d.dnl);

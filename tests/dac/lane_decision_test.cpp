@@ -80,11 +80,14 @@ TEST(LaneDecision, DecomposedMetricsWithinQuarterBound) {
               StaticSummary exact[kMaxSimdLanes], fast[kMaxSimdLanes],
                   bound[kMaxSimdLanes];
               k->mc_values(ws, scale * unit, kSeed, chip0, ref, exact);
-              k->mc_bounds(ws, scale * unit, kSeed, chip0, ref, fast, bound);
+              k->mc_bounds(ws, scale * unit, kSeed, chip0, ref, fast,
+                           bound);
               for (int l = 0; l < k->lanes; ++l) {
                 ++chips;
-                const double d_inl = std::abs(fast[l].inl_max - exact[l].inl_max);
-                const double d_dnl = std::abs(fast[l].dnl_max - exact[l].dnl_max);
+                const double d_inl =
+                    std::abs(fast[l].inl_max - exact[l].inl_max);
+                const double d_dnl =
+                    std::abs(fast[l].dnl_max - exact[l].dnl_max);
                 ASSERT_TRUE(std::isfinite(bound[l].inl_max) &&
                             std::isfinite(bound[l].dnl_max))
                     << "nbits=" << nbits << " b=" << b << " scale=" << scale
@@ -133,16 +136,18 @@ TEST(LaneDecision, LimitsAtTheExactMetricFallBackAndMatchTheOracle) {
                         static_cast<std::uint64_t>(chip0 + l)),
                     ref);
               }
-              for (ChipMetric metric : {ChipMetric::kInl, ChipMetric::kDnl}) {
+              for (ChipMetric metric :
+                   {ChipMetric::kInl, ChipMetric::kDnl}) {
                 const auto value = [&](int l) {
                   return metric == ChipMetric::kInl ? want[l].inl_max
                                                     : want[l].dnl_max;
                 };
                 for (int target = 0; target < k->lanes; ++target) {
                   const double e = value(target);
-                  constexpr double kInf = std::numeric_limits<double>::infinity();
-                  for (double limit :
-                       {std::nextafter(e, -kInf), e, std::nextafter(e, kInf)}) {
+                  constexpr double kInf =
+                      std::numeric_limits<double>::infinity();
+                  for (double limit : {std::nextafter(e, -kInf), e,
+                                       std::nextafter(e, kInf)}) {
                     const std::int64_t before = exact_lanes.value();
                     bool pass[kMaxSimdLanes];
                     k->mc_block(ws, sigma, kSeed, chip0, ref, metric, limit,
