@@ -23,7 +23,6 @@ ChipWorkspaceXN::ChipWorkspaceXN(const core::DacSpec& s, int nlanes)
   unary_prefix.resize((nu + 1) * ll, 0.0);
   binsum.resize((static_cast<std::size_t>(1) << spec.binary_bits) * ll, 0.0);
   z.resize((nu + nb) * ll, 0.0);
-  polar.resize((nu + nb) * ll, 0.0);
   amp.resize(nu * ll, 0.0);
   const std::size_t n = std::size_t{1} << spec.nbits;
   double sxx;
@@ -60,7 +59,6 @@ LaneView lane_view(ChipWorkspaceXN& ws) {
   v.unary_prefix = ws.unary_prefix.data();
   v.binsum = ws.binsum.data();
   v.z = ws.z.data();
-  v.polar = ws.polar.data();
   v.amp = ws.amp.data();
   return v;
 }

@@ -73,7 +73,6 @@ struct ChipWorkspaceXN {
   /// rare-event blocks), then the binary ones. The calibration trim reuses
   /// the first num_unary() rows for its measurement-noise draws.
   std::vector<double> z;
-  std::vector<double> polar;          ///< z-sized normal_batch_xN scratch
   std::vector<double> amp;            ///< num_unary() x lanes mode amplitudes
 };
 
@@ -96,7 +95,6 @@ struct LaneView {
   double* unary_prefix = nullptr;
   double* binsum = nullptr;
   double* z = nullptr;
-  double* polar = nullptr;
   double* amp = nullptr;
 };
 
@@ -169,10 +167,12 @@ struct LaneKernel {
   /// stride*l) substreams, lane-interleaved into out[draw * lanes + l].
   /// Each lane must reproduce the scalar stream_rng / normal sequence;
   /// draw_normals runs the blocks' batched draw, mathx::normal_batch_xN.
+  /// draw_bits first draws `normals` normals (discarded), so its raw words
+  /// show the generator state the batched draw leaves behind.
   void (*draw_normals)(std::uint64_t seed, std::uint64_t index0,
                        std::uint64_t stride, int count, double* out) = nullptr;
   void (*draw_bits)(std::uint64_t seed, std::uint64_t index0,
-                    std::uint64_t stride, int count,
+                    std::uint64_t stride, int normals, int count,
                     std::uint64_t* out) = nullptr;
 
   /// Test hooks on mc_block's chips (same draw, same transfer tables).

@@ -29,13 +29,11 @@
 // limit. The verdicts are equal; the maxima themselves are exact only
 // where the walk ran (decompose documents the bound).
 //
-// Two steps differ in schedule, not in arithmetic. No 2^n levels array is
+// One step differs in schedule, not in arithmetic. No 2^n levels array is
 // stored: analyze_block walks the codes in order and forms each level as
 // unary_prefix[c >> b] + binsum[c & mask], the same single rounded add
-// SegmentedDac::level returns. And the polar draw takes its logs in a vector
-// pass of their own after the rejection loop (mathx::normal_batch_xN), on
-// the same accepted s values the scalar draw would pass to mathx::log; that
-// log is mathx's Ops-templated log_xN, so the lanes match it bit for bit.
+// SegmentedDac::level returns. The normal draws are mathx::normal_batch_xN,
+// the lane instance of the scalar ziggurat, so they match it bit for bit.
 //
 // The rare-event blocks (is_block, strat_block) have no separate scalar
 // body: the width-1 ScalarOps instance is the reference, and every wider
@@ -69,7 +67,7 @@ struct LaneKernelImpl {
                             double sigma_unit) {
     if (!(sigma_unit >= 0.0)) detail::throw_bad_sigma();
     const int nu = v.num_unary;
-    mathx::normal_batch_xN(rng, nu + v.binary_bits, v.z, v.polar);
+    mathx::normal_batch_xN(rng, nu + v.binary_bits, v.z);
     for (int k = 0; k < v.binary_bits; ++k) {
       const double w = std::ldexp(1.0, k);
       const double cw = sigma_unit * std::sqrt(w);
@@ -494,7 +492,7 @@ struct LaneKernelImpl {
     if (noisy) {
       mathx::Xoshiro256xN<Ops> rng;
       rng.seed_streams(seed, 2 * static_cast<std::uint64_t>(chip0) + 1, 2);
-      mathx::normal_batch_xN(rng, v.num_unary, v.z, v.polar);
+      mathx::normal_batch_xN(rng, v.num_unary, v.z);
     }
     const double half_range = 0.5 * opts.range_lsb;
     const F64 zero = Ops::fset1(0.0);
@@ -648,19 +646,16 @@ struct LaneKernelImpl {
                            std::uint64_t stride, int count, double* out) {
     mathx::Xoshiro256xN<Ops> rng;
     rng.seed_streams(seed, index0, stride);
-    // The production batched draw, in chunks sized to a stack scratch.
-    constexpr int kChunk = 64;
-    double scratch[kChunk * L];
-    for (int i = 0; i < count; i += kChunk) {
-      const int c = count - i < kChunk ? count - i : kChunk;
-      mathx::normal_batch_xN(rng, c, out + i * L, scratch);
-    }
+    mathx::normal_batch_xN(rng, count, out);
   }
 
   static void draw_bits(std::uint64_t seed, std::uint64_t index0,
-                        std::uint64_t stride, int count, std::uint64_t* out) {
+                        std::uint64_t stride, int normals, int count,
+                        std::uint64_t* out) {
     mathx::Xoshiro256xN<Ops> rng;
     rng.seed_streams(seed, index0, stride);
+    double row[L];
+    for (int i = 0; i < normals; ++i) mathx::normal_batch_xN(rng, 1, row);
     for (int i = 0; i < count; ++i) Ops::ustoreu(out + i * L, rng.next());
   }
 

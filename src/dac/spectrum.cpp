@@ -52,23 +52,27 @@ SpectrumMetrics spectrum_metrics(const std::vector<double>& samples,
     vwsum += samples[i] * win[i];
   }
   const double mean = wsum > 0.0 ? vwsum / wsum : 0.0;
-  std::vector<mathx::Cplx> x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = mathx::Cplx((samples[i] - mean) * win[i], 0.0);
-  }
+  std::vector<mathx::Cplx> x;
   if (mathx::is_pow2(n)) {
-    mathx::fft_pow2(x);
+    std::vector<double> xr(n);
+    for (std::size_t i = 0; i < n; ++i) xr[i] = (samples[i] - mean) * win[i];
+    mathx::fft_real_pow2(xr, x);
   } else {
+    x.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = mathx::Cplx((samples[i] - mean) * win[i], 0.0);
+    }
     x = mathx::dft(x);
   }
 
   const std::size_t half = n / 2 + 1;
   std::vector<double>& power = bin_power;
   power.resize(half);
+  const double inv_n = 1.0 / static_cast<double>(n);
   for (std::size_t k = 0; k < half; ++k) {
     const double scale = (k == 0 || 2 * k == n) ? 1.0 : 2.0;
-    const double mag = std::abs(x[k]) / static_cast<double>(n);
-    power[k] = scale * mag * mag;
+    const double re = x[k].real() * inv_n, im = x[k].imag() * inv_n;
+    power[k] = scale * (re * re + im * im);
   }
 
   // Locate the fundamental.

@@ -63,8 +63,10 @@ struct SpectrumOptions {
 /// Analyzes a real record sampled at `fs`. The fundamental is located
 /// automatically (largest non-DC bin) unless `fund_bin_hint` is nonzero.
 /// `bin_power` receives the single-sided bin powers (n/2 + 1 entries);
-/// callers that want only the metrics pass a scratch vector.  This is the
-/// one implementation; analyze_spectrum adds the per-bin arrays to it.
+/// callers that want only the metrics pass a scratch vector; each is
+/// scale * (re^2 + im^2) of the bin over n. Power-of-two records go
+/// through mathx::fft_real_pow2, other lengths through mathx::dft. This is
+/// the one implementation; analyze_spectrum adds the per-bin arrays to it.
 SpectrumMetrics spectrum_metrics(const std::vector<double>& samples,
                                  double fs, const SpectrumOptions& opts,
                                  std::size_t fund_bin_hint,

@@ -1,7 +1,9 @@
 // FFT and window functions for spectral analysis of DAC output waveforms.
-// Radix-2 iterative Cooley–Tukey for power-of-two lengths, Bluestein's
-// chirp-z algorithm for arbitrary lengths (needed for coherent captures of
-// "50 periods" style records whose length is not a power of two).
+// Radix-2 iterative Cooley–Tukey for power-of-two lengths (twiddles from a
+// table built once per size with mathx::cos/sin), a half-size real-input
+// transform for real power-of-two records, and Bluestein's chirp-z
+// algorithm for arbitrary lengths (needed for coherent captures of "50
+// periods" style records whose length is not a power of two).
 #pragma once
 
 #include <complex>
@@ -14,6 +16,12 @@ using Cplx = std::complex<double>;
 
 /// In-place forward FFT; n must be a power of two.
 void fft_pow2(std::vector<Cplx>& x, bool inverse = false);
+
+/// Bins 0 .. n/2 of the forward DFT of a real record whose length n is a
+/// power of two >= 2, into `out` (resized to n/2 + 1): one n/2-point
+/// complex FFT of the samples packed pairwise as (even, odd), then the
+/// split into the real transform's bins.
+void fft_real_pow2(const std::vector<double>& x, std::vector<Cplx>& out);
 
 /// Forward DFT of arbitrary length (Bluestein when n is not a power of two).
 std::vector<Cplx> dft(const std::vector<Cplx>& x, bool inverse = false);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "mathx/simd.hpp"
 #include "mathx/transcendental.hpp"
 
 namespace csdac::mathx {
@@ -17,6 +18,58 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   return z ^ (z >> 31);
+}
+
+namespace {
+
+double gauss_density(double x) { return mathx::exp(-0.5 * x * x); }
+
+ZigguratTables build_ziggurat_tables() {
+  // Marsaglia & Tsang's recurrence: layer i + 1 sits where the layer of
+  // width x[i] above f(x[i]) reaches area v.
+  ZigguratTables t;
+  t.x[1] = kZigguratR;
+  t.x[0] = kZigguratV / gauss_density(kZigguratR);
+  for (int i = 2; i < 256; ++i) {
+    t.x[i] = std::sqrt(-2.0 * mathx::log(kZigguratV / t.x[i - 1] +
+                                         gauss_density(t.x[i - 1])));
+  }
+  t.x[256] = 0.0;
+  for (int i = 0; i <= 256; ++i) t.f[i] = gauss_density(t.x[i]);
+  return t;
+}
+
+}  // namespace
+
+const ZigguratTables& ziggurat_tables() {
+  static const ZigguratTables t = build_ziggurat_tables();
+  return t;
+}
+
+double normal_slow(std::uint64_t w, Xoshiro256& rng) {
+  const ZigguratTables& t = ziggurat_tables();
+  for (;;) {
+    const auto i = static_cast<unsigned>(w & 0xff);
+    const bool negative = (w & 0x100) != 0;
+    if (i == 0) {
+      // Beyond r: Marsaglia's tail method.
+      double x, y;
+      do {
+        x = -mathx::log(1.0 - uniform01(rng)) / kZigguratR;
+        y = -mathx::log(1.0 - uniform01(rng));
+      } while (y + y < x * x);
+      const double z = kZigguratR + x;
+      return negative ? -z : z;
+    }
+    // In layer i's wedge: accept under f, else draw afresh.
+    bool inside;
+    const double z = ziggurat_fast<ScalarOps>(t, w, &w, inside);
+    const double y = t.f[i + 1] + (t.f[i] - t.f[i + 1]) * uniform01(rng);
+    if (y < gauss_density(z)) return z;
+    w = rng();
+    const double next = ziggurat_fast<ScalarOps>(t, w, &w, inside);
+    if (inside) return next;
+  }
 }
 
 }  // namespace detail
@@ -81,15 +134,11 @@ double uniform(Xoshiro256& rng, double lo, double hi) {
 }
 
 double normal(Xoshiro256& rng) {
-  // Marsaglia polar method, discarding the second deviate for determinism.
-  for (;;) {
-    const double u = 2.0 * uniform01(rng) - 1.0;
-    const double v = 2.0 * uniform01(rng) - 1.0;
-    const double s = u * u + v * v;
-    if (s > 0.0 && s < 1.0) {
-      return u * std::sqrt(-2.0 * mathx::log(s) / s);
-    }
-  }
+  const std::uint64_t w = rng();
+  bool inside;
+  const double z = detail::ziggurat_fast<ScalarOps>(detail::ziggurat_tables(),
+                                                     w, &w, inside);
+  return inside ? z : detail::normal_slow(w, rng);
 }
 
 double normal(Xoshiro256& rng, double mean, double sigma) {

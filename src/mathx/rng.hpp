@@ -1,12 +1,15 @@
 // Deterministic, platform-independent random number generation for
 // Monte-Carlo mismatch analysis: xoshiro256++ seeded through SplitMix64,
-// with polar-method Gaussian draws (std::normal_distribution is not
+// with ziggurat Gaussian draws (std::normal_distribution is not
 // reproducible across standard library implementations).
 #pragma once
 
 #include <cstdint>
 
 namespace csdac::mathx {
+
+template <class Ops>
+class Xoshiro256xN;
 
 /// xoshiro256++ PRNG (Blackman & Vigna). Satisfies UniformRandomBitGenerator.
 class Xoshiro256 {
@@ -29,6 +32,11 @@ class Xoshiro256 {
   void jump();
 
  private:
+  // The lane-parallel generator hands one lane's state to a scalar draw
+  // and takes it back (Xoshiro256xN::store_lane / load_lane).
+  template <class Ops>
+  friend class Xoshiro256xN;
+
   std::uint64_t s_[4];
 };
 
@@ -38,8 +46,9 @@ double uniform01(Xoshiro256& rng);
 /// Uniform double in [lo, hi).
 double uniform(Xoshiro256& rng, double lo, double hi);
 
-/// Standard normal draw (Marsaglia polar method; stateless wrt. caching so
-/// every call consumes a deterministic number of raw draws).
+/// Standard normal draw: the 256-layer Marsaglia-Tsang ziggurat,
+/// normal_xN's width-1 instance (simd.hpp). Stateless: a draw consumes one
+/// raw word unless it falls in a wedge or the tail.
 double normal(Xoshiro256& rng);
 
 /// Normal draw with given mean and standard deviation.

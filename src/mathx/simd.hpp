@@ -10,13 +10,11 @@
 // (each lane is an independent chip whose operations happen in the scalar
 // order) instead of vectorizing within one chip. IEEE basic operations
 // (+,-,*,/,sqrt, abs) are correctly rounded and therefore lane-wise
-// identical to their scalar counterparts. The Gaussian draw's log is no
-// exception: it is mathx's own log_xN (transcendental.hpp), written once
-// over the Ops policy from those basic operations, so its vector lanes and
-// the scalar mathx::log are the same algorithm with the same bits and no
-// libm is involved. normal_batch_xN still keeps the log out of the
-// rejection loop: the loop only collects each lane's accepted (u, s) in
-// stream order, and one vector pass then forms u * sqrt(-2 log(s) / s).
+// identical to their scalar counterparts. The Gaussian draw is written
+// once, as normal_xN over the Ops policy (a 256-layer ziggurat); its width-1
+// instance is the scalar mathx::normal, and the rare draws that leave the
+// vector fast path finish in that scalar code from the lane's own
+// generator state, so every lane is the scalar sequence by construction.
 //
 // This header is intrinsics-free: the templates are generic over an Ops
 // policy (lane count, vector types, arithmetic). ScalarOps (width 1, plain
@@ -95,7 +93,6 @@ struct ScalarOps {
   static Mask cmp_gt(F64 a, F64 b) { return a > b; }
   static Mask cmp_lt(F64 a, F64 b) { return a < b; }
   static Mask cmp_eq(F64 a, F64 b) { return a == b; }
-  static Mask mand(Mask a, Mask b) { return a && b; }
   /// Bit i set iff lane i's predicate holds.
   static int movemask(Mask m) { return m ? 1 : 0; }
 
@@ -108,9 +105,6 @@ struct ScalarOps {
   static U64 uor(U64 a, U64 b) { return a | b; }
   static U64 usll(U64 x, int k) { return x << k; }
   static U64 usrl(U64 x, int k) { return x >> k; }
-  /// m ? a : b, per lane.
-  static U64 ublend(Mask m, U64 a, U64 b) { return m ? a : b; }
-
   /// Exact u64 -> f64 for values < 2^53 (every intermediate representable,
   /// so the SIMD magic-constant sequences land on the same double as the
   /// scalar static_cast).
@@ -125,15 +119,13 @@ struct ScalarOps {
 
 /// N independent xoshiro256++ states advanced in lockstep, lane l seeded to
 /// the (seed, index0 + stride*l) substream of the scalar engine's
-/// stream_rng derivation. next(active) advances only the lanes named by
-/// `active` — the batched Gaussian needs lanes that already hold all their
-/// draws to stop consuming uniforms, or the generator state a block reads
-/// after the draw would diverge from the per-chip scalar one.
+/// stream_rng derivation. store_lane / load_lane hand one lane's state to a
+/// scalar Xoshiro256 and back, so a draw the vector path cannot finish
+/// continues on the lane's own stream in scalar code.
 template <class Ops>
 class Xoshiro256xN {
  public:
   using U64 = typename Ops::U64;
-  using Mask = typename Ops::Mask;
 
   void seed_streams(std::uint64_t seed, std::uint64_t index0,
                     std::uint64_t stride = 1) {
@@ -159,16 +151,23 @@ class Xoshiro256xN {
     return result;
   }
 
-  /// Steps only the lanes selected by `active`; inactive lanes keep their
-  /// state (their returned bits are meaningless and must be ignored).
-  U64 next(Mask active) {
-    const U64 keep0 = s_[0], keep1 = s_[1], keep2 = s_[2], keep3 = s_[3];
-    const U64 result = next();
-    s_[0] = Ops::ublend(active, s_[0], keep0);
-    s_[1] = Ops::ublend(active, s_[1], keep1);
-    s_[2] = Ops::ublend(active, s_[2], keep2);
-    s_[3] = Ops::ublend(active, s_[3], keep3);
-    return result;
+  /// Copies lane l's state into g.
+  void store_lane(int l, Xoshiro256& g) const {
+    for (int j = 0; j < 4; ++j) {
+      std::uint64_t w[Ops::kLanes];
+      Ops::ustoreu(w, s_[j]);
+      g.s_[j] = w[l];
+    }
+  }
+
+  /// Replaces lane l's state with g's.
+  void load_lane(int l, const Xoshiro256& g) {
+    for (int j = 0; j < 4; ++j) {
+      std::uint64_t w[Ops::kLanes];
+      Ops::ustoreu(w, s_[j]);
+      w[l] = g.s_[j];
+      s_[j] = Ops::uloadu(w);
+    }
   }
 
  private:
@@ -188,71 +187,97 @@ typename Ops::F64 uniform01_from_bits(typename Ops::U64 raw) {
                    Ops::fset1(0x1.0p-53));
 }
 
-/// `count` lane-wise standard normals into out[i * kLanes + l]: the
-/// Marsaglia polar method in three phases. Every lane reproduces the
-/// scalar mathx::normal draw sequence exactly:
-///   1. the rejection loop. Each iteration draws a (u, v) pair on every
-///      live lane, tests 0 < s < 1 with the scalar comparisons, and writes
-///      the lane's (u, s) into its next free slot of out / scratch; only
-///      an accepted pair advances the slot, so a rejected one is
-///      overwritten by the lane's next pair. Lanes are not lockstepped per
-///      draw, so no iteration waits for the slowest lane's acceptance. A
-///      lane leaves the loop after its count-th acceptance and its
-///      generator stops (masked state advance), so each lane consumes
-///      exactly the uniforms of its scalar sequence;
-///   2. one vector pass forms u * sqrt(-2.0 * log(s) / s) with log_xN, in
-///      the scalar expression's association.
-/// Each draw sees the same operations on the same values in the same
-/// order as the scalar mathx::normal, whose log is log_xN's width-1
-/// instance. scratch holds count *
-/// kLanes doubles; out and scratch must not overlap.
+// --- Gaussian draw: the 256-layer ziggurat ---------------------------------
+
+namespace detail {
+
+/// The tables of the 256-layer Marsaglia-Tsang ziggurat (J. Stat. Softw.
+/// 5(8), 2000) for f(x) = exp(-x^2 / 2): layers of equal area v under f,
+/// with r = 3.6541528853610088 and v = 0.00492867323399. Layer i spans
+/// abscissas [0, x[i]) between heights f[i] and f[i + 1]; layer 0 is the
+/// base strip plus the tail beyond r, given the pseudo-width
+/// x[0] = v / f(r). Built once, on first use, from mathx::exp, mathx::log
+/// and IEEE sqrt, so every host holds the same bits.
+struct ZigguratTables {
+  double x[257];  ///< x[0] = v / f(r), x[1] = r, ..., x[256] = 0
+  double f[257];  ///< f(x[i]); f[256] = 1
+};
+
+inline constexpr double kZigguratR = 3.6541528853610088;
+inline constexpr double kZigguratV = 0.00492867323399;
+
+/// The tables (built on the first call; thread-safe).
+const ZigguratTables& ziggurat_tables();
+
+/// Finishes a scalar draw whose raw word `w` fell outside its layer's
+/// rectangle: the wedge test (one more uniform) or Marsaglia's tail
+/// method, then fresh draws on rejection. Out of line: the scalar normal
+/// and every lane's rare path run this one compiled copy.
+double normal_slow(std::uint64_t w, Xoshiro256& rng);
+
+/// The ziggurat's fast path on every lane of `w`, whose lanes are stored
+/// in `w_l`: bits 0-7 pick the layer i, bit 8 is the sign, and bits 12-63
+/// the magnitude u = (w >> 12) 2^-52 in [0, 1), formed exactly as
+/// (1 + u) - 1 from the bits; |z| = u * x[i]. Returns the signed z and a
+/// mask of the lanes whose |z| < x[i + 1], i.e. inside the layer's
+/// rectangle and so under f: those lanes are final draws.
 template <class Ops>
-void normal_batch_xN(Xoshiro256xN<Ops>& rng, int count, double* out,
-                     double* scratch) {
-  using F64 = typename Ops::F64;
-  using Mask = typename Ops::Mask;
+typename Ops::F64 ziggurat_fast(const ZigguratTables& t,
+                                typename Ops::U64 w,
+                                const std::uint64_t* w_l,
+                                typename Ops::Mask& inside) {
+  constexpr int L = Ops::kLanes;
+  double width[L], edge[L];
+  for (int l = 0; l < L; ++l) {
+    const auto i = static_cast<unsigned>(w_l[l] & 0xff);
+    width[l] = t.x[i];
+    edge[l] = t.x[i + 1];
+  }
+  const typename Ops::F64 u = Ops::fsub(
+      Ops::as_f64(Ops::uor(Ops::usrl(w, 12),
+                           Ops::uset1(0x3ff0000000000000ull))),
+      Ops::fset1(1.0));
+  const typename Ops::F64 a = Ops::fmul(u, Ops::floadu(width));
+  inside = Ops::cmp_lt(a, Ops::floadu(edge));
+  const typename Ops::U64 sign =
+      Ops::usll(Ops::uand(w, Ops::uset1(0x100)), 55);
+  return Ops::as_f64(Ops::uxor(Ops::as_u64(a), sign));
+}
+
+}  // namespace detail
+
+/// `count` lane-wise standard normals into out[i * kLanes + l]: row i of
+/// lane l is that lane's i-th scalar mathx::normal draw. Each row takes one
+/// raw word per lane; the vector fast path settles every lane whose draw
+/// lands inside its layer's rectangle (about 99 % of draws), and a lane
+/// that falls in a wedge or the tail finishes that row in scalar
+/// (detail::normal_slow) from its own generator state, which is then put
+/// back. So every lane consumes exactly its scalar stream, and the
+/// generator state after the call is the scalar one.
+template <class Ops>
+void normal_batch_xN(Xoshiro256xN<Ops>& rng, int count, double* out) {
   constexpr int L = Ops::kLanes;
   constexpr int kAll = (1 << L) - 1;
-  const F64 one = Ops::fset1(1.0);
-  const F64 two = Ops::fset1(2.0);
-  const F64 zero = Ops::fset1(0.0);
-  int filled[L] = {};  // accepted draws per lane
-  int live = count > 0 ? kAll : 0;  // bit l: lane l still drawing
-  const auto iterate = [&](const auto& next) {
-    const F64 u =
-        Ops::fsub(Ops::fmul(two, uniform01_from_bits<Ops>(next())), one);
-    const F64 v =
-        Ops::fsub(Ops::fmul(two, uniform01_from_bits<Ops>(next())), one);
-    const F64 s = Ops::fadd(Ops::fmul(u, u), Ops::fmul(v, v));
-    const int accept =
-        Ops::movemask(Ops::mand(Ops::cmp_gt(s, zero), Ops::cmp_lt(s, one)));
-    double u_l[L], s_l[L];
-    Ops::fstoreu(u_l, u);
-    Ops::fstoreu(s_l, s);
-    for (int l = 0; l < L; ++l) {
-      if (((live >> l) & 1) == 0) continue;
-      out[filled[l] * L + l] = u_l[l];
-      scratch[filled[l] * L + l] = s_l[l];
-      filled[l] += (accept >> l) & 1;
-      if (filled[l] == count) live &= ~(1 << l);
-    }
-  };
-  // Unmasked steps while every lane is live keep the lane masks off the
-  // generator's dependency chain; the last lanes finish under a mask.
-  while (live == kAll) iterate([&] { return rng.next(); });
-  while (live != 0) {
-    double live_l[L];
-    for (int l = 0; l < L; ++l) live_l[l] = (live >> l) & 1;
-    const Mask active = Ops::cmp_gt(Ops::floadu(live_l), zero);
-    iterate([&] { return rng.next(active); });
-  }
-  const F64 minus_two = Ops::fset1(-2.0);
+  const detail::ZigguratTables& t = detail::ziggurat_tables();
+  // A local copy lets the state stay in registers across rows.
+  Xoshiro256xN<Ops> lanes = rng;
+  Xoshiro256 g(0);
   for (int i = 0; i < count; ++i) {
-    const F64 s = Ops::floadu(scratch + i * L);
-    const F64 q = Ops::fdiv(Ops::fmul(minus_two, log_xN<Ops>(s)), s);
-    Ops::fstoreu(out + i * L,
-                 Ops::fmul(Ops::floadu(out + i * L), Ops::fsqrt(q)));
+    const typename Ops::U64 w = lanes.next();
+    std::uint64_t w_l[L];
+    Ops::ustoreu(w_l, w);
+    typename Ops::Mask inside;
+    Ops::fstoreu(out + i * L, detail::ziggurat_fast<Ops>(t, w, w_l, inside));
+    const int miss = ~Ops::movemask(inside) & kAll;
+    if (miss == 0) continue;
+    for (int l = 0; l < L; ++l) {
+      if (((miss >> l) & 1) == 0) continue;
+      lanes.store_lane(l, g);
+      out[i * L + l] = detail::normal_slow(w_l[l], g);
+      lanes.load_lane(l, g);
+    }
   }
+  rng = lanes;
 }
 
 }  // namespace csdac::mathx

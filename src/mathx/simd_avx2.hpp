@@ -39,7 +39,6 @@ struct Avx2Ops {
   static Mask cmp_gt(F64 a, F64 b) { return _mm256_cmp_pd(a, b, _CMP_GT_OQ); }
   static Mask cmp_lt(F64 a, F64 b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
   static Mask cmp_eq(F64 a, F64 b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
-  static Mask mand(Mask a, Mask b) { return _mm256_and_pd(a, b); }
   static int movemask(Mask m) { return _mm256_movemask_pd(m); }
 
   static U64 uset1(std::uint64_t v) {
@@ -57,10 +56,6 @@ struct Avx2Ops {
   static U64 uor(U64 a, U64 b) { return _mm256_or_si256(a, b); }
   static U64 usll(U64 x, int k) { return _mm256_slli_epi64(x, k); }
   static U64 usrl(U64 x, int k) { return _mm256_srli_epi64(x, k); }
-  static U64 ublend(Mask m, U64 a, U64 b) {
-    return _mm256_castpd_si256(
-        _mm256_blendv_pd(_mm256_castsi256_pd(b), _mm256_castsi256_pd(a), m));
-  }
 
   /// Exact u64 -> f64 for n < 2^53 (AVX2 has no cvtepu64_pd; that is
   /// AVX-512DQ): the same magic-constant split as Sse2Ops — lo 32 bits

@@ -62,7 +62,7 @@ namespace csdac::runtime {
 /// behavior of a job changes (kernel arithmetic, RNG streams, defaults
 /// that leak into results): stale entries then miss naturally instead of
 /// serving results the current code would not reproduce.
-inline constexpr std::string_view kEngineVersion = "csdac-engine/3";
+inline constexpr std::string_view kEngineVersion = "csdac-engine/4";
 
 enum class JobKind : std::uint8_t {
   kInlYield = 1,

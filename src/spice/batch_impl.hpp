@@ -6,7 +6,7 @@
 // across operating regions: terminal swap, vgs/vds/vbs, the body-effect
 // threshold (the lone sqrt), overdrive, and the mismatch-scaled beta. The
 // region-dependent current/conductance tail stays scalar in batch.cpp —
-// the same split mathx::normal_batch_xN makes for its libm log tail.
+// the same split mathx::normal_batch_xN makes for its wedge and tail draws.
 //
 // Bit-identity contract: every lane must produce exactly the bits the
 // scalar Mosfet::evaluate() produces. All arithmetic below is IEEE basic

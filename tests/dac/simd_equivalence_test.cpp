@@ -80,7 +80,8 @@ TEST(SimdEquivalence, DrawBitsMatchScalarStreams) {
       constexpr int kCount = 512;
       std::vector<std::uint64_t> out(
           static_cast<std::size_t>(kCount) * k->lanes);
-      k->draw_bits(kSeed, /*index0=*/5, stride, kCount, out.data());
+      k->draw_bits(kSeed, /*index0=*/5, stride, /*normals=*/0, kCount,
+                   out.data());
       for (int l = 0; l < k->lanes; ++l) {
         mathx::Xoshiro256 ref = mathx::stream_rng(kSeed, 5 + stride * l);
         for (int i = 0; i < kCount; ++i) {
@@ -108,6 +109,55 @@ TEST(SimdEquivalence, DrawNormalsMatchScalarSequences) {
             << simd_backend_name(b) << " lane " << l << " draw " << i;
       }
     }
+  }
+}
+
+// Which path the scalar ziggurat takes on a draw's first raw word.
+enum class ZigPath { kFast, kWedge, kTail };
+
+ZigPath ziggurat_path(std::uint64_t w) {
+  bool inside;
+  mathx::detail::ziggurat_fast<mathx::ScalarOps>(
+      mathx::detail::ziggurat_tables(), w, &w, inside);
+  if (inside) return ZigPath::kFast;
+  return (w & 0xff) == 0 ? ZigPath::kTail : ZigPath::kWedge;
+}
+
+TEST(SimdEquivalence, NormalBatchMatchesScalarForEveryCount) {
+  // Batches of 1..300 rows on fresh streams: every row equals the lane's
+  // scalar draw, the rows that leave the fast path (wedge and tail)
+  // included, and the generator state after the batch is the scalar one.
+  constexpr std::uint64_t kSeed = 4242;
+  for (SimdBackend b : kAllBackends) {
+    const LaneKernel* k = lane_kernel(b);
+    if (k == nullptr) continue;
+    const auto lanes = static_cast<std::size_t>(k->lanes);
+    int paths[3] = {};
+    for (int count = 1; count <= 300; ++count) {
+      const std::uint64_t index0 = 1000 * static_cast<std::uint64_t>(count);
+      std::vector<double> out(static_cast<std::size_t>(count) * lanes);
+      std::vector<std::uint64_t> after(2 * lanes);
+      k->draw_normals(kSeed, index0, /*stride=*/1, count, out.data());
+      k->draw_bits(kSeed, index0, /*stride=*/1, count, 2, after.data());
+      for (std::size_t l = 0; l < lanes; ++l) {
+        mathx::Xoshiro256 ref = mathx::stream_rng(kSeed, index0 + l);
+        for (int i = 0; i < count; ++i) {
+          mathx::Xoshiro256 peek = ref;
+          ++paths[static_cast<int>(ziggurat_path(peek()))];
+          ASSERT_EQ(out[static_cast<std::size_t>(i) * lanes + l],
+                    mathx::normal(ref))
+              << simd_backend_name(b) << " count " << count << " lane " << l
+              << " row " << i;
+        }
+        ASSERT_EQ(after[l], ref()) << simd_backend_name(b) << " count "
+                                   << count << " lane " << l;
+        ASSERT_EQ(after[lanes + l], ref());
+      }
+    }
+    EXPECT_GT(paths[static_cast<int>(ZigPath::kWedge)], 100)
+        << simd_backend_name(b);
+    EXPECT_GT(paths[static_cast<int>(ZigPath::kTail)], 0)
+        << simd_backend_name(b);
   }
 }
 

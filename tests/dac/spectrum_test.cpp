@@ -77,9 +77,13 @@ TEST(Spectrum, NonPow2RecordWorks) {
 }
 
 TEST(Spectrum, MismatchLimitedDacSpectrum) {
-  // End-to-end: a 12-bit DAC with eq. (1)-spec mismatch driven by a
-  // coherent sine should show SFDR in the 70-90 dB range (static
-  // mismatch-limited), far below the ideal-quantization-only case.
+  // End-to-end: 12-bit chips with unit-source mismatch driven by a
+  // coherent sine show a static, mismatch-limited SFDR below the
+  // ideal-quantization-only converter's. At the eq. (1) design sigma
+  // (0.00263) the mismatch spurs sit at the quantization floor, so one
+  // chip's SFDR lands on either side of the ideal one; at sigma_unit =
+  // 0.02 the mismatch spurs dominate every chip, and the statistic is
+  // over 32 chips drawn in turn from one seed.
   core::DacSpec spec;
   mathx::Xoshiro256 rng(77);
   const auto codes = sine_codes(spec, 2048, 53);
@@ -98,11 +102,13 @@ TEST(Spectrum, MismatchLimitedDacSpectrum) {
     return analyze_spectrum(conv.sim.period_end_samples(record, conv.timing),
                             p.fs);
   };
-  const auto ideal = run(0.0);
-  const auto real = run(0.00263);
-  EXPECT_GT(ideal.sfdr_db, real.sfdr_db);
-  EXPECT_GT(real.sfdr_db, 60.0);
-  EXPECT_LT(real.sfdr_db, 100.0);
+  const double ideal = run(0.0).sfdr_db;
+  std::vector<double> sfdr;
+  for (int c = 0; c < 32; ++c) sfdr.push_back(run(0.02).sfdr_db);
+  std::sort(sfdr.begin(), sfdr.end());
+  EXPECT_LT(sfdr.back(), ideal);       // every chip below the ideal one
+  EXPECT_LT(sfdr[16], ideal - 6.0);    // the median by more than 6 dB
+  EXPECT_GT(sfdr.front(), 60.0);       // and still a 12-bit-class chip
 }
 
 TEST(Spectrum, DifferentialCancelsEvenOrderDroopDistortion) {
@@ -285,9 +291,11 @@ TEST(Spectrum, HarmonicAliasingFoldsPastNyquist) {
 }
 
 TEST(Spectrum, MetricsEntryMatchesTheCopyingFftAndWindowGain) {
-  // spectrum_metrics runs the FFT in place on power-of-two records and
-  // takes the coherent gain from its own window sum. Both must give the
-  // bins and the dBFS of dft()'s copy and window_coherent_gain().
+  // spectrum_metrics runs the real-input FFT on power-of-two records and
+  // dft() on other lengths, and takes the coherent gain from its own
+  // window sum. The bins must be those routines' on a copy, bit for bit,
+  // the real-input ones within 1e-12 of the fundamental of dft()'s, and
+  // the dBFS must follow window_coherent_gain().
   for (const std::size_t n : {std::size_t{1024}, std::size_t{768}}) {
     auto v = tone(n, 37, 0.8, 0.3);
     const auto h3 = tone(n, 111, 2e-3);
@@ -308,16 +316,26 @@ TEST(Spectrum, MetricsEntryMatchesTheCopyingFftAndWindowGain) {
         wsum += w[i];
         vwsum += v[i] * w[i];
       }
+      std::vector<double> xr(n);
       std::vector<mathx::Cplx> x(n);
       for (std::size_t i = 0; i < n; ++i) {
-        x[i] = mathx::Cplx((v[i] - vwsum / wsum) * w[i], 0.0);
+        xr[i] = (v[i] - vwsum / wsum) * w[i];
+        x[i] = mathx::Cplx(xr[i], 0.0);
       }
-      const auto spec = mathx::dft(x);
+      const auto full = mathx::dft(x);
+      std::vector<mathx::Cplx> spec = full;
+      if (mathx::is_pow2(n)) mathx::fft_real_pow2(xr, spec);
+      const auto bin_power = [n](const mathx::Cplx& c, std::size_t k) {
+        const double scale = (k == 0 || 2 * k == n) ? 1.0 : 2.0;
+        const double inv_n = 1.0 / static_cast<double>(n);
+        const double re = c.real() * inv_n, im = c.imag() * inv_n;
+        return scale * (re * re + im * im);
+      };
       ASSERT_EQ(power.size(), n / 2 + 1);
       for (std::size_t k = 0; k < power.size(); ++k) {
-        const double scale = (k == 0 || 2 * k == n) ? 1.0 : 2.0;
-        const double mag = std::abs(spec[k]) / static_cast<double>(n);
-        ASSERT_EQ(power[k], scale * mag * mag) << "bin " << k;
+        ASSERT_EQ(power[k], bin_power(spec[k], k)) << "bin " << k;
+        EXPECT_NEAR(power[k], bin_power(full[k], k), 1e-12 * m.fund_power)
+            << "bin " << k;
       }
       const double fund_amp = std::sqrt(2.0 * m.fund_power) /
                               mathx::window_coherent_gain(win, n);

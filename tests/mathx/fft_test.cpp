@@ -63,6 +63,34 @@ TEST(Fft, ForwardInverseRoundTrip) {
 TEST(Fft, ThrowsOnNonPow2) {
   std::vector<Cplx> x(12);
   EXPECT_THROW(fft_pow2(x), std::invalid_argument);
+  std::vector<Cplx> out;
+  EXPECT_THROW(fft_real_pow2(std::vector<double>(12), out),
+               std::invalid_argument);
+  EXPECT_THROW(fft_real_pow2(std::vector<double>(1), out),
+               std::invalid_argument);
+}
+
+TEST(Fft, RealInputMatchesComplexTransform) {
+  // The half-size transform plus split gives bins 0 .. n/2 of the full
+  // complex FFT of the same record, at every size down to n = 2.
+  Xoshiro256 rng(21);
+  for (std::size_t n = 2; n <= 4096; n <<= 1) {
+    std::vector<double> x(n);
+    std::vector<Cplx> c(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = uniform(rng, -1, 1);
+      c[i] = Cplx(x[i], 0.0);
+    }
+    fft_pow2(c);
+    std::vector<Cplx> half;
+    fft_real_pow2(x, half);
+    ASSERT_EQ(half.size(), n / 2 + 1);
+    const double tol = 1e-13 * static_cast<double>(n);
+    for (std::size_t k = 0; k <= n / 2; ++k) {
+      EXPECT_NEAR(half[k].real(), c[k].real(), tol) << n << " bin " << k;
+      EXPECT_NEAR(half[k].imag(), c[k].imag(), tol) << n << " bin " << k;
+    }
+  }
 }
 
 TEST(Dft, BluesteinMatchesNaiveDft) {

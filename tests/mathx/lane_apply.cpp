@@ -20,14 +20,13 @@ bool avx2_apply(Fn fn, const double* in, double* out, std::size_t n) {
 #endif
 }
 
-bool avx2_normals(std::uint64_t seed, int count, double* out,
-                  double* scratch) {
+bool avx2_normals(std::uint64_t seed, int count, double* out) {
 #if defined(__AVX2__)
   if (simd_detect() < SimdBackend::kAvx2) return false;
-  normals<Avx2Ops>(seed, count, out, scratch);
+  normals<Avx2Ops>(seed, count, out);
   return true;
 #else
-  (void)seed, (void)count, (void)out, (void)scratch;
+  (void)seed, (void)count, (void)out;
   return false;
 #endif
 }

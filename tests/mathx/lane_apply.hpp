@@ -32,19 +32,18 @@ void apply(Fn fn, const double* in, double* out, std::size_t n) {
 }
 
 /// count normal_batch_xN draws on streams (seed, 0 .. kLanes-1), lane l's
-/// draws at out[i * kLanes + l]; out and scratch hold count * kLanes.
+/// draws at out[i * kLanes + l]; out holds count * kLanes.
 template <class Ops>
-void normals(std::uint64_t seed, int count, double* out, double* scratch) {
+void normals(std::uint64_t seed, int count, double* out) {
   Xoshiro256xN<Ops> rng;
   rng.seed_streams(seed, 0);
-  normal_batch_xN(rng, count, out, scratch);
+  normal_batch_xN(rng, count, out);
 }
 
 /// The AVX2 instances (lane_apply.cpp); false when the build cannot target
 /// AVX2 or the CPU lacks it. The AVX2 unit takes raw buffers only, so it
 /// emits no shared inline symbol (a std::vector member, say) in AVX2 code.
 bool avx2_apply(Fn fn, const double* in, double* out, std::size_t n);
-bool avx2_normals(std::uint64_t seed, int count, double* out,
-                  double* scratch);
+bool avx2_normals(std::uint64_t seed, int count, double* out);
 
 }  // namespace csdac::mathx::testing

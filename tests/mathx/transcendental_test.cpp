@@ -78,7 +78,7 @@ TEST(Transcendental, LogWithinOneUlp) {
   for (int i = 0; i < 100000; ++i) {
     xs.push_back(1.0 + uniform_in(rng, -1e-6, 1e-6));
   }
-  // The polar draw's domain.
+  // The ziggurat tail's domain.
   for (int i = 0; i < 200000; ++i) xs.push_back(uniform_in(rng, 0.0, 1.0));
   xs.push_back(std::numeric_limits<double>::denorm_min());
   xs.push_back(std::numeric_limits<double>::min());

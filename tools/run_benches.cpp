@@ -9,9 +9,11 @@
 //                         sampling and stratified+antithetic sampling,
 //                         each with "chips_to_ci" (chips for a 50 %
 //                         relative 95 % CI) and the "is_chip_reduction"
-//                         variance ratio. FATAL if IS sees no tail or has
-//                         a low ESS, or disagrees with the bridge beyond
-//                         10x its CI.
+//                         variance ratio. Each path's chips/s is the best
+//                         of "repeats" identical runs. FATAL if IS sees
+//                         no tail or has a low ESS, disagrees with the
+//                         bridge beyond 10x its CI, or a repeat changes a
+//                         result.
 //   arch_compare_10bit    the architecture table (binary, segmented
 //                         splits, optimized weightings) with INL yield,
 //                         timing-limited SFDR, ETE prediction and
@@ -151,17 +153,43 @@ int main(int argc, char** argv) {
                 "(bridge-calibrated 99.99%% yield) ...\n",
                 rare_chips, rare_sigma * 100);
 
-    const auto bf =
-        dac::inl_yield_mc(spec, rare_sigma, rare_chips, rare_seed, 0.5,
-                          dac::InlReference::kEndpoint, threads);
-    const auto is =
-        dac::inl_yield_is(spec, rare_sigma, sigma_scale, modes, rare_chips,
-                          rare_seed, 0.5, dac::InlReference::kEndpoint,
-                          threads);
-    const auto strat = dac::inl_yield_stratified(
-        spec, rare_sigma, strata, rare_chips, rare_seed, 0.5,
-        dac::InlReference::kEndpoint, threads);
+    // One smoke window (4000 chips, 10-30 ms) spreads ~1.5x run to run on
+    // a shared host, too wide for the compare's 0.5 tolerance to see a 2x
+    // slowdown; the fastest of several identical runs is far steadier.
+    const int repeats = 7;
+    bool repeat_mismatch = false;
+    const auto best_of = [&](const auto& run) {
+      auto best = run();
+      for (int r = 1; r < repeats; ++r) {
+        const auto again = run();
+        repeat_mismatch |= again.yield != best.yield;
+        if (again.stats.wall_seconds < best.stats.wall_seconds) {
+          best.stats = again.stats;
+        }
+      }
+      return best;
+    };
+    const auto bf = best_of([&] {
+      return dac::inl_yield_mc(spec, rare_sigma, rare_chips, rare_seed, 0.5,
+                               dac::InlReference::kEndpoint, threads);
+    });
+    const auto is = best_of([&] {
+      return dac::inl_yield_is(spec, rare_sigma, sigma_scale, modes,
+                               rare_chips, rare_seed, 0.5,
+                               dac::InlReference::kEndpoint, threads);
+    });
+    const auto strat = best_of([&] {
+      return dac::inl_yield_stratified(spec, rare_sigma, strata, rare_chips,
+                                       rare_seed, 0.5,
+                                       dac::InlReference::kEndpoint, threads);
+    });
     const auto bridge = dac::inl_yield_bridge(spec, rare_sigma, 0.5);
+
+    if (repeat_mismatch) {
+      std::fprintf(stderr, "FATAL: a repeated rare-event run changed its "
+                           "yield — the estimators are not deterministic\n");
+      return 1;
+    }
 
     if (is.fails == 0 || is.low_ess) {
       std::fprintf(stderr,
@@ -217,6 +245,7 @@ int main(int argc, char** argv) {
     w.field("sigma_unit", rare_sigma);
     w.field("target_yield", 0.9999);
     w.field("chips", rare_chips);
+    w.field("repeats", repeats);
     w.field("seed", static_cast<std::int64_t>(rare_seed));
     w.field("sigma_scale", sigma_scale);
     w.field("modes", modes);
