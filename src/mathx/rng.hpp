@@ -36,6 +36,8 @@ class Xoshiro256 {
   // and takes it back (Xoshiro256xN::store_lane / load_lane).
   template <class Ops>
   friend class Xoshiro256xN;
+  struct Unseeded {};
+  explicit Xoshiro256(Unseeded) {}
 
   std::uint64_t s_[4];
 };

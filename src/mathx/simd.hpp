@@ -105,6 +105,8 @@ struct ScalarOps {
   static U64 uor(U64 a, U64 b) { return a | b; }
   static U64 usll(U64 x, int k) { return x << k; }
   static U64 usrl(U64 x, int k) { return x >> k; }
+  /// m ? a : b, per lane.
+  static U64 ublend(Mask m, U64 a, U64 b) { return m ? a : b; }
   /// Exact u64 -> f64 for values < 2^53 (every intermediate representable,
   /// so the SIMD magic-constant sequences land on the same double as the
   /// scalar static_cast).
@@ -151,22 +153,26 @@ class Xoshiro256xN {
     return result;
   }
 
-  /// Copies lane l's state into g.
-  void store_lane(int l, Xoshiro256& g) const {
+  /// Lane l's state as a scalar generator.
+  Xoshiro256 store_lane(int l) const {
+    Xoshiro256 g{Xoshiro256::Unseeded{}};
     for (int j = 0; j < 4; ++j) {
       std::uint64_t w[Ops::kLanes];
       Ops::ustoreu(w, s_[j]);
       g.s_[j] = w[l];
     }
+    return g;
   }
 
-  /// Replaces lane l's state with g's.
+  /// Replaces lane l's state with g's. A blend, not a store and reload:
+  /// a vector load over a freshly stored lane would stall on the store.
   void load_lane(int l, const Xoshiro256& g) {
+    static constexpr double kLaneIds[] = {0.0, 1.0, 2.0, 3.0};
+    static_assert(Ops::kLanes <= 4);
+    const typename Ops::Mask m = Ops::cmp_eq(
+        Ops::floadu(kLaneIds), Ops::fset1(static_cast<double>(l)));
     for (int j = 0; j < 4; ++j) {
-      std::uint64_t w[Ops::kLanes];
-      Ops::ustoreu(w, s_[j]);
-      w[l] = g.s_[j];
-      s_[j] = Ops::uloadu(w);
+      s_[j] = Ops::ublend(m, Ops::uset1(g.s_[j]), s_[j]);
     }
   }
 
@@ -229,7 +235,7 @@ typename Ops::F64 ziggurat_fast(const ZigguratTables& t,
   constexpr int L = Ops::kLanes;
   double width[L], edge[L];
   for (int l = 0; l < L; ++l) {
-    const auto i = static_cast<unsigned>(w_l[l] & 0xff);
+    const std::size_t i = w_l[l] & 0xff;
     width[l] = t.x[i];
     edge[l] = t.x[i + 1];
   }
@@ -261,7 +267,6 @@ void normal_batch_xN(Xoshiro256xN<Ops>& rng, int count, double* out) {
   const detail::ZigguratTables& t = detail::ziggurat_tables();
   // A local copy lets the state stay in registers across rows.
   Xoshiro256xN<Ops> lanes = rng;
-  Xoshiro256 g(0);
   for (int i = 0; i < count; ++i) {
     const typename Ops::U64 w = lanes.next();
     std::uint64_t w_l[L];
@@ -269,10 +274,10 @@ void normal_batch_xN(Xoshiro256xN<Ops>& rng, int count, double* out) {
     typename Ops::Mask inside;
     Ops::fstoreu(out + i * L, detail::ziggurat_fast<Ops>(t, w, w_l, inside));
     const int miss = ~Ops::movemask(inside) & kAll;
-    if (miss == 0) continue;
+    if (miss == 0) [[likely]] continue;
     for (int l = 0; l < L; ++l) {
       if (((miss >> l) & 1) == 0) continue;
-      lanes.store_lane(l, g);
+      Xoshiro256 g = lanes.store_lane(l);
       out[i * L + l] = detail::normal_slow(w_l[l], g);
       lanes.load_lane(l, g);
     }

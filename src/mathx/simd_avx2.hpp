@@ -56,6 +56,10 @@ struct Avx2Ops {
   static U64 uor(U64 a, U64 b) { return _mm256_or_si256(a, b); }
   static U64 usll(U64 x, int k) { return _mm256_slli_epi64(x, k); }
   static U64 usrl(U64 x, int k) { return _mm256_srli_epi64(x, k); }
+  static U64 ublend(Mask m, U64 a, U64 b) {
+    return _mm256_castpd_si256(
+        _mm256_blendv_pd(_mm256_castsi256_pd(b), _mm256_castsi256_pd(a), m));
+  }
 
   /// Exact u64 -> f64 for n < 2^53 (AVX2 has no cvtepu64_pd; that is
   /// AVX-512DQ): the same magic-constant split as Sse2Ops — lo 32 bits

@@ -53,6 +53,10 @@ struct Sse2Ops {
   static U64 uor(U64 a, U64 b) { return _mm_or_si128(a, b); }
   static U64 usll(U64 x, int k) { return _mm_slli_epi64(x, k); }
   static U64 usrl(U64 x, int k) { return _mm_srli_epi64(x, k); }
+  static U64 ublend(Mask m, U64 a, U64 b) {
+    const __m128i mi = _mm_castpd_si128(m);
+    return _mm_or_si128(_mm_and_si128(mi, a), _mm_andnot_si128(mi, b));
+  }
 
   /// Exact u64 -> f64 for n < 2^53 (SSE2 has no cvtepu64_pd): split n into
   /// lo = n & 0xFFFFFFFF and hi = n >> 32, bit-OR each into the mantissa of

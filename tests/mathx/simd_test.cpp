@@ -70,27 +70,28 @@ TEST(Simd, ScalarOpsStrideSeedsTheRightStreams) {
 
 TEST(Simd, LaneStoreAndLoadMoveOneLaneOnly) {
   // store_lane hands a lane's stream to scalar code; load_lane puts the
-  // advanced state back without touching the other lane.
+  // advanced state back without touching the other lanes.
   Xoshiro256xN<ScalarOps> one;
   one.seed_streams(3, 0);
-  Xoshiro256 g(0);
-  one.store_lane(0, g);
+  Xoshiro256 g = one.store_lane(0);
   Xoshiro256 ref = stream_rng(3, 0);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(g(), ref());
   one.load_lane(0, g);
   EXPECT_EQ(one.next(), ref());
 #if defined(__SSE2__)
-  Xoshiro256xN<Sse2Ops> two;
-  two.seed_streams(3, 0);
-  two.store_lane(1, g);
-  for (int i = 0; i < 7; ++i) g();
-  two.load_lane(1, g);
-  Xoshiro256 ref0 = stream_rng(3, 0), ref1 = stream_rng(3, 1);
-  for (int i = 0; i < 7; ++i) ref1();
-  std::uint64_t out[2];
-  Sse2Ops::ustoreu(out, two.next());
-  EXPECT_EQ(out[0], ref0());
-  EXPECT_EQ(out[1], ref1());
+  for (int lane = 0; lane < 2; ++lane) {
+    Xoshiro256xN<Sse2Ops> two;
+    two.seed_streams(3, 0);
+    Xoshiro256 h = two.store_lane(lane);
+    for (int i = 0; i < 7; ++i) h();
+    two.load_lane(lane, h);
+    Xoshiro256 refs[2] = {stream_rng(3, 0), stream_rng(3, 1)};
+    for (int i = 0; i < 7; ++i) refs[lane]();
+    std::uint64_t out[2];
+    Sse2Ops::ustoreu(out, two.next());
+    EXPECT_EQ(out[0], refs[0]()) << "lane " << lane;
+    EXPECT_EQ(out[1], refs[1]()) << "lane " << lane;
+  }
 #endif
 }
 
