@@ -48,9 +48,9 @@ double uniform01(Xoshiro256& rng);
 /// Uniform double in [lo, hi).
 double uniform(Xoshiro256& rng, double lo, double hi);
 
-/// Standard normal draw: the 256-layer Marsaglia-Tsang ziggurat,
-/// normal_xN's width-1 instance (simd.hpp). Stateless: a draw consumes one
-/// raw word unless it falls in a wedge or the tail.
+/// Standard normal draw: the 256-layer Marsaglia-Tsang ziggurat of
+/// simd.hpp at width 1 (normal_batch_xN runs it on lanes). Stateless: a
+/// draw consumes one raw word unless it falls in a wedge or the tail.
 double normal(Xoshiro256& rng);
 
 /// Normal draw with given mean and standard deviation.

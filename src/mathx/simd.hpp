@@ -10,11 +10,12 @@
 // (each lane is an independent chip whose operations happen in the scalar
 // order) instead of vectorizing within one chip. IEEE basic operations
 // (+,-,*,/,sqrt, abs) are correctly rounded and therefore lane-wise
-// identical to their scalar counterparts. The Gaussian draw is written
-// once, as normal_xN over the Ops policy (a 256-layer ziggurat); its width-1
-// instance is the scalar mathx::normal, and the rare draws that leave the
-// vector fast path finish in that scalar code from the lane's own
-// generator state, so every lane is the scalar sequence by construction.
+// identical to their scalar counterparts. The Gaussian draw (a 256-layer
+// ziggurat) is written once: its fast path is the Ops template
+// detail::ziggurat_fast, whose width-1 instance the scalar mathx::normal
+// runs, and the rare draws that leave the fast path finish in the one
+// scalar detail::normal_slow, on a lane from that lane's own generator
+// state. So every lane is the scalar sequence by construction.
 //
 // This header is intrinsics-free: the templates are generic over an Ops
 // policy (lane count, vector types, arithmetic). ScalarOps (width 1, plain
@@ -25,6 +26,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "mathx/rng.hpp"
@@ -107,6 +109,7 @@ struct ScalarOps {
   static U64 usrl(U64 x, int k) { return x >> k; }
   /// m ? a : b, per lane.
   static U64 ublend(Mask m, U64 a, U64 b) { return m ? a : b; }
+
   /// Exact u64 -> f64 for values < 2^53 (every intermediate representable,
   /// so the SIMD magic-constant sequences land on the same double as the
   /// scalar static_cast).
@@ -255,7 +258,7 @@ typename Ops::F64 ziggurat_fast(const ZigguratTables& t,
 /// `count` lane-wise standard normals into out[i * kLanes + l]: row i of
 /// lane l is that lane's i-th scalar mathx::normal draw. Each row takes one
 /// raw word per lane; the vector fast path settles every lane whose draw
-/// lands inside its layer's rectangle (about 99 % of draws), and a lane
+/// lands inside its layer's rectangle (98.5 % of draws), and a lane
 /// that falls in a wedge or the tail finishes that row in scalar
 /// (detail::normal_slow) from its own generator state, which is then put
 /// back. So every lane consumes exactly its scalar stream, and the
