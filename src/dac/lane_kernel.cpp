@@ -5,6 +5,9 @@
 
 #include "dac/lane_kernel_impl.hpp"
 #include "obs/metrics.hpp"
+#if defined(__SSE2__)
+#include "mathx/simd_sse2.hpp"
+#endif
 
 namespace csdac::dac {
 
@@ -79,23 +82,32 @@ void throw_flat() {
 
 namespace {
 
-const LaneKernel& scalar_kernel() {
+const LaneKernel* scalar_kernel() {
   // The shared template at width 1: the scalar dispatch entry, the kernel
   // of every short block a wider run leaves, and the everywhere-runnable
   // instantiation the template tests pin against the allocating chain.
   static const LaneKernel k =
       LaneKernelImpl<mathx::ScalarOps>::kernel(mathx::SimdBackend::kScalar);
-  return k;
+  return &k;
 }
 
-/// simd.* and dac.decide.* instruments, registered eagerly (all three
-/// dispatch counters exist in every exposition, so check_metrics.py can
-/// assert "exactly one is positive", and both decide counters exist
-/// wherever a kernel ran, so it can bound the exact-walk share).
+const LaneKernel* sse2_kernel() {
+#if defined(__SSE2__)
+  static const LaneKernel k =
+      LaneKernelImpl<mathx::Sse2Ops>::kernel(mathx::SimdBackend::kSse2);
+  return &k;
+#else
+  return nullptr;
+#endif
+}
+
+constexpr mathx::SimdKernels<const LaneKernel*> kLaneKernels{
+    {&scalar_kernel, &sse2_kernel, &detail::lane_kernel_avx2}};
+
+/// simd.* and dac.decide.* instruments, registered eagerly (both decide
+/// counters exist wherever a kernel ran, so check_metrics.py can bound the
+/// exact-walk share).
 struct SimdMetrics {
-  obs::Counter& dispatch_scalar;
-  obs::Counter& dispatch_sse2;
-  obs::Counter& dispatch_avx2;
   obs::Counter& lanes_utilized;
   obs::Counter& chips_scalar_tail;
   obs::Gauge& lane_width;
@@ -104,12 +116,6 @@ struct SimdMetrics {
 
   static SimdMetrics& get() {
     static SimdMetrics m{
-        obs::Registry::global().counter(
-            "simd.dispatch.scalar", "MC runs dispatched to the scalar kernel"),
-        obs::Registry::global().counter(
-            "simd.dispatch.sse2", "MC runs dispatched to the SSE2 kernel"),
-        obs::Registry::global().counter(
-            "simd.dispatch.avx2", "MC runs dispatched to the AVX2 kernel"),
         obs::Registry::global().counter(
             "simd.lanes_utilized",
             "chips evaluated through SIMD vector lanes"),
@@ -133,18 +139,8 @@ struct SimdMetrics {
 /// Records one dispatched lane-block run in the simd.* metrics.
 void record_lane_run(const LaneKernel& k, std::int64_t vector_chips,
                      std::int64_t scalar_tail_chips) {
+  mathx::record_dispatch(k.backend);
   SimdMetrics& m = SimdMetrics::get();
-  switch (k.backend) {
-    case mathx::SimdBackend::kScalar:
-      m.dispatch_scalar.add(1);
-      break;
-    case mathx::SimdBackend::kSse2:
-      m.dispatch_sse2.add(1);
-      break;
-    case mathx::SimdBackend::kAvx2:
-      m.dispatch_avx2.add(1);
-      break;
-  }
   if (vector_chips > 0) m.lanes_utilized.add(vector_chips);
   if (scalar_tail_chips > 0) m.chips_scalar_tail.add(scalar_tail_chips);
   m.lane_width.set(static_cast<double>(k.lanes));
@@ -163,35 +159,19 @@ void count_decisions(int lanes, int exact_lanes) {
 }  // namespace detail
 
 const LaneKernel* lane_kernel(mathx::SimdBackend backend) {
-  switch (backend) {
-    case mathx::SimdBackend::kScalar:
-      return &scalar_kernel();
-    case mathx::SimdBackend::kSse2:
-      return detail::lane_kernel_sse2();
-    case mathx::SimdBackend::kAvx2:
-      return detail::lane_kernel_avx2();
-  }
-  return nullptr;
+  return kLaneKernels.get(backend);
 }
 
-const LaneKernel& active_lane_kernel() {
-  mathx::SimdBackend b = mathx::simd_backend();
-  for (;;) {
-    if (const LaneKernel* k = lane_kernel(b)) return *k;
-    // Downgrade to the next narrower backend compiled into this build.
-    b = b == mathx::SimdBackend::kAvx2 ? mathx::SimdBackend::kSse2
-                                       : mathx::SimdBackend::kScalar;
-  }
-}
+const LaneKernel& active_lane_kernel() { return *kLaneKernels.select(); }
 
 namespace detail {
 
 mathx::YieldRun run_lane_blocks(const core::DacSpec& spec,
                                 const mathx::EarlyStopOptions& opts,
                                 int threads, int unit,
-                                const LaneBlockFn& block, bool count_allocs) {
+                                const LaneBlockFn& block) {
   const LaneKernel& k = active_lane_kernel();
-  const LaneKernel& k1 = scalar_kernel();
+  const LaneKernel& k1 = *scalar_kernel();
   const std::int64_t width = std::int64_t{unit} * k.lanes;
   std::atomic<std::int64_t> tail{0};
   const mathx::YieldRun r = mathx::run_blocks(
@@ -203,8 +183,7 @@ mathx::YieldRun run_lane_blocks(const core::DacSpec& spec,
         for (std::int64_t c = lo; c < hi; c += unit) passed += block(k1, ws, c);
         tail.fetch_add(hi - lo, std::memory_order_relaxed);
         return passed;
-      },
-      count_allocs);
+      });
   const std::int64_t scalar_chips = k.lanes > 1 ? tail.load() : r.evaluated;
   record_lane_run(k, r.evaluated - scalar_chips, scalar_chips);
   return r;

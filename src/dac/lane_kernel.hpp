@@ -19,11 +19,12 @@
 //   strat_block  stratified antithetic pairs, one pair per lane
 //                (inl_yield_stratified)
 //
-// Backends are separate translation units (lane_kernel_sse2.cpp with
-// baseline flags — SSE2 is part of x86-64 —, lane_kernel_avx2.cpp compiled
-// with -mavx2) instantiating the shared LaneKernelImpl template over the
-// mathx Ops policies; active_lane_kernel() picks the widest one the
-// runtime dispatch (mathx::simd_backend, CSDAC_SIMD override) allows.
+// The backends instantiate the shared LaneKernelImpl template over the
+// mathx Ops policies: width 1 and SSE2 (the x86-64 baseline) in
+// lane_kernel.cpp, AVX2 in lane_kernel_avx2.cpp (compiled with -mavx2);
+// active_lane_kernel() picks the widest one the runtime dispatch
+// (mathx::simd_backend, CSDAC_SIMD override) allows through one
+// mathx::SimdKernels table.
 #pragma once
 
 #include <cstdint>
@@ -197,14 +198,13 @@ struct LaneKernel {
 const LaneKernel* lane_kernel(mathx::SimdBackend backend);
 
 /// The kernel MC runs dispatch to: mathx::simd_backend() (CSDAC_SIMD
-/// override included), downgraded along avx2 -> sse2 -> scalar if the
-/// preferred backend has no kernel in this build.
+/// override included), or the widest narrower kernel in this build.
 const LaneKernel& active_lane_kernel();
 
 namespace detail {
 
-/// Per-ISA kernel singletons (nullptr when compiled out).
-const LaneKernel* lane_kernel_sse2();
+/// The AVX2 kernel singleton (lane_kernel_avx2.cpp; nullptr when the
+/// compiler cannot target AVX2).
 const LaneKernel* lane_kernel_avx2();
 
 /// Raw-pointer view of ws (out-of-line; see LaneView).
@@ -227,16 +227,16 @@ using LaneBlockFn = std::function<std::int64_t(
 /// the active kernel k; a short block (the end of a run or of a CI wave)
 /// goes lane by lane through the width-1 kernel in the same workspace. The
 /// scalar backend is the width-1 kernel, so there every block is full.
-/// Records the run in the simd.* metrics: simd.dispatch.<backend>, the
-/// chips through vector lanes (simd.lanes_utilized) and through the width-1
-/// kernel (simd.chips_scalar_tail), and the simd.lane_width gauge. The
-/// kernels themselves count their verdicts in dac.decide.lanes and
+/// Records the run once in the simd.* metrics: simd.dispatch.<backend>
+/// (mathx::record_dispatch), the chips through vector lanes
+/// (simd.lanes_utilized) and through the width-1 kernel
+/// (simd.chips_scalar_tail), and the simd.lane_width gauge. The kernels
+/// themselves count their verdicts in dac.decide.lanes and
 /// dac.decide.exact_lanes (count_decisions).
 mathx::YieldRun run_lane_blocks(const core::DacSpec& spec,
                                 const mathx::EarlyStopOptions& opts,
                                 int threads, int unit,
-                                const LaneBlockFn& block,
-                                bool count_allocs = false);
+                                const LaneBlockFn& block);
 
 /// Out-of-line throw helpers so the per-ISA translation units never
 /// instantiate exception-construction code.

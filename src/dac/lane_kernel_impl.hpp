@@ -1,9 +1,9 @@
 // The one chip-per-lane kernel implementation, templated over a mathx Ops
-// policy (ScalarOps / Sse2Ops / Avx2Ops). Included ONLY by the per-ISA
-// translation units (lane_kernel.cpp, lane_kernel_sse2.cpp,
-// lane_kernel_avx2.cpp) — the template members are the only symbols those
-// TUs emit, and they are unique per Ops, so the -mavx2 TU can never leak
-// AVX2 code into a shared (comdat) symbol.
+// policy (ScalarOps / Sse2Ops / Avx2Ops). Included ONLY by the kernel
+// translation units (lane_kernel.cpp for width 1 and SSE2,
+// lane_kernel_avx2.cpp) — the template members are the only symbols the
+// AVX2 TU emits, and they are unique per Ops, so the -mavx2 TU can never
+// leak AVX2 code into a shared (comdat) symbol.
 //
 // Bit-identity contract: every lane performs, in order, exactly the
 // floating-point operations of the scalar chip pipeline —
@@ -636,7 +636,9 @@ struct LaneKernelImpl {
       add_mode(v, v.unary, v.z, Ops::floadu(shift), r.basis);
       unary_from_z(v, r.sigma_unit, v.unary);
       transfer_block(v, v.unary);
-      bool member[L];
+      // decide_block sets every lane; the initializer only keeps GCC 12
+      // from reporting the lanes it cannot follow (-Wmaybe-uninitialized).
+      bool member[L] = {};
       decide_block(v, r.ref, ChipMetric::kInl, r.inl_limit, member);
       for (int l = 0; l < L; ++l) pass[2 * l + m] = member[l] ? 1 : 0;
     }

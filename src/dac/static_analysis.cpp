@@ -157,7 +157,7 @@ namespace {
 // `chips` and no early stop.
 YieldEstimate run_mc(const core::DacSpec& spec, double sigma_unit,
                      const mathx::EarlyStopOptions& es, int threads,
-                     bool count_allocs, std::uint64_t seed, double limit,
+                     std::uint64_t seed, double limit,
                      bool use_inl, InlReference ref) {
   if (threads < 0) throw std::invalid_argument("yield_mc: threads < 0");
   const mathx::YieldRun r = detail::run_lane_blocks(
@@ -169,8 +169,7 @@ YieldEstimate run_mc(const core::DacSpec& spec, double sigma_unit,
         std::int64_t passed = 0;
         for (int l = 0; l < k.lanes; ++l) passed += pass[l] ? 1 : 0;
         return passed;
-      },
-      count_allocs);
+      });
   YieldEstimate y;
   y.chips = static_cast<int>(r.evaluated);
   y.pass = static_cast<int>(r.passed);
@@ -185,7 +184,7 @@ YieldEstimate run_mc_fixed(const core::DacSpec& spec, double sigma_unit,
                            bool use_inl, InlReference ref, int threads) {
   if (chips <= 0) throw std::invalid_argument("yield_mc: chips <= 0");
   return run_mc(spec, sigma_unit, {.max_items = chips, .batch = chips},
-                threads, /*count_allocs=*/false, seed, limit, use_inl, ref);
+                threads, seed, limit, use_inl, ref);
 }
 
 YieldEstimate run_mc_adaptive(const core::DacSpec& spec, double sigma_unit,
@@ -197,7 +196,7 @@ YieldEstimate run_mc_adaptive(const core::DacSpec& spec, double sigma_unit,
                  .min_items = opts.min_chips,
                  .batch = opts.batch,
                  .ci_half_width = opts.ci_half_width},
-                opts.threads, opts.count_allocs, seed, limit, use_inl, ref);
+                opts.threads, seed, limit, use_inl, ref);
 }
 
 }  // namespace

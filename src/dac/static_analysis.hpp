@@ -100,9 +100,6 @@ struct AdaptiveMcOptions {
   int batch = 128;             ///< CI checked every `batch` chips
   double ci_half_width = 0.01; ///< stop tolerance; 0 disables early stop
   int threads = 1;             ///< 0 = hardware concurrency
-  /// Fill YieldEstimate::stats.alloc_bytes/alloc_count via the opt-in
-  /// allocation-counting hook (mathx/alloc_counter.hpp).
-  bool count_allocs = false;
 };
 
 /// Adaptive-early-stopping versions of the yield estimators. The stopping

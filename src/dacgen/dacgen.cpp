@@ -121,13 +121,16 @@ TransistorLevelDac::BuiltCircuit TransistorLevelDac::build(int code) const {
   };
 
   const int unary_on = code >> spec_.binary_bits;
+  // Names are built by append: GCC 12 misreads "u" + std::string&& as
+  // overlapping copies (a -Wrestrict false positive).
   for (int i = 0; i < spec_.num_unary(); ++i) {
-    add_cell("u" + std::to_string(i), spec_.unary_weight(), i < unary_on,
+    add_cell(std::string("u").append(std::to_string(i)),
+             spec_.unary_weight(), i < unary_on,
              unary_err_[static_cast<std::size_t>(i)]);
   }
   const int bits = code & ((1 << spec_.binary_bits) - 1);
   for (int k = 0; k < spec_.binary_bits; ++k) {
-    add_cell("b" + std::to_string(k), std::ldexp(1.0, k),
+    add_cell(std::string("b").append(std::to_string(k)), std::ldexp(1.0, k),
              ((bits >> k) & 1) != 0,
              binary_err_[static_cast<std::size_t>(k)]);
   }

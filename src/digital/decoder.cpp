@@ -63,13 +63,17 @@ ThermometerDecoder::ThermometerDecoder(int row_bits, int col_bits,
       !(gate_delay > 0.0)) {
     throw std::invalid_argument("ThermometerDecoder: bad configuration");
   }
-  // Inputs LSB-first: column field first, then row field.
+  // Inputs LSB-first: column field first, then row field. Names are built
+  // by append: GCC 12 misreads "c" + std::string&& as overlapping copies
+  // (a -Wrestrict false positive).
   std::vector<int> col_in, row_in;
   for (int i = 0; i < col_bits; ++i) {
-    col_in.push_back(net_.add_input("c" + std::to_string(i)));
+    col_in.push_back(
+        net_.add_input(std::string("c").append(std::to_string(i))));
   }
   for (int i = 0; i < row_bits; ++i) {
-    row_in.push_back(net_.add_input("r" + std::to_string(i)));
+    row_in.push_back(
+        net_.add_input(std::string("r").append(std::to_string(i))));
   }
   const auto col_min = build_minterms(net_, col_in, gate_delay);
   const auto row_min = build_minterms(net_, row_in, gate_delay);
@@ -153,7 +157,7 @@ DummyDecoder::DummyDecoder(int bits, int depth, double gate_delay)
     throw std::invalid_argument("DummyDecoder: bad configuration");
   }
   for (int b = 0; b < bits; ++b) {
-    int node = net_.add_input("b" + std::to_string(b));
+    int node = net_.add_input(std::string("b").append(std::to_string(b)));
     for (int d = 0; d < depth; ++d) {
       node = net_.add_gate(GateKind::kBuf, node, -1, gate_delay);
     }

@@ -49,8 +49,10 @@ LefMacro decoder_macro(const FloorplanOptions& o, double width_um,
   m.pins.push_back({"CK", "INPUT", "METAL2", 0.4, 0.4, 1.0, 1.0});
   for (int i = 0; i < outputs; ++i) {
     const double x = 2.0 + 1.2 * i;
-    m.pins.push_back({"T" + std::to_string(i), "OUTPUT", "METAL2", x, 0.2,
-                      x + 0.6, 0.8});
+    // append, not "T" + std::string&&: GCC 12 misreads that as overlapping
+    // copies (a -Wrestrict false positive).
+    m.pins.push_back({std::string("T").append(std::to_string(i)), "OUTPUT",
+                      "METAL2", x, 0.2, x + 0.6, 0.8});
   }
   return m;
 }

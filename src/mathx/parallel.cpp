@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "mathx/alloc_counter.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
@@ -154,8 +153,7 @@ double wilson_half_width(std::int64_t pass, std::int64_t n, double z) {
 }
 
 YieldRun run_blocks(const EarlyStopOptions& opts, int threads,
-                    std::int64_t block, const BlockFn& fn,
-                    bool count_allocs) {
+                    std::int64_t block, const BlockFn& fn) {
   if (opts.max_items < 1 || opts.batch < 1 || opts.min_items < 1 ||
       opts.ci_half_width < 0.0) {
     throw std::invalid_argument("run_blocks: bad options");
@@ -184,9 +182,7 @@ YieldRun run_blocks(const EarlyStopOptions& opts, int threads,
           passed.fetch_add(p, std::memory_order_relaxed);
         }
       };
-  EngineMetrics& m = EngineMetrics::get();  // first use registers: uncounted
-  std::optional<ScopedAllocCounting> counting;
-  if (count_allocs) counting.emplace();
+  EngineMetrics& m = EngineMetrics::get();
   for (std::int64_t wave = 0; r.evaluated < opts.max_items; ++wave) {
     wave_lo = r.evaluated;
     wave_hi = std::min(wave_lo + opts.batch, opts.max_items);
@@ -211,11 +207,6 @@ YieldRun run_blocks(const EarlyStopOptions& opts, int threads,
       m.early_stops.add(1);
       break;
     }
-  }
-  if (counting) {
-    const AllocCounts c = counting->so_far();
-    r.stats.alloc_bytes = c.bytes;
-    r.stats.alloc_count = c.count;
   }
   r.yield = static_cast<double>(r.passed) / static_cast<double>(r.evaluated);
   r.ci95 = wilson_half_width(r.passed, r.evaluated);
@@ -247,7 +238,7 @@ YieldRun run_blocks(const EarlyStopOptions& opts, int threads,
 
 RunStats parallel_for_indexed(std::int64_t n, int threads,
                               const std::function<void(int, std::int64_t)>& fn,
-                              std::int64_t chunk, bool count_allocs) {
+                              std::int64_t chunk) {
   if (n < 1) {
     RunStats s;
     s.per_thread_items.assign(1, 0);
@@ -264,8 +255,7 @@ RunStats parallel_for_indexed(std::int64_t n, int threads,
                     [&fn](int worker, std::int64_t lo, std::int64_t hi) {
                       for (std::int64_t i = lo; i < hi; ++i) fn(worker, i);
                       return std::int64_t{0};
-                    },
-                    count_allocs)
+                    })
       .stats;
 }
 

@@ -16,8 +16,9 @@
 // is built once by a caller-supplied factory and reused for every block
 // that worker claims. parallel_for_indexed (a per-item loop) and
 // parallel_map are thin wrappers over the same loop. RunStats carries the
-// perf counters: items/s, per-worker item counts (utilization), and —
-// opt-in, via the alloc_counter hook — bytes allocated during the run.
+// perf counters: items/s and per-worker item counts (utilization). A
+// caller that wants a run's allocations wraps it in a
+// mathx::ScopedAllocCounting (mathx/alloc_counter.hpp).
 #pragma once
 
 #include <atomic>
@@ -66,12 +67,6 @@ struct RunStats {
   /// Load balance: mean(per_thread_items) / max(per_thread_items), 1 =
   /// perfectly balanced.
   double utilization = 1.0;
-  /// Allocation counters for the run (see mathx/alloc_counter.hpp),
-  /// -1 when counting was not requested. Includes one-time setup such as
-  /// per-worker workspace construction; measure two run lengths and diff
-  /// to isolate the steady-state rate.
-  std::int64_t alloc_bytes = -1;
-  std::int64_t alloc_count = -1;
   /// Result-cache counters, filled by the runtime layer when a run is
   /// served through the persistent job cache (0 otherwise). A cache hit
   /// leaves evaluated == 0: the result was decoded, not recomputed.
@@ -172,11 +167,9 @@ using BlockFn =
 /// any block size and thread count. Workers are clamped to the blocks of a
 /// full run. Every run emits one engine.run span (attrs items, threads,
 /// block, evaluated, early_stopped) with one engine.wave child per wave,
-/// and adds to the engine.* metrics. When `count_allocs`, the run's
-/// allocations are counted via the opt-in alloc_counter hook.
+/// and adds to the engine.* metrics.
 YieldRun run_blocks(const EarlyStopOptions& opts, int threads,
-                    std::int64_t block, const BlockFn& fn,
-                    bool count_allocs = false);
+                    std::int64_t block, const BlockFn& fn);
 
 /// Workspace-factory run: each worker lazily builds one workspace with
 /// make_ws() (called at most once per worker, concurrently — the factory
@@ -188,8 +181,7 @@ YieldRun run_blocks(const EarlyStopOptions& opts, int threads,
 template <typename MakeWs, typename Fn>
   requires std::invocable<MakeWs&>
 YieldRun run_blocks(const EarlyStopOptions& opts, int threads,
-                    std::int64_t block, MakeWs&& make_ws, Fn&& fn,
-                    bool count_allocs = false) {
+                    std::int64_t block, MakeWs&& make_ws, Fn&& fn) {
   using Ws = decltype(make_ws());
   const std::int64_t nblocks =
       block > 0 ? (opts.max_items + block - 1) / block : opts.max_items;
@@ -200,7 +192,7 @@ YieldRun run_blocks(const EarlyStopOptions& opts, int threads,
     if (!slot) slot.emplace(make_ws());
     return static_cast<std::int64_t>(fn(*slot, lo, hi));
   };
-  return run_blocks(opts, nthreads, block, wrapped, count_allocs);
+  return run_blocks(opts, nthreads, block, wrapped);
 }
 
 /// Per-item loop: fn(worker, i) for i in [0, n), workers claiming `chunk`
@@ -208,8 +200,7 @@ YieldRun run_blocks(const EarlyStopOptions& opts, int threads,
 /// chunk; returns its run record.
 RunStats parallel_for_indexed(std::int64_t n, int threads,
                               const std::function<void(int, std::int64_t)>& fn,
-                              std::int64_t chunk = 1,
-                              bool count_allocs = false);
+                              std::int64_t chunk = 1);
 
 /// Parallel map into a pre-sized vector: out[i] = fn(i). The output order
 /// is by index, so the result is thread-count independent for pure fn.

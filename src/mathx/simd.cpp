@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "obs/metrics.hpp"
+
 namespace csdac::mathx {
 
 namespace {
@@ -105,6 +107,19 @@ SimdBackend simd_force_backend(SimdBackend backend) {
   if (backend > simd_detect()) backend = simd_detect();
   g_backend.store(static_cast<int>(backend) + 1, std::memory_order_release);
   return backend;
+}
+
+void record_dispatch(SimdBackend backend) {
+  static obs::Counter* const dispatch[kSimdBackends] = {
+      &obs::Registry::global().counter(
+          "simd.dispatch.scalar",
+          "kernel runs dispatched to the scalar instance"),
+      &obs::Registry::global().counter(
+          "simd.dispatch.sse2", "kernel runs dispatched to the SSE2 instance"),
+      &obs::Registry::global().counter(
+          "simd.dispatch.avx2", "kernel runs dispatched to the AVX2 instance"),
+  };
+  dispatch[static_cast<int>(backend)]->add(1);
 }
 
 }  // namespace csdac::mathx

@@ -20,8 +20,10 @@
 // This header is intrinsics-free: the templates are generic over an Ops
 // policy (lane count, vector types, arithmetic). ScalarOps (width 1, plain
 // double) lives here; the SSE2/AVX2 policies live in simd_sse2.hpp /
-// simd_avx2.hpp and are only included by the per-ISA kernel translation
-// units (the AVX2 one is compiled with -mavx2; see src/dac/CMakeLists.txt).
+// simd_avx2.hpp. A library instantiates its kernel at width 1 and over
+// Sse2Ops in its own unit (SSE2 is the x86-64 baseline) and over Avx2Ops in
+// one *_avx2.cpp unit (csdac_avx2_unit in src/CMakeLists.txt), and picks
+// the instance for this CPU through one SimdKernels table.
 #pragma once
 
 #include <bit>
@@ -37,6 +39,7 @@ namespace csdac::mathx {
 /// Vector instruction sets the chip-per-lane kernels can dispatch to, in
 /// ascending width order (so backends compare with <).
 enum class SimdBackend { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+inline constexpr int kSimdBackends = 3;
 
 /// "scalar", "sse2", or "avx2".
 const char* simd_backend_name(SimdBackend backend);
@@ -59,6 +62,36 @@ SimdBackend simd_backend();
 /// actually installed). For tests and the bench harness, which compare
 /// backends within one process; production code should rely on CSDAC_SIMD.
 SimdBackend simd_force_backend(SimdBackend backend);
+
+/// Adds one to simd.dispatch.<backend>: one dispatched kernel run (a
+/// lane-block MC run, a batched MOSFET evaluation). The first call
+/// registers all three counters, so an exposition that shows one shows
+/// all three.
+void record_dispatch(SimdBackend backend);
+
+/// One vector kernel's instances, one per backend. K is a pointer (to a
+/// kernel table or a function); entry b returns backend b's instance, or
+/// nullptr when this build does not compile it (no SSE2 on the target, an
+/// AVX2 unit without compiler support). The scalar entry never returns
+/// nullptr. A constexpr table of getters needs no initialization order and
+/// leaves an AVX2 instance in its own unit.
+template <class K>
+struct SimdKernels {
+  K (*at[kSimdBackends])();
+
+  /// Backend b's instance, or nullptr if not compiled in.
+  K get(SimdBackend b) const { return at[static_cast<int>(b)](); }
+
+  /// The instance runs dispatch to: simd_backend()'s, or the widest
+  /// narrower one compiled in. Resolved on every call, so a forced backend
+  /// takes effect on the next; costs one atomic load and a branch beyond
+  /// the getter.
+  K select() const {
+    for (int b = static_cast<int>(simd_backend());; --b) {
+      if (const K k = at[b]()) return k;
+    }
+  }
+};
 
 // --- Width-1 reference policy ----------------------------------------------
 

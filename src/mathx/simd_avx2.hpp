@@ -1,8 +1,8 @@
 // AVX2 Ops policy (4 chips per vector) for the chip-per-lane kernels.
-// Only the dedicated lane_kernel_avx2.cpp translation unit (compiled with
-// -mavx2, see src/dac/CMakeLists.txt) may include this header — nothing in
-// it is safe to execute on a CPU without AVX2, and compiling it into a TU
-// built with baseline flags would fail anyway.
+// Only the AVX2 kernel units (the *_avx2.cpp files, compiled with -mavx2
+// by csdac_avx2_unit in src/CMakeLists.txt) may include this header —
+// nothing in it is safe to execute on a CPU without AVX2, and compiling it
+// into a TU built with baseline flags would fail anyway.
 #pragma once
 
 #if defined(__AVX2__)

@@ -19,19 +19,25 @@ double sin(double x) { return sin_xN<ScalarOps>(x); }
 
 double cos(double x) { return cos_xN<ScalarOps>(x); }
 
-void exp_batch(std::span<double> x) {
-  const SimdBackend b = simd_backend();
-  if (b == SimdBackend::kAvx2) {
-    if (const detail::ExpLanesFn f = detail::exp_lanes_avx2()) {
-      return f(x.data(), x.size());
-    }
-  }
+namespace {
+
+detail::ExpLanesFn exp_lanes_scalar() { return &detail::exp_lanes<ScalarOps>; }
+
+detail::ExpLanesFn exp_lanes_sse2() {
 #if defined(__SSE2__)
-  if (b >= SimdBackend::kSse2) {
-    return detail::exp_lanes<Sse2Ops>(x.data(), x.size());
-  }
+  return &detail::exp_lanes<Sse2Ops>;
+#else
+  return nullptr;
 #endif
-  detail::exp_lanes<ScalarOps>(x.data(), x.size());
+}
+
+constexpr SimdKernels<detail::ExpLanesFn> kExpLanes{
+    {&exp_lanes_scalar, &exp_lanes_sse2, &detail::exp_lanes_avx2}};
+
+}  // namespace
+
+void exp_batch(std::span<double> x) {
+  kExpLanes.select()(x.data(), x.size());
 }
 
 }  // namespace csdac::mathx

@@ -4,88 +4,43 @@
 #include <map>
 #include <tuple>
 
-#include "obs/metrics.hpp"
 #include "spice/batch_impl.hpp"
 #include "spice/circuit.hpp"
+#if defined(__SSE2__)
+#include "mathx/simd_sse2.hpp"
+#endif
 
 namespace csdac::spice {
 namespace {
 
-/// Same instrument names as the dac lane kernels: the registry returns the
-/// one process-wide counter per name, so SPICE batches and behavioral MC
-/// land in the same simd.dispatch.* series.
-struct SpiceSimdMetrics {
-  obs::Counter& dispatch_scalar;
-  obs::Counter& dispatch_sse2;
-  obs::Counter& dispatch_avx2;
-  obs::Counter& lanes_utilized;
-  obs::Counter& chips_scalar_tail;
-
-  static SpiceSimdMetrics& get() {
-    static SpiceSimdMetrics m{
-        obs::Registry::global().counter(
-            "simd.dispatch.scalar", "MC runs dispatched to the scalar kernel"),
-        obs::Registry::global().counter(
-            "simd.dispatch.sse2", "MC runs dispatched to the SSE2 kernel"),
-        obs::Registry::global().counter(
-            "simd.dispatch.avx2", "MC runs dispatched to the AVX2 kernel"),
-        obs::Registry::global().counter(
-            "simd.lanes_utilized",
-            "chips evaluated through SIMD vector lanes"),
-        obs::Registry::global().counter(
-            "simd.chips_scalar_tail",
-            "chips evaluated by the scalar kernel (remainder blocks or "
-            "scalar dispatch)"),
-    };
-    return m;
-  }
-};
-
-void record_batch_run(const MosBatchKernel& k, std::int64_t vector_devs,
-                      std::int64_t scalar_tail_devs) {
-  SpiceSimdMetrics& m = SpiceSimdMetrics::get();
-  switch (k.backend) {
-    case mathx::SimdBackend::kScalar:
-      m.dispatch_scalar.add(1);
-      break;
-    case mathx::SimdBackend::kSse2:
-      m.dispatch_sse2.add(1);
-      break;
-    case mathx::SimdBackend::kAvx2:
-      m.dispatch_avx2.add(1);
-      break;
-  }
-  if (vector_devs > 0) m.lanes_utilized.add(vector_devs);
-  if (scalar_tail_devs > 0) m.chips_scalar_tail.add(scalar_tail_devs);
-}
-
-const MosBatchKernel& scalar_mos_kernel() {
+const MosBatchKernel* scalar_mos_kernel() {
   static const MosBatchKernel k{mathx::SimdBackend::kScalar, 1,
                                 &detail::mos_prologue<mathx::ScalarOps>};
-  return k;
+  return &k;
 }
+
+const MosBatchKernel* sse2_mos_kernel() {
+#if defined(__SSE2__)
+  static const MosBatchKernel k{mathx::SimdBackend::kSse2,
+                                mathx::Sse2Ops::kLanes,
+                                &detail::mos_prologue<mathx::Sse2Ops>};
+  return &k;
+#else
+  return nullptr;
+#endif
+}
+
+constexpr mathx::SimdKernels<const MosBatchKernel*> kMosKernels{
+    {&scalar_mos_kernel, &sse2_mos_kernel, &detail::mos_kernel_avx2}};
 
 }  // namespace
 
 const MosBatchKernel* mos_batch_kernel(mathx::SimdBackend backend) {
-  switch (backend) {
-    case mathx::SimdBackend::kScalar:
-      return &scalar_mos_kernel();
-    case mathx::SimdBackend::kSse2:
-      return detail::mos_kernel_sse2();
-    case mathx::SimdBackend::kAvx2:
-      return detail::mos_kernel_avx2();
-  }
-  return nullptr;
+  return kMosKernels.get(backend);
 }
 
 const MosBatchKernel& active_mos_batch_kernel() {
-  mathx::SimdBackend b = mathx::simd_backend();
-  for (;;) {
-    if (const MosBatchKernel* k = mos_batch_kernel(b)) return *k;
-    b = b == mathx::SimdBackend::kAvx2 ? mathx::SimdBackend::kSse2
-                                       : mathx::SimdBackend::kScalar;
-  }
+  return *kMosKernels.select();
 }
 
 MosfetBatchSet::MosfetBatchSet(const Circuit& ckt) {
@@ -141,7 +96,6 @@ MosfetBatchSet::MosfetBatchSet(const Circuit& ckt) {
 void MosfetBatchSet::evaluate(const EvalContext& ctx) {
   if (evals_.empty()) return;
   const MosBatchKernel& kernel = active_mos_batch_kernel();
-  std::int64_t vector_devs = 0, tail_devs = 0;
   for (auto& grp : groups_) {
     const int n = static_cast<int>(grp.devs.size());
     const MosBatchConsts& c = grp.consts;
@@ -163,9 +117,6 @@ void MosfetBatchSet::evaluate(const EvalContext& ctx) {
                      grp.sqrt_arg.data(), grp.swapped.data(),
                      grp.clamped.data()};
     kernel.prologue(c, io, n);
-    const int vec = (n / kernel.lanes) * kernel.lanes;
-    vector_devs += kernel.lanes > 1 ? vec : 0;
-    tail_devs += kernel.lanes > 1 ? n - vec : n;
 
     // Region-dependent tail, scalar per lane — byte-for-byte the same
     // expressions as Mosfet::evaluate().
@@ -207,7 +158,7 @@ void MosfetBatchSet::evaluate(const EvalContext& ctx) {
       evals_[static_cast<std::size_t>(grp.slots[sl])] = e;
     }
   }
-  record_batch_run(kernel, vector_devs, tail_devs);
+  mathx::record_dispatch(kernel.backend);
 }
 
 }  // namespace csdac::spice

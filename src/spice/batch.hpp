@@ -5,10 +5,11 @@
 // using the cached evaluations, so the assembled matrix accumulates in the
 // same order — and is therefore bit-identical — to the scalar path.
 //
-// Dispatch mirrors src/dac/lane_kernel*: a scalar instantiation always
-// exists, SSE2/AVX2 live in dedicated TUs compiled with the matching ISA
-// flags, and the active kernel downgrades to the widest one both compiled
-// in and supported by the CPU (CSDAC_SIMD / simd_force_backend override).
+// Dispatch mirrors src/dac/lane_kernel*: the scalar and SSE2 instances
+// live in batch.cpp, the AVX2 one in batch_avx2.cpp (compiled with
+// -mavx2), and a mathx::SimdKernels table picks the widest one both
+// compiled in and allowed by mathx::simd_backend() (CSDAC_SIMD /
+// simd_force_backend override).
 #pragma once
 
 #include <cstdint>
@@ -62,9 +63,8 @@ struct MosBatchKernel {
 };
 
 namespace detail {
-/// Per-ISA kernels from their dedicated TUs; nullptr when the compiler
-/// could not target the ISA.
-const MosBatchKernel* mos_kernel_sse2();
+/// The AVX2 kernel (batch_avx2.cpp); nullptr when the compiler could not
+/// target AVX2.
 const MosBatchKernel* mos_kernel_avx2();
 }  // namespace detail
 
@@ -75,8 +75,9 @@ const MosBatchKernel& active_mos_batch_kernel();
 
 /// Groups a circuit's MOSFETs by (type, model params, geometry) and
 /// evaluates every group through the active SIMD kernel for one Newton
-/// iterate. The solver asks eval_for() while stamping in original device
-/// order; total_evals() feeds the spice.device_evals metric.
+/// iterate, adding one to simd.dispatch.<backend> per evaluate(). The
+/// solver asks eval_for() while stamping in original device order and
+/// counts device_count() in the spice.device_evals metric.
 class MosfetBatchSet {
  public:
   explicit MosfetBatchSet(const Circuit& ckt);

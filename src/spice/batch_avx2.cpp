@@ -1,7 +1,7 @@
 // AVX2 instantiation of the batched MOSFET prologue. This TU is the only
-// one compiled with -mavx2 (see src/spice/CMakeLists.txt); it is safe to
-// LINK everywhere because the wide code executes only after runtime
-// detection picks the AVX2 backend.
+// one in the library compiled with -mavx2 (csdac_avx2_unit, see
+// src/CMakeLists.txt); it is safe to LINK everywhere because the wide code
+// executes only after runtime detection picks the AVX2 backend.
 #include "spice/batch.hpp"
 
 #if defined(__AVX2__)

@@ -1,6 +1,6 @@
 // Shared template for the batched MOSFET evaluation prologue, instantiated
-// once per SIMD backend (scalar here in batch.cpp, SSE2/AVX2 in their
-// dedicated per-ISA translation units — mirroring src/dac/lane_kernel*).
+// once per SIMD backend (scalar and SSE2 in batch.cpp, AVX2 in
+// batch_avx2.cpp — mirroring src/dac/lane_kernel*).
 //
 // The prologue covers the part of Mosfet::evaluate() that is uniform
 // across operating regions: terminal swap, vgs/vds/vbs, the body-effect

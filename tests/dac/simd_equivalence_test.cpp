@@ -23,6 +23,7 @@
 #include "mathx/alloc_counter.hpp"
 #include "mathx/rng.hpp"
 #include "mathx/simd.hpp"
+#include "obs/metrics.hpp"
 
 namespace csdac::dac {
 namespace {
@@ -400,6 +401,38 @@ TEST(SimdEquivalence, ActiveKernelFollowsForcedBackend) {
   // The widest kernel the dispatch can reach never exceeds the detection.
   mathx::simd_force_backend(SimdBackend::kAvx2);
   EXPECT_LE(active_lane_kernel().backend, mathx::simd_detect());
+}
+
+// simd.dispatch.<backend> counts dispatched runs, not workers or blocks:
+// one inl_yield_mc run on three workers, with a short last block, adds
+// exactly one to the active kernel's counter and nothing to the others.
+TEST(SimdEquivalence, InlYieldRunRecordsOneDispatch) {
+  const core::DacSpec spec = make_spec(8, 3);
+  const double sigma = core::unit_sigma_spec(spec.nbits, spec.inl_yield);
+  auto dispatched = [] {
+    std::vector<std::int64_t> v;
+    for (SimdBackend b : kAllBackends) {
+      v.push_back(obs::Registry::global()
+                      .counter(std::string("simd.dispatch.") +
+                               mathx::simd_backend_name(b))
+                      .value());
+    }
+    return v;
+  };
+  BackendGuard guard;
+  for (SimdBackend b : kAllBackends) {
+    if (b > mathx::simd_detect()) continue;
+    SCOPED_TRACE(mathx::simd_backend_name(b));
+    mathx::simd_force_backend(b);
+    const SimdBackend ran = active_lane_kernel().backend;
+    const std::vector<std::int64_t> before = dispatched();
+    (void)inl_yield_mc(spec, sigma, 37, 5, 0.5, InlReference::kBestFit, 3);
+    const std::vector<std::int64_t> after = dispatched();
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i] - before[i], kAllBackends[i] == ran ? 1 : 0)
+          << mathx::simd_backend_name(kAllBackends[i]);
+    }
+  }
 }
 
 // Full-path equivalence: every yield estimator must return bit-identical

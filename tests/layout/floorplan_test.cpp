@@ -77,7 +77,7 @@ TEST(Floorplan, EveryUnarySourceIsWired) {
   std::set<std::string> nets;
   for (const auto& n : fp.def.nets) nets.insert(n.name);
   for (int k = 0; k < spec.num_unary(); ++k) {
-    EXPECT_TRUE(nets.count("t" + std::to_string(k)));
+    EXPECT_TRUE(nets.count(std::string("t").append(std::to_string(k))));
     EXPECT_TRUE(nets.count("sw_u" + std::to_string(k)));
   }
   EXPECT_TRUE(nets.count("outp"));

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "mathx/alloc_counter.hpp"
 #include "mathx/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -378,36 +379,32 @@ TEST(Parallel, AdaptiveWorkspaceRunBitIdenticalToPlain) {
 TEST(Parallel, WorkspaceSteadyStateIsAllocationFree) {
   // With a preallocating factory, a longer run must allocate no more bytes
   // than a short one: every per-item allocation would show up as a
-  // difference. Single-threaded so the counts are exact.
+  // difference. Single-threaded so the counts are exact; one uncounted run
+  // first registers the engine metrics.
   struct Scratch {
     std::vector<double> buf = std::vector<double>(256);
   };
   auto run = [](std::int64_t n) {
-    return run_blocks(
-               {.max_items = n, .batch = n}, 1, 1, [] { return Scratch{}; },
+    run_blocks({.max_items = n, .batch = n}, 1, 1, [] { return Scratch{}; },
                [](Scratch& ws, std::int64_t lo, std::int64_t hi) {
                  for (std::int64_t i = lo; i < hi; ++i) {
                    ws.buf[static_cast<std::size_t>(i) % ws.buf.size()] =
                        static_cast<double>(i);
                  }
                  return std::int64_t{0};
-               },
-               /*count_allocs=*/true)
-        .stats;
+               });
   };
-  const RunStats small = run(64);
-  const RunStats big = run(4096);
-  ASSERT_GE(small.alloc_bytes, 0);
-  ASSERT_GE(big.alloc_bytes, 0);
-  EXPECT_EQ(big.alloc_bytes, small.alloc_bytes);
-  EXPECT_EQ(big.alloc_count, small.alloc_count);
-}
-
-TEST(Parallel, AllocCountersAreMinusOneWhenNotRequested) {
-  const RunStats s =
-      parallel_for_indexed(16, 2, [](int, std::int64_t) {});
-  EXPECT_EQ(s.alloc_bytes, -1);
-  EXPECT_EQ(s.alloc_count, -1);
+  auto counted = [&run](std::int64_t n) {
+    const ScopedAllocCounting counting;
+    run(n);
+    return counting.so_far();
+  };
+  run(1);
+  const AllocCounts small = counted(64);
+  const AllocCounts big = counted(4096);
+  EXPECT_GT(small.bytes, 0) << "the factory's scratch went uncounted";
+  EXPECT_EQ(big.bytes, small.bytes);
+  EXPECT_EQ(big.count, small.count);
 }
 
 TEST(Parallel, RejectsBadArguments) {

@@ -90,7 +90,7 @@ TEST(FlightRecorder, ConcurrentWritersNeverTearAnEvent) {
     const long long i = ev.arg - 1000000LL * t;
     if (i < 0 || i >= kPerWriter) return false;
     return trace ==
-           "w" + std::to_string(t) + "-" + std::to_string(i);
+           std::string("w").append(std::to_string(t)) + "-" + std::to_string(i);
   };
 
   std::vector<std::thread> writers;
@@ -100,7 +100,8 @@ TEST(FlightRecorder, ConcurrentWritersNeverTearAnEvent) {
       const std::string name = "writer-" + std::to_string(t);
       for (int i = 0; i < kPerWriter; ++i) {
         rec.record(obs::FlightEventKind::kSpan, name,
-                   "w" + std::to_string(t) + "-" + std::to_string(i),
+                   std::string("w").append(std::to_string(t)) + "-" +
+                       std::to_string(i),
                    double(i), 1.0, 1000000LL * t + i);
       }
     });

@@ -178,7 +178,7 @@ struct Renderer {
     for (const auto& n : kEnumNames<E>) {
       if (n.value == v) {
         key(name);
-        out += "\"" + std::string(n.name) + "\"";
+        out.append("\"").append(n.name).append("\"");
       }
     }
   }
@@ -186,7 +186,7 @@ struct Renderer {
     for (const auto& p : kTechPresets) {
       if (values(p.value().nmos) == values(t)) {
         key(name);
-        out += "\"" + std::string(p.name) + "\"";
+        out.append("\"").append(p.name).append("\"");
       }
     }
   }

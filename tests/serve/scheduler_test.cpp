@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +35,46 @@ SchedulerOptions ram_only(int workers) {
   o.exec.hot_bytes = 1 << 20;  // RAM-only tiers: no scratch dir needed
   return o;
 }
+
+// A span collector that, until open(), holds every thread but the one that
+// built it at its first finished span. A one-worker scheduler's worker
+// then stays inside its first job while the test queues the rest, so the
+// order in which it serves them is the scheduler's choice, not a race
+// between the worker and the submitting thread. The building thread must
+// emit no span while the gate is shut: Tracer::emit holds its lock across
+// the sinks.
+class GatedCollector : public obs::SpanCollector {
+ public:
+  GatedCollector() { obs::Tracer::global().add_sink(this); }
+  ~GatedCollector() override {
+    open();
+    obs::Tracer::global().remove_sink(this);
+  }
+  GatedCollector(const GatedCollector&) = delete;
+  GatedCollector& operator=(const GatedCollector&) = delete;
+
+  void on_span(const obs::SpanRecord& span) override {
+    if (std::this_thread::get_id() != owner_) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      opened_.wait(lock, [this] { return open_; });
+    }
+    obs::SpanCollector::on_span(span);
+  }
+
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    opened_.notify_all();
+  }
+
+ private:
+  const std::thread::id owner_ = std::this_thread::get_id();
+  std::mutex mutex_;
+  std::condition_variable opened_;
+  bool open_ = false;
+};
 
 TEST(Scheduler, ResolvesFutureWithTheDirectResult) {
   Scheduler sched(ram_only(2));
@@ -123,8 +165,7 @@ TEST(Scheduler, AdmissionCapBlocksSubmitUntilSlotsFree) {
 }
 
 TEST(Scheduler, RoundRobinInterleavesClientsAndTracesTheirIds) {
-  obs::SpanCollector collector;
-  obs::Tracer::global().add_sink(&collector);
+  GatedCollector collector;
   {
     Scheduler sched(ram_only(1));
     std::vector<Scheduler::Ticket> tickets;
@@ -134,9 +175,9 @@ TEST(Scheduler, RoundRobinInterleavesClientsAndTracesTheirIds) {
     tickets.push_back(sched.submit(job_with(501, 50), 0, "a2"));
     tickets.push_back(sched.submit(job_with(502, 50), 0, "a3"));
     tickets.push_back(sched.submit(job_with(503, 50), 1, "b1"));
+    collector.open();
     for (const auto& t : tickets) t.future.wait();
   }
-  obs::Tracer::global().remove_sink(&collector);
 
   // A sched.job span closes when its job finishes, so the collector holds
   // them in finish order.
@@ -167,31 +208,46 @@ TEST(Scheduler, SecondBatchNeitherBlocksOnNorCorruptsTheFirst) {
   // Regression for the batch-scoped runtime: a long first batch must not
   // delay an independent second batch past the fairness slice, and both
   // must produce the same values as direct execution.
-  Scheduler sched(ram_only(1));
+  GatedCollector collector;
   const Job a1 = job_with(600, 300), a2 = job_with(601, 300),
             a3 = job_with(602, 300);
   const Job b1 = job_with(700, 40);
-  const auto ta1 = sched.submit(a1, 0, "a1");
-  const auto ta2 = sched.submit(a2, 0, "a2");
-  const auto ta3 = sched.submit(a3, 0, "a3");
-  const auto tb1 = sched.submit(b1, 1, "b1");
+  Scheduler::ResultPtr rb, ra[3];
+  {
+    Scheduler sched(ram_only(1));
+    const auto ta1 = sched.submit(a1, 0, "a1");
+    const auto ta2 = sched.submit(a2, 0, "a2");
+    const auto ta3 = sched.submit(a3, 0, "a3");
+    const auto tb1 = sched.submit(b1, 1, "b1");
+    collector.open();
+    rb = tb1.future.get();
+    ra[0] = ta1.future.get();
+    ra[1] = ta2.future.get();
+    ra[2] = ta3.future.get();
+  }
 
   // Batch B resolves while batch A still has queued work: with one
   // worker and round-robin, b1 runs right after the job in flight, ahead
-  // of a2/a3.
-  const Scheduler::ResultPtr rb = tb1.future.get();
-  EXPECT_NE(ta3.future.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready)
-      << "batch B waited for the whole of batch A";
+  // of a3: b1's sched.job span starts first. The order, unlike a
+  // wall-clock window, holds however loaded the machine is.
+  double b1_start = -1.0, a3_start = -1.0;
+  for (const obs::SpanRecord& span : collector.take()) {
+    if (span.name != "sched.job") continue;
+    for (const auto& [k, v] : span.attrs) {
+      if (k != "label") continue;
+      if (v == "b1") b1_start = span.start_us;
+      if (v == "a3") a3_start = span.start_us;
+    }
+  }
+  ASSERT_GE(b1_start, 0.0) << "no sched.job span for b1";
+  ASSERT_GE(a3_start, 0.0) << "no sched.job span for a3";
+  EXPECT_LT(b1_start, a3_start) << "batch B waited for the whole of batch A";
 
   const auto direct_b = execute_job(b1, 1, nullptr);
   EXPECT_EQ(std::get<YieldResult>(rb->value).yield,
             std::get<YieldResult>(direct_b).yield);
-  for (const auto* t : {&ta1, &ta2, &ta3}) {
-    const auto ra = t->future.get();
-    EXPECT_EQ(ra->tier, ResultTier::kComputed);
-  }
-  EXPECT_EQ(std::get<YieldResult>(ta1.future.get()->value).yield,
+  for (const auto& r : ra) EXPECT_EQ(r->tier, ResultTier::kComputed);
+  EXPECT_EQ(std::get<YieldResult>(ra[0]->value).yield,
             std::get<YieldResult>(execute_job(a1, 1, nullptr)).yield);
 }
 
@@ -358,7 +414,9 @@ TEST(SchedulerHotHit, EmitsSchedJobOverExecJobWithTraceAndParent) {
 TEST(SchedulerHotHit, EverySubmittedJobRecordsOneHotOutcome) {
   // Cold then warm, with in-flight duplicates: each submitted job counts
   // exactly one hot-tier hit or miss (a queued task's miss by the worker,
-  // an inline hit by the probe), and a dedup attachment counts none.
+  // an inline hit by the probe), and a dedup attachment counts none. The
+  // gate keeps the worker in its first job until every duplicate is in.
+  GatedCollector gate;
   Scheduler sched(ram_only(1));
   std::vector<Scheduler::Ticket> tickets;
   tickets.push_back(sched.submit(job_with(1400, 300), 0, "blocker"));
@@ -366,6 +424,7 @@ TEST(SchedulerHotHit, EverySubmittedJobRecordsOneHotOutcome) {
     tickets.push_back(sched.submit(job_with(1401 + i, 50), 1));
     tickets.push_back(sched.submit(job_with(1401 + i % 2, 50), 2));
   }
+  gate.open();
   for (const auto& t : tickets) t.future.wait();
   for (int i = 0; i < 5; ++i) {
     const auto warm = sched.submit(job_with(1400 + i, i ? 50 : 300), 3);

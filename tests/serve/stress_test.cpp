@@ -245,7 +245,7 @@ TEST(Stress, StormAfterSerialWarmupIsBitIdenticalAndFree) {
           FrameStatus::kOk);
       auto results = reply_results(reply);
       ASSERT_EQ(results.size(), 1u);
-      const std::string id = "u" + std::to_string(u);
+      const std::string id = std::string("u").append(std::to_string(u));
       ASSERT_TRUE(results.count(id));
       EXPECT_EQ(results[id], direct_result(u, cfg.seed_base, cfg.chips))
           << "server diverged from the direct engine for " << id;
@@ -292,7 +292,7 @@ TEST(Stress, ColdStormComputesEachUniqueJobExactlyOnce) {
 
   ASSERT_EQ(seen.size(), static_cast<std::size_t>(cfg.unique));
   for (int u = 0; u < cfg.unique; ++u) {
-    const std::string id = "u" + std::to_string(u);
+    const std::string id = std::string("u").append(std::to_string(u));
     ASSERT_TRUE(seen.count(id)) << id << " never answered";
     const std::string want = direct_result(u, cfg.seed_base, cfg.chips);
     for (const auto& body : seen.at(id)) {

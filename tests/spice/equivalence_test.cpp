@@ -16,6 +16,7 @@
 
 #include "core/sizer.hpp"
 #include "dacgen/dacgen.hpp"
+#include "obs/metrics.hpp"
 #include "spice/batch.hpp"
 #include "spice/circuit.hpp"
 #include "spice/devices.hpp"
@@ -39,9 +40,10 @@ std::unique_ptr<Circuit> resistor_ladder() {
   int prev = ckt->node("in");
   ckt->add(std::make_unique<VoltageSource>("v1", prev, 0, 3.3));
   for (int i = 0; i < 12; ++i) {
-    const int next = ckt->node("n" + std::to_string(i));
-    ckt->add(std::make_unique<Resistor>("r" + std::to_string(i), prev, next,
-                                        100.0 + 10.0 * i));
+    const int next = ckt->node(std::string("n").append(std::to_string(i)));
+    ckt->add(std::make_unique<Resistor>(
+        std::string("r").append(std::to_string(i)), prev, next,
+        100.0 + 10.0 * i));
     ckt->add(std::make_unique<Resistor>("rg" + std::to_string(i), next, 0,
                                         1e3));
     prev = next;
@@ -300,6 +302,33 @@ TEST(BatchedMosfets, BitIdenticalToScalarEvaluate) {
     ++checked;
   }
   EXPECT_GT(checked, 50) << "the 6-bit array should batch dozens of devices";
+}
+
+// The batched evaluator counts MOSFET evaluations in spice.device_evals and
+// its dispatches in simd.dispatch.*; the chip counters simd.lanes_utilized
+// and simd.chips_scalar_tail belong to the dac lane kernels alone.
+TEST(BatchedMosfets, DcSolveCountsDevicesNotChips) {
+  obs::Registry& reg = obs::Registry::global();
+  auto value = [&reg](const char* name) { return reg.counter(name).value(); };
+  auto dispatched = [&value] {
+    return value("simd.dispatch.scalar") + value("simd.dispatch.sse2") +
+           value("simd.dispatch.avx2");
+  };
+  const std::int64_t evals0 = value("spice.device_evals");
+  const std::int64_t lanes0 = value("simd.lanes_utilized");
+  const std::int64_t tail0 = value("simd.chips_scalar_tail");
+  const std::int64_t dispatch0 = dispatched();
+
+  auto built = dac_circuit();
+  SolveStats stats;
+  (void)solve_dc(*built.circuit,
+                 with_solver(LinearSolverKind::kSparse, &stats));
+  ASSERT_GT(stats.device_evals, 0) << "the array should be batched";
+
+  EXPECT_EQ(value("spice.device_evals") - evals0, stats.device_evals);
+  EXPECT_EQ(value("simd.lanes_utilized"), lanes0);
+  EXPECT_EQ(value("simd.chips_scalar_tail"), tail0);
+  EXPECT_GT(dispatched(), dispatch0);
 }
 
 TEST(BatchedMosfets, MismatchFlowsThroughBatches) {

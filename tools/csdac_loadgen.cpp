@@ -113,7 +113,7 @@ Options parse_args(int argc, char** argv) {
 std::string job_payload(int u, int chips) {
   bench::JsonWriter w;
   w.begin_object();
-  w.field("id", "u" + std::to_string(u));
+  w.field("id", std::string("u").append(std::to_string(u)));
   w.field("kind", "inl_yield");
   w.field("chips", chips);
   w.field("seed", 7000 + u);
