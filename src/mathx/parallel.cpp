@@ -97,10 +97,9 @@ void ThreadPool::worker_loop(int worker) {
 void ThreadPool::work(int worker) {
   try {
     for (;;) {
-      const std::int64_t lo = next_.fetch_add(chunk_);
-      if (lo >= end_) return;
-      const std::int64_t hi = std::min(lo + chunk_, end_);
-      for (std::int64_t i = lo; i < hi; ++i) (*fn_)(worker, i);
+      const std::int64_t i = next_.fetch_add(1);
+      if (i >= end_) return;
+      (*fn_)(worker, i);
     }
   } catch (...) {
     // Keep the first error for the caller and let no one claim more.
@@ -111,21 +110,18 @@ void ThreadPool::work(int worker) {
 }
 
 void ThreadPool::for_each_indexed(
-    std::int64_t begin, std::int64_t end,
-    const std::function<void(int, std::int64_t)>& fn, std::int64_t chunk) {
-  if (begin >= end) return;
-  if (chunk < 1) throw std::invalid_argument("ThreadPool: chunk < 1");
+    std::int64_t n, const std::function<void(int, std::int64_t)>& fn) {
+  if (n <= 0) return;
   if (workers_.empty()) {
     obs::ScopedSpan span("engine.worker");
     span.attr("worker", 0);
-    for (std::int64_t i = begin; i < end; ++i) fn(0, i);
+    for (std::int64_t i = 0; i < n; ++i) fn(0, i);
     return;
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    next_.store(begin);
-    end_ = end;
-    chunk_ = chunk;
+    next_.store(0);
+    end_ = n;
     fn_ = &fn;
     busy_ = static_cast<int>(workers_.size());
     span_parent_ = obs::Tracer::current_span_id();
@@ -191,8 +187,7 @@ YieldRun run_blocks(const EarlyStopOptions& opts, int threads,
       obs::ScopedSpan wave_span("engine.wave");
       wave_span.attr("wave", wave).attr("from", wave_lo)
           .attr("items", wave_hi - wave_lo);
-      pool.for_each_indexed(0, (wave_hi - wave_lo + block - 1) / block,
-                            counted);
+      pool.for_each_indexed((wave_hi - wave_lo + block - 1) / block, counted);
       m.waves.add(1);
       m.wave_us.observe(static_cast<std::int64_t>(
           std::chrono::duration<double, std::micro>(

@@ -91,21 +91,19 @@ class ThreadPool {
   /// Total worker count including the calling thread.
   int threads() const { return static_cast<int>(workers_.size()) + 1; }
 
-  /// Runs fn(worker, i) for every i in [begin, end); blocks until done.
+  /// Runs fn(worker, i) for every i in [0, n); blocks until done.
   /// If fn throws, no further indices are claimed and the first exception
   /// is rethrown here once every worker has stopped.
-  /// Threads claim `chunk` consecutive indices at a time (chunk >= 1). The
-  /// worker id in [0, threads()) — 0 is the calling thread, 1.. are the
-  /// pool workers — is what lets a caller attach per-worker state (a
-  /// Monte-Carlo workspace) that is reused across every index the worker
-  /// claims.
-  void for_each_indexed(std::int64_t begin, std::int64_t end,
-                        const std::function<void(int, std::int64_t)>& fn,
-                        std::int64_t chunk = 1);
+  /// Threads claim one index at a time. The worker id in [0, threads()) —
+  /// 0 is the calling thread, 1.. are the pool workers — is what lets a
+  /// caller attach per-worker state (a Monte-Carlo workspace) that is
+  /// reused across every index the worker claims.
+  void for_each_indexed(std::int64_t n,
+                        const std::function<void(int, std::int64_t)>& fn);
 
  private:
   void worker_loop(int worker);
-  void work(int worker);  ///< claim and run chunks of the current job
+  void work(int worker);  ///< claim and run indices of the current job
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;
@@ -118,7 +116,6 @@ class ThreadPool {
   // Current job (valid while busy_ > 0).
   std::atomic<std::int64_t> next_{0};
   std::int64_t end_ = 0;
-  std::int64_t chunk_ = 1;
   const std::function<void(int, std::int64_t)>* fn_ = nullptr;
   std::exception_ptr error_;  ///< first throw of the current job
   /// Span id the dispatching thread had open when it launched the current

@@ -92,6 +92,14 @@ Scheduler::Ticket Scheduler::submit(Job job, std::uint64_t client,
                                     std::string label, std::string trace_id,
                                     std::uint64_t parent_span) {
   const mathx::HashKey128 key = job_key(job);
+  return submit(std::move(job), key, client, std::move(label),
+                std::move(trace_id), parent_span);
+}
+
+Scheduler::Ticket Scheduler::submit(Job job, const mathx::HashKey128& key,
+                                    std::uint64_t client, std::string label,
+                                    std::string trace_id,
+                                    std::uint64_t parent_span) {
   const JobKind kind = job_kind(job);
   SchedMetrics& m = SchedMetrics::get();
   if (label.empty()) label = std::string(kind_name(kind));

@@ -107,6 +107,11 @@ class Scheduler {
   /// trace id — by design: one execution, one attribution.
   Ticket submit(Job job, std::uint64_t client = 0, std::string label = {},
                 std::string trace_id = {}, std::uint64_t parent_span = 0);
+  /// As above, for a caller that already holds job_key(job) (the serve
+  /// path folds a request's repeated keys before submitting).
+  Ticket submit(Job job, const mathx::HashKey128& key, std::uint64_t client,
+                std::string label, std::string trace_id,
+                std::uint64_t parent_span);
 
   JobExecutor& executor() { return *executor_; }
   SchedulerCounters counters() const;

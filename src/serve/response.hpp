@@ -1,7 +1,7 @@
 // Shared result emission for the design service: the per-kind JSON body
-// under each job's "result" key, identical between the batch response
-// ("csdac-serve/2") and the network server's reply frames
-// ("csdac-serve/4") so clients parse one shape regardless of transport.
+// under each job's "result" key of a "csdac-serve/4" reply (answer.hpp),
+// whether the server sends it as a frame or batch mode writes it to a
+// file.
 //
 // serve/4 (over serve/3) adds request-scoped tracing: every reply carries
 // the request's "trace_id" (client-supplied or server-minted) and every
@@ -14,7 +14,7 @@
 
 namespace csdac::serve {
 
-/// Network reply schema of server.* (one frame per request).
+/// Reply schema of answer() (one document per request).
 inline constexpr std::string_view kResponseSchema = "csdac-serve/4";
 /// Control-channel schema (ping / metrics / shutdown / dump).
 inline constexpr std::string_view kControlSchema = "csdac-ctl/1";

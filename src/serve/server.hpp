@@ -1,9 +1,10 @@
 // Persistent concurrent design server: a length-framed TCP listener
-// (framing.hpp) that parses "csdac-request/1" payloads (request.hpp) into
-// jobs on ONE long-lived shared Scheduler, so any number of concurrent
-// clients multiplex over one worker pool, one in-memory hot tier and one
-// disk cache — with cross-request single-flight dedup and per-client
-// admission control inherited from the scheduler.
+// (framing.hpp) that answers each "csdac-request/1" payload through the
+// shared answer path (answer.hpp) on ONE long-lived Scheduler, so any
+// number of concurrent clients multiplex over one worker pool, one
+// in-memory hot tier and one disk cache — with cross-request
+// single-flight dedup and per-client admission control inherited from the
+// scheduler.
 //
 // Connection model: one thread per connection (bounded by
 // max_connections; excess connections get a "busy" error frame and are
@@ -22,21 +23,17 @@
 //   {"schema":"csdac-ctl/1","cmd":"shutdown"}  ack, then wake wait()
 //
 // Tracing: every design request carries a trace id — the caller's
-// "trace_id" field when given (<= 64 chars), a server-minted
-// "sv-<conn>-<n>" otherwise — echoed in the reply and attached to the
-// serve.request span, the scheduler's sched.job span, and the executor's
-// exec.job span, so one id follows the request across every thread that
-// touched it. Each job's reply entry carries a per-stage latency
-// breakdown (see response.hpp), every stage is also observed into
-// serve.stage_us{kind,stage} labeled histograms, and requests slower
-// than ServerOptions::slow_us land in a structured JSONL slow log with
-// the full breakdown. Every request/error additionally drops a
-// fixed-size event into the obs flight recorder for post-hoc dumps.
+// "trace_id" field when given (<= 39 bytes), a minted "sv-<conn>-<n>"
+// otherwise — echoed in the reply and attached to the serve.request span,
+// the scheduler's sched.job span, and the executor's exec.job span, so
+// one id follows the request across every thread that touched it. Each
+// job's reply entry carries a per-stage latency breakdown (see
+// response.hpp), and requests slower than ServerOptions::slow_us land in
+// a structured JSONL slow log with the full breakdown.
 //
 // Observability: serve.connections / serve.connections_active /
-// serve.requests / serve.requests_inflight / serve.errors /
-// serve.slow_requests plus the serve.request_us latency histogram, and a
-// serve.request span per request — all in the process-wide obs registry,
+// serve.rejected / serve.errors / serve.slow_requests here, plus the
+// request series of answer.hpp — all in the process-wide obs registry,
 // exported by the csdac_serve tool's --metrics-out or the ctl metrics
 // command.
 #pragma once
@@ -134,8 +131,6 @@ class Server {
                              std::uint64_t conn_id, bool* shutdown_after);
   std::string handle_control(const runtime::JsonValue& request,
                              bool* shutdown_after);
-  std::string handle_request(const runtime::JsonValue& request,
-                             std::uint64_t conn_id);
   /// Appends one JSONL record for a sampled slow request (no-op without a
   /// slow log file). Serialized internally.
   void log_slow_request(const std::string& line);
@@ -158,7 +153,6 @@ class Server {
   std::uint64_t next_conn_id_ = 1;
   ServerCounters counters_;
 
-  std::atomic<std::uint64_t> trace_seq_{0};  ///< minted trace-id suffix
   std::mutex slow_mutex_;
   std::FILE* slow_file_ = nullptr;  ///< open slow log (owned)
 };

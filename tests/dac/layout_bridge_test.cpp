@@ -1,8 +1,7 @@
-#include "dac/layout_bridge.hpp"
+#include "layout_bridge.hpp"
 
 #include <gtest/gtest.h>
 
-#include "dac/static_analysis.hpp"
 #include "mathx/stats.hpp"
 
 namespace csdac::dac {

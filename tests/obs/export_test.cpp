@@ -223,7 +223,7 @@ TEST(ChromeTrace, ValidJsonWithNestedSpans) {
   obs::SpanCollector collector;
   obs::Tracer::global().add_sink(&collector);
   {
-    obs::ScopedSpan outer("serve.batch");
+    obs::ScopedSpan outer("serve.request");
     outer.attr("jobs", 2);
     obs::ScopedSpan inner(kHostile);  // hostile span name must not corrupt
     inner.attr(kHostile, kHostile);
@@ -250,7 +250,7 @@ TEST(ChromeTrace, ValidJsonWithNestedSpans) {
     }
     ASSERT_EQ(ph, "X");
     ++complete;
-    if (ev.string_or("name", "") == "serve.batch") outer_ev = &ev;
+    if (ev.string_or("name", "") == "serve.request") outer_ev = &ev;
     if (ev.string_or("name", "") == kHostile) inner_ev = &ev;
   }
   EXPECT_EQ(complete, 2);

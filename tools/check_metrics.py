@@ -458,7 +458,8 @@ def stage_values(samples, suffix):
 def check_stages_complete(path, samples):
     """Every job kind that shows up in the stage histograms must carry
     the full stage vocabulary — a missing stage means some path through
-    handle_request skipped part of the attribution pipeline."""
+    serve::answer (serve/answer.cpp) skipped part of the attribution
+    pipeline."""
     sums = stage_values(samples, "_sum")
     if not sums:
         fail(f"{path}: no {STAGE_HIST} series — per-stage latency "

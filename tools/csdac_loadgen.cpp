@@ -8,7 +8,7 @@
 //
 //   csdac_loadgen --port N [--host H] [--port-file PATH] [--clients C]
 //                 [--requests R] [--jobs-per-request J] [--unique K]
-//                 [--chips N] [--out BENCH.json] [--smoke] [--shutdown]
+//                 [--chips N] [--out BENCH.json] [--smoke]
 //
 // Client c's r-th request asks for jobs (c + r + j) % K of K unique
 // questions, so concurrent clients collide on the same keys constantly —
@@ -60,7 +60,6 @@ struct Options {
   int unique = 4;  ///< distinct questions across the whole run
   int chips = 200;
   bool smoke = false;
-  bool shutdown = false;
 };
 
 Options parse_args(int argc, char** argv) {
@@ -85,7 +84,6 @@ Options parse_args(int argc, char** argv) {
       o.chips = std::atoi(value(a));
     else if (std::strcmp(argv[a], "--out") == 0) o.out_path = value(a);
     else if (std::strcmp(argv[a], "--smoke") == 0) o.smoke = true;
-    else if (std::strcmp(argv[a], "--shutdown") == 0) o.shutdown = true;
     else die("unknown argument " + std::string(argv[a]));
   }
   if (o.clients < 1 || o.requests < 1 || o.jobs_per_request < 1 ||
@@ -324,14 +322,6 @@ int main(int argc, char** argv) {
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-
-  if (o.shutdown) {
-    serve::Client conn;
-    std::string err, reply;
-    if (connect_with_retry(conn, o, &err)) {
-      conn.call("{\"schema\":\"csdac-ctl/1\",\"cmd\":\"shutdown\"}", reply);
-    }
-  }
 
   const double p50 = percentile(s.latencies_us, 0.50);
   const double p99 = percentile(s.latencies_us, 0.99);

@@ -1,16 +1,18 @@
-// Design-service front end, in two modes sharing one parser and one
-// result emitter (src/serve/request.*, src/serve/response.*):
+// Design-service front end, in two modes answering every request through
+// one function, serve::answer (src/serve/answer.*):
 //
 // Batch (default): reads a JSON request file describing many design
 // questions (yield estimates, calibration studies, design-space sweeps,
-// spectrum evaluations, architecture and SPICE studies), folds identical
-// jobs by content key, runs the unique ones on a local runtime::Scheduler
-// (--threads workers) over the persistent content-addressed cache, and
-// writes a JSON response (schema "csdac-serve/2", which embeds a
-// metrics-registry snapshot under "metrics"). A warm-cache run answers
-// every question without a single Monte-Carlo chip evaluation — the CI
-// batch smoke jobs assert exactly that from the response and the
-// Prometheus dump.
+// spectrum evaluations, architecture and SPICE studies), answers it on a
+// local runtime::Scheduler (--threads workers) over the persistent
+// content-addressed cache, and writes the "csdac-serve/4" reply the
+// server would send for the same payload with "metrics": true: per-job
+// results, tiers and stages, a summary, and a metrics-registry snapshot.
+// Identical jobs fold by content key and run once, even under
+// --no-cache. Exits 1 when the request is refused (the reply is then its
+// error frame) or any job failed. A warm-cache run answers every question
+// without a single Monte-Carlo chip evaluation — the CI batch smoke jobs
+// assert exactly that from the reply and the Prometheus dump.
 //
 //   csdac_serve REQUEST.json [--out PATH] [--cache DIR] [--no-cache]
 //               [--cache-max-mb N] [--threads N]
@@ -41,7 +43,7 @@
 // --metrics-out writes the full registry in Prometheus text exposition
 // format after the batch (or on server exit). --chrome-trace collects
 // every span of a batch run and writes Chrome trace_event JSON — open it
-// in Perfetto or chrome://tracing for a flamegraph of serve.batch >
+// in Perfetto or chrome://tracing for a flamegraph of serve.request >
 // sched.job > exec.job > mc.*.
 //
 // Request schema ("csdac-request/1"):
@@ -65,31 +67,24 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "runtime/json.hpp"
 #include "runtime/scheduler.hpp"
+#include "serve/answer.hpp"
 #include "serve/request.hpp"
-#include "serve/response.hpp"
 #include "serve/server.hpp"
 
 using namespace csdac;
 
 namespace {
-
-struct RequestEntry {
-  std::string id;    ///< echoed in the response
-  std::size_t slot;  ///< unique job answering it (shared by duplicates)
-};
 
 [[noreturn]] void die(const std::string& msg) {
   std::fprintf(stderr, "csdac_serve: %s\n", msg.c_str());
@@ -281,109 +276,41 @@ int run_batch(const Options& o) {
   if (!in) die("cannot read " + o.request_path);
   std::stringstream buf;
   buf << in.rdbuf();
+  const std::string text = buf.str();
 
-  std::vector<serve::RequestJob> parsed;
+  // A request with one unique key gets the whole pool for its internal
+  // Monte-Carlo parallelism; otherwise the jobs fan out one engine thread
+  // each. A request the parser refuses is answered (refused) below.
+  std::set<mathx::HashKey128> keys;
   try {
-    parsed = serve::parse_request_text(buf.str());
-  } catch (const serve::RequestError& e) {
-    die(o.request_path + ": " + e.what());
+    for (const auto& j : serve::parse_request_text(text)) {
+      keys.insert(runtime::job_key(j.job));
+    }
+  } catch (const serve::RequestError&) {
   }
-
-  // Fold identical questions by content key before submitting, so a
-  // duplicate runs once even under --no-cache, where no tier answers it.
-  // Each unique job keeps the id of its first occurrence as its label.
-  std::vector<serve::RequestJob> unique;
-  std::vector<RequestEntry> entries;
-  entries.reserve(parsed.size());
-  std::map<mathx::HashKey128, std::size_t> slot_of;
-  for (auto& pj : parsed) {
-    const auto [it, fresh] =
-        slot_of.emplace(runtime::job_key(pj.job), unique.size());
-    entries.push_back(RequestEntry{pj.id, it->second});
-    if (fresh) unique.push_back(std::move(pj));
-  }
-
   runtime::SchedulerOptions so;
   so.workers = o.threads;
-  // A lone job gets the whole pool for its internal Monte-Carlo
-  // parallelism; otherwise the jobs fan out one engine thread each.
-  so.threads_per_job = unique.size() == 1 ? o.threads : 1;
+  so.threads_per_job = keys.size() == 1 ? o.threads : 1;
   if (o.use_cache) so.exec.cache_dir = o.cache_dir;
   so.exec.cache_max_bytes =
       static_cast<std::uint64_t>(o.cache_max_mb * 1024.0 * 1024.0);
 
   obs::SpanCollector collector;
   if (!o.chrome_path.empty()) obs::Tracer::global().add_sink(&collector);
-
-  const std::int64_t chips0 = dac::mc_chips_evaluated();
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<runtime::Scheduler::Ticket> tickets;
-  runtime::CacheCounters cc;
+  serve::Answer a;
   try {
     runtime::Scheduler sched(so);
-    obs::ScopedSpan batch("serve.batch");
-    batch.attr("request", o.request_path)
-        .attr("jobs", static_cast<std::int64_t>(entries.size()));
-    for (const auto& u : unique) {
-      tickets.push_back(sched.submit(u.job, 0, u.id, {}, batch.id()));
-    }
-    for (const auto& t : tickets) t.future.get();  // rethrows job failures
-    cc = sched.executor().disk_counters();
+    a = serve::answer(text, sched, 0, /*metrics=*/true);
   } catch (const std::exception& e) {
     die(e.what());
   }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  const std::int64_t chip_evals = dac::mc_chips_evaluated() - chips0;
-  const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
-
-  bench::JsonWriter w;
-  w.begin_object();
-  w.field("schema", "csdac-serve/2");
-  w.field("request", o.request_path.c_str());
-  w.field("engine_version", std::string(runtime::kEngineVersion).c_str());
-  w.key("jobs").begin_array();
-  for (const auto& e : entries) {
-    const runtime::Scheduler::Ticket& t = tickets[e.slot];
-    const runtime::ExecResult& r = *t.future.get();
-    const std::string kind(
-        runtime::kind_name(runtime::job_kind(unique[e.slot].job)));
-    w.begin_object();
-    w.field("id", e.id.c_str());
-    w.field("kind", kind.c_str());
-    w.field("key", t.key.hex().c_str());
-    w.field("cache", o.use_cache ? (r.cache_hit() ? "hit" : "miss") : "off");
-    w.field("wall_s", r.wall_seconds);
-    w.field("evaluated", r.stats.evaluated);
-    serve::emit_result(w, r.value);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("summary").begin_object();
-  w.field("requested", static_cast<std::int64_t>(entries.size()));
-  w.field("unique_jobs", static_cast<std::int64_t>(unique.size()));
-  w.field("cache_hits", cc.hits);
-  w.field("cache_misses", cc.misses);
-  w.field("cache_evictions", cc.evictions);
-  w.field("chip_evals", chip_evals);
-  w.field("wall_s", wall);
-  w.field("threads", o.threads);
-  w.end_object();
-  w.key("metrics").raw(snap.to_json());
-  w.end_object();
 
   std::ofstream out(o.out_path, std::ios::binary);
   if (!out) die("cannot write " + o.out_path);
-  out << w.str() << "\n";
+  out << a.reply << "\n";
   out.close();
-
-  if (!o.metrics_path.empty()) {
-    std::ofstream mout(o.metrics_path, std::ios::binary);
-    if (!mout) die("cannot write " + o.metrics_path);
-    mout << snap.to_prometheus();
-    std::printf("wrote %s\n", o.metrics_path.c_str());
-  }
+  std::printf("wrote %s\n", o.out_path.c_str());
+  dump_metrics(o.metrics_path);
   if (!o.chrome_path.empty()) {
     obs::Tracer::global().remove_sink(&collector);
     if (!obs::write_chrome_trace(o.chrome_path, collector.take(),
@@ -393,13 +320,10 @@ int run_batch(const Options& o) {
     std::printf("wrote %s\n", o.chrome_path.c_str());
   }
 
-  std::printf(
-      "csdac_serve: %zu requests -> %zu unique jobs, %lld cache hits, "
-      "%lld misses, %lld chips evaluated, %.3f s\n",
-      entries.size(), unique.size(), static_cast<long long>(cc.hits),
-      static_cast<long long>(cc.misses), static_cast<long long>(chip_evals),
-      wall);
-  std::printf("wrote %s\n", o.out_path.c_str());
+  if (a.refused) die(o.request_path + ": " + a.reply);
+  if (a.failed > 0) {
+    die(std::to_string(a.failed) + " job(s) failed, see " + o.out_path);
+  }
   return 0;
 }
 
